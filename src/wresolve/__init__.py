@@ -76,7 +76,7 @@ from .neighborhoods import (
     key_check,
     minimal_r1,
 )
-from .rationals import Rat, format_rat, parse_rat
+from .rationals import format_rat, parse_rat
 from .riemannroch import (
     ContractionCase,
     aw_upper_bound,

@@ -11,6 +11,7 @@ beyond 2^53 as decimal strings so consumers never round.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
@@ -42,6 +43,9 @@ from .germs import CARGerm
 from .rationals import format_rat, parse_rat
 
 MAX_SAFE_INT = 2**53
+
+# the verify flags and their defaults: one --flag-name per run_all parameter
+_VERIFY_PARAMS = inspect.signature(sweeps.run_all).parameters
 
 
 def _encode(value):
@@ -270,26 +274,7 @@ def _cmd_blowup(args):
         if q.r >= 2:
             entry["normal"] = list(normalize_cyclic(q))
         quotients.append(entry)
-    residual = None
-    if step.residual is not None:
-        residual = {
-            "r": step.residual.r,
-            "beta": step.residual.beta,
-            "support": [list(p) for p in sorted(step.residual.support)],
-        }
-    return 0, {"quotients": quotients, "residual": residual}
-
-
-def _verdict_payload(v: neighborhoods.KeyVerdict):
-    return {
-        "ky_cy": v.ky_cy,
-        "nonpositive": v.nonpositive,
-        "kx_c": v.kx_c,
-        "cf": v.cf,
-        "r1": v.r1,
-        "s": v.s,
-        "delta": v.delta,
-    }
+    return 0, {"quotients": quotients, "residual": step.residual}
 
 
 def _cmd_en(args):
@@ -342,8 +327,7 @@ def _cmd_en(args):
         case = neighborhoods.IAIAIIICase(_int_field(obj, "r"), _int_field(obj, "a2"))
     else:
         raise SchemaError(f"unknown neighborhood case {name!r}")
-    verdict = neighborhoods.key_check(case, kx=kx, r1=r1)
-    return 0, _verdict_payload(verdict)
+    return 0, asdict(neighborhoods.key_check(case, kx=kx, r1=r1))
 
 
 def _cmd_rr(args):
@@ -474,42 +458,14 @@ def _cmd_trace(args):
     return 0, {
         "valid": verdict.valid,
         "induction": traces.induction_certificate(trace),
-        "steps": [
-            {
-                "index": dg.index,
-                "kind": dg.kind,
-                "rule": dg.rule,
-                "ok": dg.ok,
-                "note": dg.note,
-            }
-            for dg in verdict.diagnostics
-        ],
+        "steps": verdict.diagnostics,
     }
 
 
 def _cmd_verify(args):
-    results = sweeps.run_all(
-        cyclic_max=args.cyclic_max,
-        germ_r_max=args.germ_r_max,
-        rr_max=args.rr_max,
-        en_r_max=args.en_r_max,
-        semi_max=args.semi_max,
-        iib_max=args.iib_max,
-        o3_cases=args.o3_cases,
-        trace_count=args.trace_count,
-        seed=args.seed,
-    )
+    results = sweeps.run_all(**{name: getattr(args, name) for name in _VERIFY_PARAMS})
     if args.output == "json":
-        payload = [
-            {
-                "name": r.name,
-                "ok": r.ok,
-                "cases": r.cases,
-                "elapsed": round(r.elapsed, 3),
-                "detail": r.detail,
-            }
-            for r in results
-        ]
+        payload = [{**asdict(r), "elapsed": round(r.elapsed, 3)} for r in results]
         print(json.dumps(payload, indent=2))
     else:
         for r in results:
@@ -566,15 +522,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run the cross-check sweeps")
     v.add_argument("--output", "-o", choices=("json", "text"), default="text")
-    v.add_argument("--cyclic-max", type=int, default=25)
-    v.add_argument("--germ-r-max", type=int, default=7)
-    v.add_argument("--rr-max", type=int, default=40)
-    v.add_argument("--en-r-max", type=int, default=99)
-    v.add_argument("--semi-max", type=int, default=30)
-    v.add_argument("--iib-max", type=int, default=51)
-    v.add_argument("--o3-cases", type=int, default=200)
-    v.add_argument("--trace-count", type=int, default=10000)
-    v.add_argument("--seed", type=int, default=20240817)
+    for name, param in _VERIFY_PARAMS.items():
+        v.add_argument("--" + name.replace("_", "-"), type=int, default=param.default)
     v.set_defaults(handler=None)
     return parser
 

@@ -8,8 +8,6 @@ stored reduced with positive denominator.  No float ever enters the core;
 
 from fractions import Fraction
 
-Rat = Fraction
-
 
 def parse_rat(value):
     """Parse a rational from "p/q" / "p" strings, [p, q] pairs, or ints."""

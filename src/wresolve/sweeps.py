@@ -4,8 +4,10 @@ suite's acceptance gate.
 Each sweep cross-checks one family of claims by an independent route
 (closed formula against exhaustive search, threshold bound against a
 linear scan, simulated chain stages against closed-form exponents) and
-reports a SweepResult. Everything is deterministic; the randomized
-sweeps take an explicit seed.
+reports a SweepResult. A sweep is a stream of per-case checks, each
+returning its first failure message or None, fed to one runner that
+times, counts and reports them. Everything is deterministic; the
+randomized sweeps take an explicit seed.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from fractions import Fraction
 from math import gcd
 
 from . import chains, germs, neighborhoods, riemannroch, traces
-from .baskets import Basket, TerminalClass, aw as basket_aw, xi as basket_xi
+from .baskets import TerminalClass, aw as basket_aw, basket_of, xi as basket_xi
 from .errors import InvalidParameter
 from .germs import CARGerm
 
@@ -40,38 +42,65 @@ class SweepResult:
         )
 
 
-def _result(name, start, cases, failures) -> SweepResult:
-    detail = "" if not failures else f"first failure: {failures[0]}"
+def _run(name: str, outcomes) -> SweepResult:
+    """Run the cases behind ``outcomes``, one failure message or None per
+    case, and report the first failure. A sweep that checks no case fails."""
+    start = time.perf_counter()
+    cases = 0
+    first = None
+    for failure in outcomes:
+        cases += 1
+        if first is None:
+            first = failure
+    if not cases:
+        detail = "no cases checked"
+    else:
+        detail = "" if first is None else f"first failure: {first}"
     return SweepResult(
         name=name,
-        ok=not failures,
+        ok=cases > 0 and first is None,
         cases=cases,
         elapsed=time.perf_counter() - start,
         detail=detail,
     )
 
 
+def _through_first_failure(groups):
+    """Outcomes of each group of cases, up to the end of the first group
+    with a failure: for the sweeps that stop early."""
+    for group in groups:
+        yield from group
+        if any(failure is not None for failure in group):
+            return
+
+
 def _units(r):
     return [b for b in range(1, r) if gcd(b, r) == 1]
 
 
+def _check_cyclic_search(r: int) -> str | None:
+    found = germs.cyclic_depth_search(r)
+    if found != r - 1:
+        return f"index {r}: search {found} != {r - 1}"
+    return None
+
+
+def _check_cyclic_germ(r: int, beta: int) -> str | None:
+    via_germ = germs.depth_search(CARGerm(r, beta, frozenset({(0, 1)})))
+    if via_germ != r - 1:
+        return f"index {r}, beta {beta}: germ route {via_germ}"
+    return None
+
+
 def sweep_cyclic_depth(r_max: int = 25) -> SweepResult:
     """Exhaustive-search depth of cyclic points vs the closed form r - 1."""
-    start = time.perf_counter()
-    cases = 0
-    failures = []
-    for r in range(2, r_max + 1):
-        found = germs.cyclic_depth_search(r)
-        if found != r - 1:
-            failures.append(f"index {r}: search {found} != {r - 1}")
-        cases += 1
-        for beta in _units(r):
-            g = CARGerm(r, beta, frozenset({(0, 1)}))
-            via_germ = germs.depth_search(g)
-            if via_germ != r - 1:
-                failures.append(f"index {r}, beta {beta}: germ route {via_germ}")
-            cases += 1
-    return _result("cyclic-depth-search", start, cases, failures)
+    def outcomes():
+        for r in range(2, r_max + 1):
+            yield _check_cyclic_search(r)
+            for beta in _units(r):
+                yield _check_cyclic_germ(r, beta)
+
+    return _run("cyclic-depth-search", outcomes())
 
 
 def iter_germ_supports(i_max=4, j_max=8, lam_max=4, tri_i_max=2, tri_j_max=4):
@@ -116,181 +145,188 @@ def iter_germ_family(r_max=7, **support_kw):
                 yield CARGerm(r, beta, support)
 
 
-def sweep_germ_depth(r_max: int = 7, **support_kw) -> SweepResult:
-    """Search depth == formula depth == lam*r - t, inside the basket window."""
-    start = time.perf_counter()
-    cases = 0
-    failures = []
-    for g in iter_germ_family(r_max, **support_kw):
-        cases += 1
-        searched = germs.depth_search(g)
-        formula = germs.depth_formula(g)
-        direct = germs.axial_weight(g) * g.r - germs.tvalue(g)
-        bk = _germ_basket(g)
-        lo = basket_xi(bk) - basket_aw(bk)
-        hi = basket_xi(bk) - 1
-        if not (searched == formula == direct):
-            failures.append(f"{_germ_tag(g)}: search {searched}, formula {formula}")
-        elif not (lo <= searched <= hi):
-            failures.append(f"{_germ_tag(g)}: depth {searched} outside [{lo}, {hi}]")
-    return _result("germ-depth-dual-route", start, cases, failures)
-
-
-def _germ_basket(g: CARGerm) -> Basket:
-    from .baskets import basket_of
-
-    return basket_of(TerminalClass.ca_r(g))
-
-
 def _germ_tag(g: CARGerm) -> str:
     return f"(r={g.r}, beta={g.beta}, supp={sorted(g.support)})"
 
 
+def _check_germ_depth(g: CARGerm) -> str | None:
+    searched = germs.depth_search(g)
+    formula = germs.depth_formula(g)
+    bk = basket_of(TerminalClass.ca_r(g))
+    lo = basket_xi(bk) - basket_aw(bk)
+    hi = basket_xi(bk) - 1
+    if searched != formula:
+        return f"{_germ_tag(g)}: search {searched}, formula {formula}"
+    if not (lo <= searched <= hi):
+        return f"{_germ_tag(g)}: depth {searched} outside [{lo}, {hi}]"
+    return None
+
+
+def sweep_germ_depth(r_max: int = 7, **support_kw) -> SweepResult:
+    """Search depth == formula depth lam*r - t, inside the basket window."""
+    return _run(
+        "germ-depth-dual-route",
+        map(_check_germ_depth, iter_germ_family(r_max, **support_kw)),
+    )
+
+
+def _check_residual(g: CARGerm, lam: int, n1: int) -> str | None:
+    r1, r2 = germs.admissible_splits(g)[0]
+    res = germs.blowup_step(g, r1, r2).residual
+    if res is None:
+        return f"{_germ_tag(g)}: missing residual"
+    if germs.axial_weight(res) != lam - n1:
+        return f"{_germ_tag(g)}: lam recursion broke"
+    if germs.tvalue(res) != germs.tvalue(g) - 1:
+        return f"{_germ_tag(g)}: t recursion broke"
+    for s in range(2, lam + 2):
+        if germs.nu(res, s - 1) != germs.nu(g, s) - n1:
+            return f"{_germ_tag(g)}: nu recursion broke at s={s}"
+    return None
+
+
 def sweep_residual_recursion(r_max: int = 7, **support_kw) -> SweepResult:
     """After one blow-up: lam drops by nu_1, t drops by 1, nu reindexes."""
-    start = time.perf_counter()
-    cases = 0
-    failures = []
-    for g in iter_germ_family(r_max, **support_kw):
-        lam = germs.axial_weight(g)
-        n1 = germs.nu(g, 1)
-        if n1 >= lam:
-            continue
-        cases += 1
-        r1, r2 = germs.admissible_splits(g)[0]
-        res = germs.blowup_step(g, r1, r2).residual
-        if res is None:
-            failures.append(f"{_germ_tag(g)}: missing residual")
-            continue
-        if germs.axial_weight(res) != lam - n1:
-            failures.append(f"{_germ_tag(g)}: lam recursion broke")
-        if germs.tvalue(res) != germs.tvalue(g) - 1:
-            failures.append(f"{_germ_tag(g)}: t recursion broke")
-        for s in range(2, lam + 2):
-            if germs.nu(res, s - 1) != germs.nu(g, s) - n1:
-                failures.append(f"{_germ_tag(g)}: nu recursion broke at s={s}")
-                break
-    return _result("residual-recursion", start, cases, failures)
+    def outcomes():
+        for g in iter_germ_family(r_max, **support_kw):
+            lam = germs.axial_weight(g)
+            n1 = germs.nu(g, 1)
+            if n1 < lam:
+                yield _check_residual(g, lam, n1)
+
+    return _run("residual-recursion", outcomes())
+
+
+def _check_rr_bounds(case: riemannroch.ContractionCase, data) -> str | None:
+    tag, rp = case.tag, case.rprime
+    bound = riemannroch.aw_upper_bound(case)
+    if bound > data.sufficient_bound:
+        return f"{tag} r'={rp}: bound {bound} too large"
+    # independent route: linear scan of the chi threshold
+    scan = 0
+    awx = 1
+    while riemannroch._check_aw_consistency(case, awx) >= 1:
+        scan = awx
+        awx += 1
+    if scan != bound:
+        return f"{tag} r'={rp}: scan {scan} != bound {bound}"
+    if bound >= 1 and riemannroch._check_aw_consistency(case, bound) < 1:
+        return f"{tag} r'={rp}: threshold fails at the bound"
+    if riemannroch._check_aw_consistency(case, bound + 1) >= 1:
+        return f"{tag} r'={rp}: threshold holds above the bound"
+    for awx in range(1, data.sufficient_bound + 1):
+        if not riemannroch.case_depth_check(case, awx).ok:
+            return f"{tag} r'={rp} aw={awx}: depth check failed"
+    if tag in (riemannroch.E1_A4, riemannroch.E1_A2):
+        rep = riemannroch.case_depth_check(case, rp - 1)
+        if rep.dep_y_min - 1 != 2 * rp - 2:
+            return f"{tag} r'={rp}: dep(Y) - 1 != 2r' - 2"
+    return None
 
 
 def sweep_rr_bounds(rp_max: int = 40) -> SweepResult:
     """Axial-weight bounds from the chi threshold, plus case depth checks."""
-    start = time.perf_counter()
-    cases = 0
-    failures = []
     plans = [
         (riemannroch.E1_A4, range(5, rp_max + 1)),
         (riemannroch.E1_A2, range(3, rp_max + 1)),
         (riemannroch.E2, range(2, rp_max + 1)),
     ]
-    for tag, rps in plans:
-        for rp in rps:
-            case = riemannroch.ContractionCase(tag, rp)
-            try:
-                data = riemannroch.case_data(case)
-            except InvalidParameter:
-                continue  # non-terminal basket for this parity of r'
-            cases += 1
-            bound = riemannroch.aw_upper_bound(case)
-            if bound > data.sufficient_bound:
-                failures.append(f"{tag} r'={rp}: bound {bound} too large")
-                continue
-            # independent route: linear scan of the chi threshold
-            scan = 0
-            awx = 1
-            while riemannroch._check_aw_consistency(case, awx) >= 1:
-                scan = awx
-                awx += 1
-            if scan != bound:
-                failures.append(f"{tag} r'={rp}: scan {scan} != bound {bound}")
-                continue
-            if bound >= 1 and riemannroch._check_aw_consistency(case, bound) < 1:
-                failures.append(f"{tag} r'={rp}: threshold fails at the bound")
-            if riemannroch._check_aw_consistency(case, bound + 1) >= 1:
-                failures.append(f"{tag} r'={rp}: threshold holds above the bound")
-            for awx in range(1, data.sufficient_bound + 1):
-                rep = riemannroch.case_depth_check(case, awx)
-                if not rep.ok:
-                    failures.append(f"{tag} r'={rp} aw={awx}: depth check failed")
-                    break
-            if tag in (riemannroch.E1_A4, riemannroch.E1_A2):
-                rep = riemannroch.case_depth_check(case, rp - 1)
-                if rep.dep_y_min - 1 != 2 * rp - 2:
-                    failures.append(f"{tag} r'={rp}: dep(Y) - 1 != 2r' - 2")
-    return _result("chi-threshold-bounds", start, cases, failures)
+
+    def outcomes():
+        for tag, rps in plans:
+            for rp in rps:
+                case = riemannroch.ContractionCase(tag, rp)
+                try:
+                    data = riemannroch.case_data(case)
+                except InvalidParameter:
+                    continue  # non-terminal basket for this parity of r'
+                yield _check_rr_bounds(case, data)
+
+    return _run("chi-threshold-bounds", outcomes())
+
+
+def _check_e11(case: riemannroch.ContractionCase) -> str | None:
+    rep = riemannroch.case_depth_check(case)
+    if rep.dep_y_min != 6 or rep.dep_y_max != 6:
+        return f"dep(Y) = {rep.dep_y_min} != 6"
+    if rep.dep_x_upper != 7:
+        return f"dep(X) bound = {rep.dep_x_upper} != 7"
+    if not rep.ok:
+        return "depth comparison failed"
+    return None
 
 
 def check_e11() -> SweepResult:
     """E11 case: dep(Y) = 6 from the index-2 and index-6 points, dep(X) <= 7."""
-    start = time.perf_counter()
-    failures = []
-    rep = riemannroch.case_depth_check(riemannroch.ContractionCase(riemannroch.E11))
-    if rep.dep_y_min != 6 or rep.dep_y_max != 6:
-        failures.append(f"dep(Y) = {rep.dep_y_min} != 6")
-    if rep.dep_x_upper != 7:
-        failures.append(f"dep(X) bound = {rep.dep_x_upper} != 7")
-    if not rep.ok:
-        failures.append("depth comparison failed")
-    return _result("e11-depth", start, 1, failures)
+    e11 = riemannroch.ContractionCase(riemannroch.E11)
+    return _run("e11-depth", map(_check_e11, [e11]))
+
+
+def _check_en_exceptional(
+    case: neighborhoods.ExceptionalIAIACase, r1: int
+) -> str | None:
+    tag = f"r={case.r} a2={case.a2} r1={r1}"
+    v = neighborhoods.key_check(case, r1=r1)
+    if v.s * r1 < 2:
+        return f"{tag}: witness failed"
+    if not v.nonpositive:
+        return f"{tag}: K_Y.C_Y = {v.ky_cy} > 0"
+    return None
 
 
 def sweep_en_exceptional(r_max: int = 99, r1_steps: int = 3) -> SweepResult:
     """Exceptional IA+IA: s*r1 >= 2 and K_Y.C_Y <= 0 for admissible r1 <= 3r."""
-    start = time.perf_counter()
-    cases = 0
-    failures = []
-    for r in range(5, r_max + 1, 2):
-        for a2 in range(r // 2 + 1, r):
-            if gcd(a2, r) != 1:
-                continue
-            case = neighborhoods.ExceptionalIAIACase(r, a2)
-            base = neighborhoods.minimal_r1(case)
-            for step in range(r1_steps):
-                r1 = base + step * r
-                cases += 1
-                v = neighborhoods.key_check(case, r1=r1)
-                if v.s * r1 < 2:
-                    failures.append(f"r={r} a2={a2} r1={r1}: witness failed")
-                elif not v.nonpositive:
-                    failures.append(f"r={r} a2={a2} r1={r1}: K_Y.C_Y = {v.ky_cy} > 0")
-    return _result("en-exceptional-iaia", start, cases, failures)
+    def outcomes():
+        for r in range(5, r_max + 1, 2):
+            for a2 in range(r // 2 + 1, r):
+                if gcd(a2, r) != 1:
+                    continue
+                case = neighborhoods.ExceptionalIAIACase(r, a2)
+                base = neighborhoods.minimal_r1(case)
+                for step in range(r1_steps):
+                    yield _check_en_exceptional(case, base + step * r)
+
+    return _run("en-exceptional-iaia", outcomes())
+
+
+def _check_en_semistable(case: neighborhoods.SemistableIAIACase) -> str | None:
+    tag = (case.r, case.a, case.rprime, case.aprime)
+    v = neighborhoods.key_check(case)
+    if v.r1 * v.delta < case.rprime:
+        return f"{tag}: witness failed"
+    if not v.nonpositive:
+        return f"{tag}: K_Y.C_Y > 0"
+    return None
 
 
 def sweep_en_semistable(r_max: int = 30) -> SweepResult:
     """Semistable IA+IA: r1*delta >= r' and K_Y.C_Y <= 0 over all shapes."""
-    start = time.perf_counter()
-    cases = 0
-    failures = []
-    for rp in range(2, r_max + 1):
-        for r in range(rp, r_max + 1):
-            for a in _units(r):
-                for ap in _units(rp):
-                    if a * rp + ap * r - r * rp <= 0:
-                        continue
-                    case = neighborhoods.SemistableIAIACase(r, a, rp, ap)
-                    cases += 1
-                    v = neighborhoods.key_check(case)
-                    if v.r1 * v.delta < rp:
-                        failures.append(f"{(r, a, rp, ap)}: witness failed")
-                    elif not v.nonpositive:
-                        failures.append(f"{(r, a, rp, ap)}: K_Y.C_Y > 0")
-    return _result("en-semistable-iaia", start, cases, failures)
+    cases = (
+        neighborhoods.SemistableIAIACase(r, a, rp, ap)
+        for rp in range(2, r_max + 1)
+        for r in range(rp, r_max + 1)
+        for a in _units(r)
+        for ap in _units(rp)
+        if a * rp + ap * r - r * rp > 0
+    )
+    return _run("en-semistable-iaia", map(_check_en_semistable, cases))
+
+
+def _check_en_iib(case: neighborhoods.IIBCase) -> str | None:
+    if neighborhoods.cf_intersection(case) > 1:
+        return f"{(case.r1, case.r2, case.r3, case.r4)}: fiber degree above 1"
+    return None
 
 
 def sweep_en_iib(entry_max: int = 51) -> SweepResult:
     """IIB: fiber degree min(3/r1, 2/r2) <= 1 over the congruence grid."""
-    start = time.perf_counter()
-    cases = 0
-    failures = []
     r1s = range(3, entry_max + 1, 4)
     r2s = range(2, entry_max + 1, 4)
     r3s = range(1, entry_max + 1, 4)
-    for r1, r2, r3, r4 in itertools.product(r1s, r2s, r3s, r3s):
-        case = neighborhoods.IIBCase(r1, r2, r3, r4)
-        cases += 1
-        if neighborhoods.cf_intersection(case) > 1:
-            failures.append(f"{(r1, r2, r3, r4)}: fiber degree above 1")
-    return _result("en-iib-fiber-degree", start, cases, failures)
+    cases = itertools.starmap(
+        neighborhoods.IIBCase, itertools.product(r1s, r2s, r3s, r3s)
+    )
+    return _run("en-iib-fiber-degree", map(_check_en_iib, cases))
 
 
 def _ceil_div(p: int, q: int) -> int:
@@ -331,179 +367,154 @@ def random_case_b(rng: random.Random, a: int, d: int) -> chains.O3CaseB:
     )
 
 
-def _check_case_a(case: chains.O3CaseA, rng: random.Random, failures: list) -> None:
+def _check_depth_identity(case, rng: random.Random, tag: str) -> str | None:
+    ident = chains.depth_identity(case, rng.randint(0, 12))
+    if not ident.check or ident.dep_y != ident.dep_x_upper + case.a - 2:
+        return f"{tag}: depth identity broke"
+    return None
+
+
+def _check_case_a(case: chains.O3CaseA, rng: random.Random) -> str | None:
     a, d, alpha, r = case.a, case.d, case.alpha, case.r
     tag = f"A(a={a}, d={d})"
     chains.nonnegativity_check(case)
     stages = chains.chain_simulate(case)
     for st in stages[:-1]:
         if st.sigma_weight != 2 * d:
-            failures.append(f"{tag}: stage {st.k} weight {st.sigma_weight}")
-            return
+            return f"{tag}: stage {st.k} weight {st.sigma_weight}"
         if st.discrepancy != Fraction(1, 2):
-            failures.append(f"{tag}: stage {st.k} discrepancy {st.discrepancy}")
-            return
+            return f"{tag}: stage {st.k} discrepancy {st.discrepancy}"
         if not st.witnesses:
-            failures.append(f"{tag}: stage {st.k} lost its weight witnesses")
-            return
+            return f"{tag}: stage {st.k} lost its weight witnesses"
     for k in range(a):
         for i, j in case.supp_a:
             if chains.beta_k(i, j, k + 1, d) - chains.beta_k(i, j, k, d) != i - 2 * d:
-                failures.append(f"{tag}: beta recurrence broke")
-                return
+                return f"{tag}: beta recurrence broke"
         for i, j in case.supp_b:
             want = i + 1 - d if k % 2 == 0 else i - d
             if chains.gamma_k(i, j, k + 1, d) - chains.gamma_k(i, j, k, d) != want:
-                failures.append(f"{tag}: gamma recurrence broke")
-                return
+                return f"{tag}: gamma recurrence broke"
         want = alpha - 1 - d if k % 2 == 0 else alpha - d
         if chains.delta_k(k + 1, alpha, d) - chains.delta_k(k, alpha, d) != want:
-            failures.append(f"{tag}: delta recurrence broke")
-            return
+            return f"{tag}: delta recurrence broke"
     if chains.delta_k(a, alpha, d) != Fraction(2 * a * alpha - a - r - 2, 2):
-        failures.append(f"{tag}: closed form for delta(a) broke")
-        return
+        return f"{tag}: closed form for delta(a) broke"
     top = stages[-1]
     for (i, j), e in top.a_exponents:
         if e != a * i + j - r - 1:
-            failures.append(f"{tag}: top-stage beta {e} != {a * i + j - r - 1}")
-            return
+            return f"{tag}: top-stage beta {e} != {a * i + j - r - 1}"
     for (i, j), e in top.b_exponents:
         if 2 * e != (2 * i + 1) * a + 2 * j - r:
-            failures.append(f"{tag}: top-stage gamma mismatch")
-            return
-    ident = chains.depth_identity(case, rng.randint(0, 12))
-    if not ident.check or ident.dep_y != ident.dep_x_upper + a - 2:
-        failures.append(f"{tag}: depth identity broke")
+            return f"{tag}: top-stage gamma mismatch"
+    return _check_depth_identity(case, rng, tag)
 
 
-def _check_case_b(case: chains.O3CaseB, rng: random.Random, failures: list) -> None:
+def _check_case_b(case: chains.O3CaseB, rng: random.Random) -> str | None:
     a, d, r = case.a, case.d, case.r
     tag = f"B(a={a}, d={d})"
     chains.nonnegativity_check(case)
     stages = chains.chain_stages_b(case)
     for st in stages[:-1]:
         if st.wt_first != 2 * d + 1 or st.wt_second != Fraction(2 * d + 1, 2):
-            failures.append(f"{tag}: stage {st.k} weights broke")
-            return
+            return f"{tag}: stage {st.k} weights broke"
         if st.discrepancy != Fraction(1, 2):
-            failures.append(f"{tag}: stage {st.k} discrepancy {st.discrepancy}")
-            return
+            return f"{tag}: stage {st.k} discrepancy {st.discrepancy}"
     for k in range(a):
         for i, j in case.supp_a:
             if (chains.beta_k_b(i, j, k + 1, d)
                     - chains.beta_k_b(i, j, k, d)) != i - 2 * d - 1:
-                failures.append(f"{tag}: first recurrence broke")
-                return
+                return f"{tag}: first recurrence broke"
         for i, j in case.supp_b:
             if (chains.gamma_k_b(i, j, k + 1, d)
                     - chains.gamma_k_b(i, j, k, d)) != i - d:
-                failures.append(f"{tag}: second recurrence broke")
-                return
+                return f"{tag}: second recurrence broke"
     top = stages[-1]
     for (i, j), e in top.p_exponents:
         if e != a * i + j - r - 2:
-            failures.append(f"{tag}: top-stage first exponent mismatch")
-            return
+            return f"{tag}: top-stage first exponent mismatch"
     for (i, j), e in top.q_exponents:
         if e != j + 1 + a * (i - d):
-            failures.append(f"{tag}: top-stage second exponent mismatch")
-            return
-    ident = chains.depth_identity(case, rng.randint(0, 12))
-    if not ident.check or ident.dep_y != ident.dep_x_upper + a - 2:
-        failures.append(f"{tag}: depth identity broke")
+            return f"{tag}: top-stage second exponent mismatch"
+    return _check_depth_identity(case, rng, tag)
 
 
 def sweep_o3_chains(cases_per_shape: int = 200, seed: int = 20240817) -> SweepResult:
     """Randomized chain data for both shapes: recurrences, nonnegativity,
     stage weights, top-stage exponents, and the depth identity."""
-    start = time.perf_counter()
     rng = random.Random(seed)
-    failures = []
-    cases = 0
     combos = [(a, d) for a in (3, 5, 7, 9) for d in (1, 2, 3)]
     per_combo = _ceil_div(cases_per_shape, len(combos))
-    for a, d in combos:
-        for _ in range(per_combo):
-            _check_case_a(random_case_a(rng, a, d), rng, failures)
-            cases += 1
-            _check_case_b(random_case_b(rng, a, d), rng, failures)
-            cases += 1
-            if failures:
-                return _result("o3-chain-calculus", start, cases, failures)
-    return _result("o3-chain-calculus", start, cases, failures)
-
-
-_T = traces
+    pairs = (
+        (_check_case_a(random_case_a(rng, a, d), rng),
+         _check_case_b(random_case_b(rng, a, d), rng))
+        for a, d in combos
+        for _ in range(per_combo)
+    )
+    return _run("o3-chain-calculus", _through_first_failure(pairs))
 
 
 def random_trace(rng: random.Random, max_len: int = 12, max_dep: int = 10):
     dep = rng.randint(0, max_dep)
     steps = []
     for _ in range(rng.randint(1, max_len)):
-        kinds = [_T.FLOP, _T.DIV_TO_POINT, _T.DIV_TO_CURVE]
+        kinds = [traces.FLOP, traces.DIV_TO_POINT, traces.DIV_TO_CURVE]
         if dep == 0:
-            kinds.append(_T.BLOWDOWN_LCI)
+            kinds.append(traces.BLOWDOWN_LCI)
         else:
-            kinds += [_T.FLIP, _T.WEXTRACTION]
+            kinds += [traces.FLIP, traces.WEXTRACTION]
         kind = rng.choice(kinds)
-        if kind == _T.FLOP:
+        if kind == traces.FLOP:
             after = dep
-        elif kind == _T.FLIP:
+        elif kind == traces.FLIP:
             after = rng.randint(0, dep - 1)
-        elif kind == _T.WEXTRACTION:
+        elif kind == traces.WEXTRACTION:
             after = rng.randint(dep - 1, dep + 2)
-        elif kind == _T.DIV_TO_POINT:
+        elif kind == traces.DIV_TO_POINT:
             after = rng.randint(max(0, dep - 1), dep + 2)
-        elif kind == _T.DIV_TO_CURVE:
+        elif kind == traces.DIV_TO_CURVE:
             after = rng.randint(0, dep)
         else:  # BLOWDOWN_LCI keeps the Gorenstein terminus
             after = 0
-        steps.append(_T.TraceStep(kind, dep, after))
+        steps.append(traces.TraceStep(kind, dep, after))
         dep = after
-    return _T.FactorizationTrace(tuple(steps))
+    return traces.FactorizationTrace(tuple(steps))
 
 
 def violating_extensions(trace) -> list:
     """Single-step mutations that must each be rejected."""
     dep = trace.steps[-1].dep_after if trace.steps else 0
     out = [
-        trace.steps + (_T.TraceStep(_T.FLOP, dep, dep + 1),),
-        trace.steps + (_T.TraceStep(_T.FLIP, dep, dep),),
-        trace.steps + (_T.TraceStep(_T.DIV_TO_CURVE, dep, dep + 1),),
+        trace.steps + (traces.TraceStep(traces.FLOP, dep, dep + 1),),
+        trace.steps + (traces.TraceStep(traces.FLIP, dep, dep),),
+        trace.steps + (traces.TraceStep(traces.DIV_TO_CURVE, dep, dep + 1),),
     ]
     if trace.steps:
         # chaining break: step starts at the wrong depth
-        out.append(trace.steps + (_T.TraceStep(_T.FLOP, dep + 1, dep + 1),))
+        out.append(trace.steps + (traces.TraceStep(traces.FLOP, dep + 1, dep + 1),))
     if dep == 0:
-        out.append(trace.steps + (_T.TraceStep(_T.WEXTRACTION, 0, 3),))
+        out.append(trace.steps + (traces.TraceStep(traces.WEXTRACTION, 0, 3),))
     if dep >= 2:
-        out.append(trace.steps + (_T.TraceStep(_T.WEXTRACTION, dep, dep - 2),))
-        out.append(trace.steps + (_T.TraceStep(_T.DIV_TO_POINT, dep, dep - 2),))
+        out.append(trace.steps + (traces.TraceStep(traces.WEXTRACTION, dep, dep - 2),))
+        out.append(trace.steps + (traces.TraceStep(traces.DIV_TO_POINT, dep, dep - 2),))
     if dep >= 1:
-        out.append(trace.steps + (_T.TraceStep(_T.BLOWDOWN_LCI, dep, 0),))
-    return [_T.FactorizationTrace(s) for s in out]
+        out.append(trace.steps + (traces.TraceStep(traces.BLOWDOWN_LCI, dep, 0),))
+    return [traces.FactorizationTrace(s) for s in out]
+
+
+def _check_trace(t) -> str | None:
+    if not traces.validate_trace(t).valid:
+        return f"generated trace rejected: {t.steps[:3]}..."
+    for bad in violating_extensions(t):
+        if traces.validate_trace(bad).valid:
+            return f"mutant accepted: {bad.steps[-1]}"
+    return None
 
 
 def sweep_trace_rules(n_traces: int = 10000, seed: int = 20240818) -> SweepResult:
     """Metamorphic check: generated traces pass, every mutation fails."""
-    start = time.perf_counter()
     rng = random.Random(seed)
-    failures = []
-    cases = 0
-    for _ in range(n_traces):
-        t = random_trace(rng)
-        cases += 1
-        if not traces.validate_trace(t).valid:
-            failures.append(f"generated trace rejected: {t.steps[:3]}...")
-            break
-        for bad in violating_extensions(t):
-            if traces.validate_trace(bad).valid:
-                failures.append(f"mutant accepted: {bad.steps[-1]}")
-                break
-        if failures:
-            break
-    return _result("trace-rule-metamorphic", start, cases, failures)
+    outcomes = ((_check_trace(random_trace(rng)),) for _ in range(n_traces))
+    return _run("trace-rule-metamorphic", _through_first_failure(outcomes))
 
 
 def run_all(

@@ -2,7 +2,7 @@
 
 import random
 
-from wresolve import sweeps, traces
+from wresolve import germs, sweeps, traces
 
 
 def test_result_line_format():
@@ -70,3 +70,23 @@ def test_run_all_quick():
     names = [r.name for r in results]
     assert names[0] == "cyclic-depth-search"
     assert names[-1] == "trace-rule-metamorphic"
+
+
+def test_runner_counts_every_case_after_a_failure(monkeypatch):
+    formula = germs.depth_formula
+    monkeypatch.setattr(germs, "depth_formula", lambda g: formula(g) + 1)
+    res = sweeps.sweep_germ_depth(3)
+    assert not res.ok
+    assert res.cases == 1242
+    assert res.detail.startswith("first failure: (r=2")
+
+
+def test_trace_sweep_stops_at_first_failure(monkeypatch):
+    monkeypatch.setattr(
+        traces, "validate_trace",
+        lambda trace, **kw: traces.TraceVerdict(valid=False, diagnostics=()),
+    )
+    res = sweeps.sweep_trace_rules(40, seed=20240818)
+    assert not res.ok
+    assert res.cases == 1
+    assert res.detail.startswith("first failure: generated trace rejected")
