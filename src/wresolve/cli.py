@@ -15,7 +15,7 @@ import inspect
 import json
 import os
 import sys
-from dataclasses import asdict, is_dataclass
+from dataclasses import asdict, fields, is_dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -25,10 +25,9 @@ from .baskets import (
     CAX2,
     CAX4,
     CD2,
-    CD3,
-    CE2,
     CYCLIC,
     GORENSTEIN,
+    KINDS,
     Basket,
     CyclicQuotient,
     TerminalClass,
@@ -78,110 +77,87 @@ def _load_input(arg: str):
         path = Path(arg)
         if not path.is_file():
             raise SchemaError(f"no such input file: {arg}")
-        text = path.read_text()
+        text = path.read_bytes()
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise SchemaError(f"input is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise SchemaError("top-level input must be a JSON object")
     return obj
 
 
-def _int_field(obj, key, required=True, default=None):
-    if key not in obj:
-        if required:
-            raise SchemaError(f"missing key {key!r}")
-        return default
-    v = obj[key]
-    if isinstance(v, bool):
-        raise SchemaError(f"key {key!r} must be an integer")
-    if isinstance(v, str):
-        try:
-            v = int(v)
-        except ValueError as exc:
-            raise SchemaError(f"key {key!r} must be an integer") from exc
-    if not isinstance(v, int):
-        raise SchemaError(f"key {key!r} must be an integer")
-    return v
+_REQUIRED = object()
 
 
-def _rat_field(obj, key, required=True, default=None):
-    if key not in obj:
-        if required:
-            raise SchemaError(f"missing key {key!r}")
-        return default
+def _convert(convert, value, name, expected):
     try:
-        return parse_rat(obj[key])
+        return convert(value)
     except (ValueError, ZeroDivisionError) as exc:
-        raise SchemaError(f"key {key!r} must be a rational") from exc
+        raise SchemaError(f"{name} must be {expected}") from exc
 
 
-def _pairs_field(obj, key, required=True):
+def _int(value, name, minimum=None):
+    """An integer, or a decimal string of one; never a bool or a float."""
+    if isinstance(value, str):
+        value = _convert(int, value, name, "an integer")
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SchemaError(f"{name} must be an integer")
+    if minimum is not None and value < minimum:
+        raise SchemaError(f"{name} must be >= {minimum}")
+    return value
+
+
+def _rat(value, name):
+    return _convert(parse_rat, value, name, "a rational")
+
+
+def _rows(value, sizes, message):
+    """value as a list of lists whose lengths are in sizes."""
+    if not isinstance(value, list) or any(
+        not isinstance(row, list) or len(row) not in sizes for row in value
+    ):
+        raise SchemaError(message)
+    return value
+
+
+def _int_rows(value, sizes, message):
+    """value as a list of integer tuples whose lengths are in sizes."""
+    rows = _rows(value, sizes, message)
+    if any(isinstance(x, bool) or not isinstance(x, int) for row in rows for x in row):
+        raise SchemaError(message)
+    return [tuple(row) for row in rows]
+
+
+def _pairs(value, name):
+    return _int_rows(value, (2,), f"{name} must be a list of [i, j] pairs")
+
+
+def _basket(value, name):
+    message = f"{name} must be a list of [b, r] or [b, r, n]"
+    return Basket.of(*_int_rows(value, (2, 3), message))
+
+
+def _field(obj, key, parse=_int, default=_REQUIRED, **bounds):
+    """obj[key] through parse; a missing key is an error unless there is a default."""
     if key not in obj:
-        if required:
+        if default is _REQUIRED:
             raise SchemaError(f"missing key {key!r}")
-        return []
-    v = obj[key]
-    if not isinstance(v, list):
-        raise SchemaError(f"key {key!r} must be a list of [i, j] pairs")
-    pairs = []
-    for item in v:
-        if (
-            not isinstance(item, (list, tuple))
-            or len(item) != 2
-            or any(isinstance(x, bool) or not isinstance(x, int) for x in item)
-        ):
-            raise SchemaError(f"key {key!r} must be a list of [i, j] pairs")
-        pairs.append((item[0], item[1]))
-    return pairs
+        return default
+    return parse(obj[key], f"key {key!r}", **bounds)
 
 
 def _parse_germ(obj) -> CARGerm:
-    r = _int_field(obj, "r")
-    beta = _int_field(obj, "beta")
-    support = _pairs_field(obj, "support")
-    try:
-        return CARGerm(r, beta, frozenset(support))
-    except ValueError as exc:
-        raise InvalidParameter(str(exc)) from exc
+    r, beta = _field(obj, "r"), _field(obj, "beta")
+    return CARGerm(r, beta, frozenset(_field(obj, "support", _pairs)))
 
 
-def _parse_basket(items) -> Basket:
-    if not isinstance(items, list):
-        raise SchemaError("basket must be a list of [b, r] or [b, r, n]")
-    entries = []
-    for item in items:
-        if (
-            not isinstance(item, (list, tuple))
-            or len(item) not in (2, 3)
-            or any(isinstance(x, bool) or not isinstance(x, int) for x in item)
-        ):
-            raise SchemaError("basket must be a list of [b, r] or [b, r, n]")
-        entries.append(tuple(item))
-    try:
-        return Basket.of(*entries)
-    except ValueError as exc:
-        raise InvalidParameter(str(exc)) from exc
-
-
+# every class name, lower-cased, with and without its "/"
 _CLASS_ALIASES = {
-    "gorenstein": GORENSTEIN,
-    "smooth": GORENSTEIN,
-    "cyclic": CYCLIC,
-    "ca/r": CA_R,
-    "car": CA_R,
-    "cax/2": CAX2,
-    "cax2": CAX2,
-    "cax/4": CAX4,
-    "cax4": CAX4,
-    "cd/2": CD2,
-    "cd2": CD2,
-    "cd/3": CD3,
-    "cd3": CD3,
-    "ce/2": CE2,
-    "ce2": CE2,
-}
+    alias: kind
+    for kind in KINDS
+    for alias in (kind.lower(), kind.lower().replace("/", ""))
+} | {"smooth": GORENSTEIN}
 
 
 def _parse_class(obj) -> TerminalClass:
@@ -191,40 +167,24 @@ def _parse_class(obj) -> TerminalClass:
     kind = _CLASS_ALIASES.get(name.lower())
     if kind is None:
         raise SchemaError(f"unknown class {name!r}")
-    try:
-        if kind == GORENSTEIN:
-            return TerminalClass.gorenstein()
-        if kind == CYCLIC:
-            r = _int_field(obj, "r")
-            w = obj.get("weights")
-            if (
-                not isinstance(w, list)
-                or len(w) != 3
-                or any(isinstance(x, bool) or not isinstance(x, int) for x in w)
-            ):
-                raise SchemaError("cyclic class needs 'weights': [w1, w2, w3]")
-            return TerminalClass.cyclic(CyclicQuotient(r, tuple(w)))
-        if kind == CA_R:
-            return TerminalClass.ca_r(_parse_germ(obj))
-        if kind == CAX2:
-            return TerminalClass.cax2(_int_field(obj, "k", required=False))
-        k = _int_field(obj, "k") if kind in (CAX4, CD2) else None
-        if kind == CAX4:
-            return TerminalClass.cax4(k)
-        if kind == CD2:
-            return TerminalClass.cd2(k)
-        if kind == CD3:
-            return TerminalClass.cd3()
-        return TerminalClass.ce2()
-    except ValueError as exc:
-        raise InvalidParameter(str(exc)) from exc
+    if kind == CYCLIC:
+        r = _field(obj, "r")
+        message = "cyclic class needs 'weights': [w1, w2, w3]"
+        (weights,) = _int_rows([obj.get("weights")], (3,), message)
+        return TerminalClass(kind, quotient=CyclicQuotient(r, weights))
+    if kind == CA_R:
+        return TerminalClass(kind, germ=_parse_germ(obj))
+    if kind in (CAX4, CD2):
+        return TerminalClass(kind, k=_field(obj, "k"))
+    if kind == CAX2:
+        return TerminalClass(kind, k=_field(obj, "k", default=None))
+    return TerminalClass(kind)
 
 
-def _cmd_basket(args):
-    obj = _load_input(args.input)
+def _cmd_basket(obj):
     tc = _parse_class(obj)
     basket = basket_of(tc)
-    return 0, {
+    return {
         "class": tc.kind,
         "entries": [[e.b, e.r, e.n] for e in basket.entries],
         "aw": aw(basket),
@@ -233,132 +193,99 @@ def _cmd_basket(args):
     }
 
 
-def _cmd_depth(args):
-    obj = _load_input(args.input)
+def _cmd_depth(obj):
     if "class" in obj:
         bound = germs.depth_bound(_parse_class(obj))
-        return 0, {"lower": bound.lower, "upper": bound.upper, "exact": bound.exact}
-    g = _parse_germ(obj)
-    return 0, {"dep": germs.depth_formula(g), "exact": True}
+        return {"lower": bound.lower, "upper": bound.upper, "exact": bound.exact}
+    return {"dep": germs.depth_formula(_parse_germ(obj)), "exact": True}
 
 
 def _search_limit(obj):
-    limit = _int_field(obj, "limit", required=False)
-    if limit is not None:
-        return limit
+    # an explicit "limit" wins; the environment is only read without one
+    if "limit" in obj:
+        return _field(obj, "limit", minimum=0)
     env = os.environ.get("DEPTH_SEARCH_LIMIT")
-    if env is None:
-        return None
-    try:
-        return int(env)
-    except ValueError as exc:
-        raise SchemaError("DEPTH_SEARCH_LIMIT must be an integer") from exc
+    return None if env is None else _int(env, "DEPTH_SEARCH_LIMIT", minimum=0)
 
 
-def _cmd_resolve(args):
-    obj = _load_input(args.input)
+def _cmd_resolve(obj):
     g = _parse_germ(obj)
     tree = germs.resolution_tree(g, _search_limit(obj))
-    return 0, {"dep": tree["dep"], "tree": tree}
+    return {"dep": tree["dep"], "tree": tree}
 
 
-def _cmd_blowup(args):
-    obj = _load_input(args.input)
+def _cmd_blowup(obj):
     g = _parse_germ(obj)
-    r1 = _int_field(obj, "r1")
-    r2 = _int_field(obj, "r2")
-    step = germs.blowup_step(g, r1, r2)
+    step = germs.blowup_step(g, _field(obj, "r1"), _field(obj, "r2"))
     quotients = []
     for q in step.cyclic_points:
         entry = {"index": q.r, "weights": list(q.weights)}
         if q.r >= 2:
             entry["normal"] = list(normalize_cyclic(q))
         quotients.append(entry)
-    return 0, {"quotients": quotients, "residual": step.residual}
+    return {"quotients": quotients, "residual": step.residual}
 
 
-def _cmd_en(args):
-    obj = _load_input(args.input)
+# case name with "+" and "_" dropped, lower-cased -> case class; the JSON
+# keys are the dataclass field names
+_EN_CASES = {
+    cls.__name__.removesuffix("Case").lower(): cls
+    for cls in (
+        neighborhoods.ICCase,
+        neighborhoods.IIBCase,
+        neighborhoods.IACase,
+        neighborhoods.ExceptionalIAIACase,
+        neighborhoods.SemistableIAIACase,
+        neighborhoods.IAIAIIICase,
+    )
+}
+
+
+def _cmd_en(obj):
     if "points" in obj:
-        pts = []
-        raw = obj["points"]
-        if not isinstance(raw, list):
-            raise SchemaError("'points' must be a list of [r, w0]")
-        for item in raw:
-            if not isinstance(item, (list, tuple)) or len(item) != 2:
-                raise SchemaError("'points' must be a list of [r, w0]")
-            try:
-                pts.append(neighborhoods.ENPoint(int(item[0]), parse_rat(item[1])))
-            except (ValueError, ZeroDivisionError) as exc:
-                raise SchemaError(str(exc)) from exc
-        return 0, {"kx_c": neighborhoods.canonical_degree(pts)}
+        raw = _rows(obj["points"], (2,), "'points' must be a list of [r, w0]")
+        pts = [
+            neighborhoods.ENPoint(_int(r, "point index"), _rat(w0, "w_P(0)"))
+            for r, w0 in raw
+        ]
+        return {"kx_c": neighborhoods.canonical_degree(pts)}
     name = obj.get("case")
     if not isinstance(name, str):
         raise SchemaError("missing case name under key 'case'")
-    kx = _rat_field(obj, "kx", required=False)
-    r1 = _int_field(obj, "r1", required=False)
-    key = name.replace("+", "").replace("_", "").lower()
-    if key == "ic":
-        case = neighborhoods.ICCase(_int_field(obj, "r"))
-    elif key == "iib":
-        case = neighborhoods.IIBCase(
-            _int_field(obj, "r1"),
-            _int_field(obj, "r2"),
-            _int_field(obj, "r3"),
-            _int_field(obj, "r4"),
-        )
-        r1 = None  # the IIB weights already sit in the case data
-    elif key == "ia":
-        case = neighborhoods.IACase(
-            _int_field(obj, "r"), _int_field(obj, "a1"), _int_field(obj, "a2")
-        )
-    elif key == "exceptionaliaia":
-        case = neighborhoods.ExceptionalIAIACase(
-            _int_field(obj, "r"), _int_field(obj, "a2")
-        )
-    elif key == "semistableiaia":
-        case = neighborhoods.SemistableIAIACase(
-            _int_field(obj, "r"),
-            _int_field(obj, "a"),
-            _int_field(obj, "rprime"),
-            _int_field(obj, "aprime"),
-        )
-    elif key == "iaiaiii":
-        case = neighborhoods.IAIAIIICase(_int_field(obj, "r"), _int_field(obj, "a2"))
-    else:
+    kx = _field(obj, "kx", _rat, default=None)
+    r1 = _field(obj, "r1", default=None)
+    cls = _EN_CASES.get(name.replace("+", "").replace("_", "").lower())
+    if cls is None:
         raise SchemaError(f"unknown neighborhood case {name!r}")
-    return 0, asdict(neighborhoods.key_check(case, kx=kx, r1=r1))
+    case = cls(*(_field(obj, f.name) for f in fields(cls)))
+    if cls is neighborhoods.IIBCase:
+        r1 = None  # the IIB weights already sit in the case data
+    return asdict(neighborhoods.key_check(case, kx=kx, r1=r1))
 
 
-def _cmd_rr(args):
-    obj = _load_input(args.input)
+def _cmd_rr(obj):
     if "a_over_n" in obj:
         value = riemannroch.delta_chi(
-            _rat_field(obj, "a_over_n"),
-            _rat_field(obj, "e3"),
-            _parse_basket(obj.get("basket_y", [])),
-            _parse_basket(obj.get("basket_x", [])),
+            _field(obj, "a_over_n", _rat),
+            _field(obj, "e3", _rat),
+            _field(obj, "basket_y", _basket, default=Basket()),
+            _field(obj, "basket_x", _basket, default=Basket()),
         )
-        return 0, {"delta_chi": value}
+        return {"delta_chi": value}
     if "basket" in obj:
-        basket = _parse_basket(obj["basket"])
-        return 0, {"correction": riemannroch.rr_correction(basket)}
+        return {"correction": riemannroch.rr_correction(_field(obj, "basket", _basket))}
     name = obj.get("case")
     if not isinstance(name, str):
         raise SchemaError("need 'case', 'basket', or 'a_over_n' input")
     tag = {t.lower(): t for t in riemannroch.TAGS}.get(name.lower())
     if tag is None:
         raise SchemaError(f"unknown contraction case {name!r}")
-    rprime = _int_field(obj, "rprime", required=False)
-    try:
-        case = riemannroch.ContractionCase(tag, rprime)
-    except ValueError as exc:
-        raise InvalidParameter(str(exc)) from exc
+    case = riemannroch.ContractionCase(tag, _field(obj, "rprime", default=None))
     out = {"case": tag}
     if tag in (riemannroch.E1_A4, riemannroch.E1_A2, riemannroch.E2):
         out["aw_bound"] = riemannroch.aw_upper_bound(case)
         out["sufficient_bound"] = riemannroch.case_data(case).sufficient_bound
-    awx = _int_field(obj, "aw", required=False)
+    awx = _field(obj, "aw", default=None)
     if awx is not None or tag == riemannroch.E11:
         rep = riemannroch.case_depth_check(case, awx)
         out["check"] = {
@@ -367,7 +294,7 @@ def _cmd_rr(args):
             "dep_x_upper": rep.dep_x_upper,
             "ok": rep.ok,
         }
-    return 0, out
+    return out
 
 
 def _stage_payload_a(st: chains.ChainStage):
@@ -395,34 +322,28 @@ def _stage_payload_b(st: chains.ChainStageB):
     }
 
 
-def _cmd_o3(args):
-    obj = _load_input(args.input)
+def _cmd_o3(obj):
     shape = obj.get("case")
     if shape not in ("A", "B"):
         raise SchemaError("key 'case' must be \"A\" or \"B\"")
-    a = _int_field(obj, "a")
-    d = _int_field(obj, "d")
-    supp_a = frozenset(_pairs_field(obj, "suppA", required=False))
-    supp_b = frozenset(_pairs_field(obj, "suppB", required=False))
-    k_max = _int_field(obj, "kMax", required=False)
-    dep_q3 = _int_field(obj, "depQ3", required=False, default=0)
-    try:
-        if shape == "A":
-            case = chains.O3CaseA(
-                a=a, d=d, alpha=_int_field(obj, "alpha"),
-                supp_a=supp_a, supp_b=supp_b,
-            )
-        else:
-            case = chains.O3CaseB(a=a, d=d, supp_a=supp_a, supp_b=supp_b)
-    except ValueError as exc:
-        raise InvalidParameter(str(exc)) from exc
-    nn = chains.nonnegativity_check(case)
+    a = _field(obj, "a")
+    d = _field(obj, "d")
+    supp_a = frozenset(_field(obj, "suppA", _pairs, default=()))
+    supp_b = frozenset(_field(obj, "suppB", _pairs, default=()))
+    k_max = _field(obj, "kMax", default=None, minimum=0)
+    dep_q3 = _field(obj, "depQ3", default=0, minimum=0)
     if shape == "A":
-        stages = [_stage_payload_a(s) for s in chains.chain_simulate(case, k_max)]
+        case = chains.O3CaseA(
+            a=a, d=d, alpha=_field(obj, "alpha"), supp_a=supp_a, supp_b=supp_b
+        )
+        walk, stage_payload = chains.chain_simulate, _stage_payload_a
     else:
-        stages = [_stage_payload_b(s) for s in chains.chain_stages_b(case, k_max)]
+        case = chains.O3CaseB(a=a, d=d, supp_a=supp_a, supp_b=supp_b)
+        walk, stage_payload = chains.chain_stages_b, _stage_payload_b
+    nn = chains.nonnegativity_check(case)
+    stages = [stage_payload(s) for s in walk(case, k_max)]
     ident = chains.depth_identity(case, dep_q3)
-    return 0, {
+    return {
         "case": shape,
         "r": case.r,
         "nonnegativity": {"checks": nn.checks, "ok": nn.ok},
@@ -436,8 +357,7 @@ def _cmd_o3(args):
     }
 
 
-def _cmd_trace(args):
-    obj = _load_input(args.input)
+def _cmd_trace(obj):
     raw = obj.get("steps")
     if not isinstance(raw, list):
         raise SchemaError("trace needs 'steps': a list of objects")
@@ -448,14 +368,12 @@ def _cmd_trace(args):
         kind = item.get("kind")
         if kind not in traces.KINDS:
             raise SchemaError(f"unknown step kind {kind!r}")
-        before = _int_field(item, "before")
-        after = _int_field(item, "after")
-        if before < 0 or after < 0:
-            raise SchemaError("step depths must be >= 0")
+        before = _field(item, "before", minimum=0)
+        after = _field(item, "after", minimum=0)
         steps.append(traces.TraceStep(kind, before, after))
     trace = traces.FactorizationTrace(tuple(steps))
     verdict = traces.validate_trace(trace, raise_on_violation=True)
-    return 0, {
+    return {
         "valid": verdict.valid,
         "induction": traces.induction_certificate(trace),
         "steps": verdict.diagnostics,
@@ -534,15 +452,19 @@ def main(argv=None) -> int:
     if args.command == "verify":
         return _cmd_verify(args)
     try:
-        code, payload = args.handler(args)
+        payload = args.handler(_load_input(args.input))
     except SchemaError as exc:
         _emit_error(exc)
         return 1
     except WresolveError as exc:
         _emit_error(exc)
         return 2
+    except ValueError as exc:
+        # a library range check: the parameter is outside its domain
+        _emit_error(InvalidParameter(str(exc)))
+        return 2
     _emit(payload, args.output)
-    return code
+    return 0
 
 
 if __name__ == "__main__":  # pragma: no cover

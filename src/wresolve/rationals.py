@@ -10,7 +10,10 @@ from fractions import Fraction
 
 
 def parse_rat(value):
-    """Parse a rational from "p/q" / "p" strings, [p, q] pairs, or ints."""
+    """Parse a rational from "p/q" / "p" strings, [p, q] pairs, or ints.
+
+    Floats and booleans are rejected, also as entries of a [p, q] pair.
+    """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
@@ -20,6 +23,8 @@ def parse_rat(value):
     if isinstance(value, str):
         return Fraction(value.strip())
     if isinstance(value, (list, tuple)) and len(value) == 2:
+        if any(isinstance(x, (bool, float)) for x in value):
+            raise ValueError(f"[p, q] needs integers, got {value!r}")
         return Fraction(int(value[0]), int(value[1]))
     raise ValueError(f"cannot parse a rational from {value!r}")
 

@@ -403,3 +403,51 @@ def test_console_script():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == {"dep": 9, "exact": True}
+
+
+RR_JUMP = '"basket_y":[[5,18]],"basket_x":[[1,2,5]]}'
+
+
+# every bad input gets exactly one JSON error document: exit 1 for a shape
+# or range error in the input, exit 2 for a parameter outside its domain
+@pytest.mark.parametrize(
+    "argv, code, kind",
+    [
+        pytest.param(["o3", '{"case":"B","a":3,"d":1,"kMax":-1}'], 1, "SchemaError",
+                     id="o3-kMax-negative"),
+        pytest.param(["o3", '{"case":"B","a":3,"d":1,"depQ3":-1}'], 1, "SchemaError",
+                     id="o3-depQ3-negative"),
+        pytest.param(["o3", '{"case":"A","a":3,"d":1,"alpha":2,"suppA":[[2,0]],"kMax":4}'],
+                     2, "InvalidParameter", id="o3-kMax-above-a"),
+        pytest.param(["rr", '{"a_over_n":2,"e3":"-1/9",' + RR_JUMP], 2, "InvalidParameter",
+                     id="rr-e3-negative"),
+        pytest.param(["rr", '{"a_over_n":[2.7,1],"e3":"1/9",' + RR_JUMP], 1, "SchemaError",
+                     id="rr-float-pair"),
+        pytest.param(["en", '{"points":[[2.9,"1/2"]]}'], 1, "SchemaError",
+                     id="en-float-index"),
+        pytest.param(["en", '{"points":[[true,"0"]]}'], 1, "SchemaError",
+                     id="en-bool-index"),
+        pytest.param(["resolve", GERM[:-1] + ',"limit":-5}'], 1, "SchemaError",
+                     id="resolve-limit-negative"),
+    ],
+)
+def test_boundary_errors(capsys, argv, code, kind):
+    got, out = run(capsys, argv)
+    assert got == code
+    assert out.count("\n") == 1
+    assert json.loads(out)["error"]["type"] == kind
+
+
+def test_resolve_negative_env_limit(capsys, monkeypatch):
+    monkeypatch.setenv("DEPTH_SEARCH_LIMIT", "-1")
+    code, payload = run_json(capsys, ["resolve", GERM])
+    assert code == 1
+    assert payload["error"]["type"] == "SchemaError"
+
+
+def test_input_file_not_utf8(capsys, tmp_path):
+    path = tmp_path / "germ.json"
+    path.write_bytes(b"\xff" + GERM.encode())
+    code, payload = run_json(capsys, ["depth", str(path)])
+    assert code == 1
+    assert payload["error"]["type"] == "SchemaError"

@@ -23,6 +23,10 @@ def test_parse_rejections():
         parse_rat(0.5)
     with pytest.raises(ValueError):
         parse_rat("three")
+    with pytest.raises(ValueError):
+        parse_rat([2.7, 1])
+    with pytest.raises(ValueError):
+        parse_rat([True, 2])
     with pytest.raises(ZeroDivisionError):
         parse_rat([1, 0])
 
