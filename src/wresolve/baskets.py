@@ -67,21 +67,20 @@ class CyclicQuotient:
 def normalize_cyclic(q: CyclicQuotient) -> tuple[int, int]:
     """Return the terminal normal form (b, r) with 0 < b <= r/2.
 
-    Scans every unit lambda of Z/r and the swap of the first two weights
-    for a transform onto (1, -1, *); the fold then leaves exactly one
-    admissible b.  Raises NotTerminalForm when no transform lands on the
-    terminal shape or the resulting axis weight shares a factor with r.
+    For each ordering (u, v) of the first two weights with u a unit, solve
+    lam*u = 1 mod r by lam = u^-1 and keep it if lam*v = -1; the fold then
+    leaves exactly one admissible b.  Raises NotTerminalForm when neither
+    ordering lands on (1, -1, *) or the axis weight shares a factor with r.
     """
     r = q.r
     if r < 2:
         raise NotTerminalForm("index-1 point has no terminal normal form")
     w0, w1, w2 = q.weights
     reachable = set()
-    for lam in range(1, r):
-        if gcd(lam, r) != 1:
-            continue
-        for u, v in ((w0, w1), (w1, w0)):
-            if lam * u % r == 1 and lam * v % r == r - 1:
+    for u, v in ((w0, w1), (w1, w0)):
+        if gcd(u, r) == 1:
+            lam = pow(u, -1, r)
+            if lam * v % r == r - 1:
                 reachable.add(lam * w2 % r)
     if not reachable:
         raise NotTerminalForm(f"1/{r}{q.weights} has no (1, -1, b) form")

@@ -392,15 +392,12 @@ def _cmd_verify(args):
 
 
 def _emit(payload, mode):
+    enc = _encode(payload)  # in full first, so a failure prints nothing
     if mode == "json":
-        print(json.dumps(_encode(payload)))
+        print(json.dumps(enc))
         return
-    for key, value in payload.items():
-        enc = _encode(value)
-        if isinstance(enc, (dict, list)):
-            print(f"{key}: {json.dumps(enc)}")
-        else:
-            print(f"{key}: {enc}")
+    shown = (json.dumps(v) if isinstance(v, (dict, list)) else v for v in enc.values())
+    print("\n".join(f"{key}: {value}" for key, value in zip(enc, shown)))
 
 
 def _emit_error(exc: WresolveError):
@@ -447,24 +444,34 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "verify":
-        return _cmd_verify(args)
+    args = build_parser().parse_args(argv)
     try:
-        payload = args.handler(_load_input(args.input))
-    except SchemaError as exc:
-        _emit_error(exc)
+        code = _run(args)
+        sys.stdout.flush()  # a closed stdout fails here, inside the try
+    except BrokenPipeError:
+        # nobody reads the output; send the exit-time flush to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
+    return code
+
+
+def _run(args) -> int:
+    try:
+        if args.command == "verify":
+            return _cmd_verify(args)
+        _emit(args.handler(_load_input(args.input)), args.output)
+        return 0
     except WresolveError as exc:
         _emit_error(exc)
-        return 2
+        return 1 if isinstance(exc, SchemaError) else 2
     except ValueError as exc:
         # a library range check: the parameter is outside its domain
         _emit_error(InvalidParameter(str(exc)))
         return 2
-    _emit(payload, args.output)
-    return 0
+    except (RecursionError, MemoryError) as exc:
+        # the input is too deep or too large for this interpreter
+        _emit_error(InvalidParameter(f"input too large ({type(exc).__name__})"))
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -11,10 +11,10 @@ between terms is out of scope.  The three core numbers are
     stabilizer     t         = min { s >= 1 : nu_s = lam }
 
 and the minimal number of depth-one extractions needed to reach a
-Gorenstein model is exactly lam * r - t.  The exhaustive search
-``depth_search`` recovers the same number without using that formula, by
-walking every admissible weighted blow-up; it exists so the closed form
-can be checked against an independent route.
+Gorenstein model is exactly lam * r - t.  ``depth_search`` recovers the
+same number without that formula: each stage prices every admissible
+weighted blow-up and walks on to the one residual they all share.  It
+exists so the closed form can be checked against an independent route.
 
 A blow-up with weights 1/r(r1, r2, 1, r), r1 + r2 = r nu_1, leaves two
 cyclic quotient points of indices r1 and r2 (type 1/ri(r, -r, -1), stored
@@ -84,13 +84,9 @@ def nu(g: CARGerm, s: int) -> int:
 
 
 def tvalue(g: CARGerm) -> int:
-    """Least s with nu_s = lam; always 1 <= t <= lam."""
+    """Least s >= 1 with nu_s = lam, i.e. s >= ceil((lam - j) / i) for every i > 0."""
     lam = axial_weight(g)
-    for s in range(1, lam + 1):
-        if nu(g, s) == lam:
-            return s
-    # nu_lam = lam always (the axial monomial dominates), so unreachable
-    raise AssertionError("nu_s never met the axial weight")
+    return max([1] + [-((j - lam) // i) for i, j in g.support if i > 0])
 
 
 def depth_formula(g: CARGerm) -> int:
@@ -173,68 +169,60 @@ def cyclic_depth_search(r: int) -> int:
 
 
 def depth_search(g: CARGerm, limit: int | None = None) -> int:
-    """Depth by exhaustive search over all admissible blow-up sequences.
+    """Depth by search over all admissible blow-up sequences.
 
-    Independent of depth_formula: minimizes total extraction count over
-    every split at every stage.  limit caps the step count of any single
-    resolution path (default lam * r, which no path can legally reach
-    since the depth is lam * r - t); exceeding it raises
-    SearchLimitExceeded.
+    Independent of depth_formula.  Every split of a stage leaves the same
+    residual germ, so each stage prices its splits by the cyclic points
+    they leave, keeps the first cheapest and walks on to that residual.
+    limit caps the step count of any single resolution path (default
+    lam * r, which no path can legally reach since the depth is
+    lam * r - t); exceeding it raises SearchLimitExceeded.
     """
-    if g.r == 1:
-        return 0
-    if limit is None:
-        limit = axial_weight(g) * g.r
-    dep, _ = _search(g, limit)
-    return dep
+    return _walk(g, limit)["dep"]
 
 
 def resolution_tree(g: CARGerm, limit: int | None = None) -> dict:
     """Depth search that also reports one optimal resolution tree."""
+    return _walk(g, limit)
+
+
+def _walk(g: CARGerm, limit: int | None) -> dict:
     if g.r == 1:
         return {"kind": "germ", "index": 1, "dep": 0, "split": None,
                 "quotients": [], "residual": None}
-    if limit is None:
-        limit = axial_weight(g) * g.r
-    _, tree = _search(g, limit)
+    budget = axial_weight(g) * g.r if limit is None else limit
+    stages = []
+    while g is not None:
+        splits = admissible_splits(g)
+        costs = []
+        for r1, r2 in splits:
+            costs.append(1 + cyclic_depth_search(r1) + cyclic_depth_search(r2))
+            if costs[-1] > budget:
+                raise SearchLimitExceeded(
+                    f"path cost {costs[-1]} exceeds the ceiling {budget}"
+                )
+        # every split leaves the residual at most budget - max(costs)
+        budget -= max(costs)
+        r1, r2 = splits[costs.index(min(costs))]
+        stages.append((g, len(splits), r1, r2, min(costs)))
+        g = blowup_step(g, r1, r2).residual
+    tree, dep = None, 0
+    for g, considered, r1, r2, cost in reversed(stages):
+        dep += cost
+        tree = {
+            "kind": "germ",
+            "index": g.r,
+            "axial_weight": axial_weight(g),
+            "nu1": nu(g, 1),
+            "dep": dep,
+            "split": [r1, r2],
+            "splits_considered": considered,
+            "quotients": [
+                {"index": r, "dep": cyclic_depth_search(r)} for r in (r1, r2)
+            ],
+            "residual": tree,
+        }
     return tree
-
-
-def _search(g: CARGerm, budget: int) -> tuple[int, dict]:
-    lam = axial_weight(g)
-    splits = admissible_splits(g)
-    best = None
-    best_tree = None
-    for r1, r2 in splits:
-        used = 1 + cyclic_depth_search(r1) + cyclic_depth_search(r2)
-        if used > budget:
-            raise SearchLimitExceeded(
-                f"path cost {used} exceeds the ceiling {budget}"
-            )
-        step = blowup_step(g, r1, r2)
-        if step.residual is None:
-            total, sub = used, None
-        else:
-            rest, sub = _search(step.residual, budget - used)
-            total = used + rest
-        if best is None or total < best:
-            best = total
-            best_tree = {
-                "kind": "germ",
-                "index": g.r,
-                "axial_weight": lam,
-                "nu1": nu(g, 1),
-                "dep": total,
-                "split": [r1, r2],
-                "splits_considered": len(splits),
-                "quotients": [
-                    {"index": r1, "dep": cyclic_depth_search(r1)},
-                    {"index": r2, "dep": cyclic_depth_search(r2)},
-                ],
-                "residual": sub,
-            }
-    assert best is not None  # splits is nonempty whenever r >= 2
-    return best, best_tree
 
 
 @dataclass(frozen=True)

@@ -165,3 +165,41 @@ def test_quotient_weight_reduction():
     assert q.weights == (2, 4, 2)
     with pytest.raises(ValueError):
         CyclicQuotient(0, (0, 0, 0))
+
+
+def _normalize_by_scan(q):
+    # every unit lam of Z/r and both orderings of the folding pair
+    r = q.r
+    if r < 2:
+        raise NotTerminalForm("index-1 point has no terminal normal form")
+    w0, w1, w2 = q.weights
+    reachable = {
+        lam * w2 % r
+        for lam in range(1, r)
+        if gcd(lam, r) == 1
+        for u, v in ((w0, w1), (w1, w0))
+        if lam * u % r == 1 and lam * v % r == r - 1
+    }
+    if not reachable:
+        raise NotTerminalForm(f"1/{r}{q.weights} has no (1, -1, b) form")
+    folded = {b for b in reachable if 0 < b and 2 * b <= r}
+    if len(folded) != 1:
+        raise NotTerminalForm(f"1/{r}{q.weights} axis weight degenerates")
+    b = folded.pop()
+    if gcd(b, r) != 1:
+        raise NotTerminalForm(f"axis weight {b} not coprime to index {r}")
+    return (b, r)
+
+
+def _outcome(normalize, q):
+    try:
+        return normalize(q)
+    except NotTerminalForm as exc:
+        return str(exc)
+
+
+def test_normalize_matches_unit_scan():
+    for r in range(1, 13):
+        for w in ((a, b, c) for a in range(r) for b in range(r) for c in range(r)):
+            q = CyclicQuotient(r, w)
+            assert _outcome(normalize_cyclic, q) == _outcome(_normalize_by_scan, q), q

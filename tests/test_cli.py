@@ -2,11 +2,15 @@
 
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import wresolve
+from wresolve import cli
 from wresolve.cli import main
 
 GERM = '{"r":5,"beta":2,"support":[[0,2],[1,1]]}'
@@ -451,3 +455,55 @@ def test_input_file_not_utf8(capsys, tmp_path):
     code, payload = run_json(capsys, ["depth", str(path)])
     assert code == 1
     assert payload["error"]["type"] == "SchemaError"
+
+
+def spawn(argv, **kwargs):
+    """Run the CLI in a fresh interpreter on this source tree."""
+    src = str(Path(wresolve.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run(
+        [sys.executable, "-m", "wresolve.cli", *argv],
+        stderr=subprocess.PIPE, text=True, env=env, timeout=60, **kwargs,
+    )
+
+
+def test_input_too_deep_for_the_recursion_limit():
+    # cyclic_depth_search recurses once per index below 249
+    proc = spawn(["resolve", '{"r":250,"beta":1,"support":[[0,1]]}'],
+                 stdout=subprocess.PIPE)
+    assert proc.returncode == 2
+    assert proc.stdout.count("\n") == 1
+    assert json.loads(proc.stdout)["error"]["type"] == "InvalidParameter"
+    assert "Traceback" not in proc.stderr
+
+
+def test_memory_error_is_one_json_error(capsys, monkeypatch):
+    def exhausted(obj):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "_cmd_depth", exhausted)
+    code, out = run(capsys, ["depth", GERM])
+    assert code == 2
+    assert out.count("\n") == 1
+    assert json.loads(out)["error"] == {
+        "type": "InvalidParameter", "message": "input too large (MemoryError)"
+    }
+
+
+QUICK_VERIFY = [
+    "verify", "--cyclic-max", "6", "--germ-r-max", "3", "--rr-max", "10",
+    "--en-r-max", "15", "--semi-max", "8", "--iib-max", "11", "--o3-cases", "5",
+    "--trace-count", "50",
+]
+
+
+@pytest.mark.parametrize("argv", [["depth", GERM], QUICK_VERIFY])
+def test_closed_stdout_exits_quietly(argv):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # nobody will read what the CLI writes
+    try:
+        proc = spawn(argv, stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == ""

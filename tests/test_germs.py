@@ -1,7 +1,11 @@
 """Depth calculus for one-parameter hypersurface germs."""
 
+import random
+from itertools import count
+
 import pytest
 
+from wresolve import germs
 from wresolve.baskets import CyclicQuotient, TerminalClass, basket_of, xi
 from wresolve.baskets import aw as basket_aw
 from wresolve.errors import InvalidParameter, InvalidSplit, SearchLimitExceeded
@@ -19,6 +23,7 @@ from wresolve.germs import (
     resolution_tree,
     tvalue,
 )
+from wresolve.sweeps import iter_germ_family
 
 G1 = CARGerm(4, 1, frozenset({(0, 2), (1, 1), (2, 0)}))
 G2 = CARGerm(3, 1, frozenset({(0, 1), (2, 3)}))
@@ -151,6 +156,67 @@ def test_search_limit():
     with pytest.raises(SearchLimitExceeded):
         depth_search(G3, limit=8)
     assert depth_search(G3, limit=9) == 9
+    # the first stage costs 2 of the 3, so the residual stage is priced
+    # against the ceiling that is left
+    message = "^path cost 2 exceeds the ceiling 1$"
+    with pytest.raises(SearchLimitExceeded, match=message):
+        depth_search(G4, limit=3)
+
+
+def test_search_long_residual_chain():
+    # 1500 stages, each with one split of cost 1
+    g = CARGerm(2, 1, frozenset({(0, 1500), (1, 0)}))
+    assert depth_search(g) == depth_formula(g) == 1500
+
+
+G4_TREE = {
+    "kind": "germ", "index": 3, "axial_weight": 2, "nu1": 1, "dep": 4,
+    "split": [1, 2], "splits_considered": 1,
+    "quotients": [{"index": 1, "dep": 0}, {"index": 2, "dep": 1}],
+    "residual": {
+        "kind": "germ", "index": 3, "axial_weight": 1, "nu1": 1, "dep": 2,
+        "split": [1, 2], "splits_considered": 1,
+        "quotients": [{"index": 1, "dep": 0}, {"index": 2, "dep": 1}],
+        "residual": None,
+    },
+}
+
+
+def test_search_does_not_use_the_formula(monkeypatch):
+    def forbidden(g):
+        raise AssertionError("the search must not use lam*r - t")
+
+    monkeypatch.setattr(germs, "tvalue", forbidden)
+    monkeypatch.setattr(germs, "depth_formula", forbidden)
+    for g, dep in ((G1, 7), (G2, 2), (G3, 9), (G4, 4), (G5, 2)):
+        assert depth_search(g) == dep
+        assert resolution_tree(g)["dep"] == dep
+    assert resolution_tree(G4) == G4_TREE
+
+
+def _tvalue_by_scan(g):
+    # the definition: the least s >= 1 with nu_s = lam
+    lam = axial_weight(g)
+    return next(s for s in count(1) if nu(g, s) == lam)
+
+
+def _wide_supports(seed=7, n=400):
+    rng = random.Random(seed)
+    for _ in range(n):
+        lam = rng.randint(1, 40)
+        support = {(0, lam)}
+        for _ in range(rng.randint(1, 6)):
+            support.add((rng.randint(1, 12), rng.randint(0, lam + 3)))
+        yield frozenset(support)
+
+
+def test_tvalue_matches_scan():
+    wide = (CARGerm(2, 1, support) for support in _wide_supports())
+    checked = 0
+    for g in (*iter_germ_family(7), *wide):
+        assert tvalue(g) == _tvalue_by_scan(g), sorted(g.support)
+        checked += 1
+    assert checked == 7038 + 400
 
 
 def test_resolution_tree_shape():
