@@ -58,13 +58,14 @@ def _encode(value):
         return value
     if is_dataclass(value):
         return _encode(asdict(value))
+    # map costs one stack frame per nesting level (a comprehension costs
+    # two), so deep resolve trees stay inside the recursion limit
     if isinstance(value, dict):
-        return {str(k): _encode(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple, set, frozenset)):
-        items = list(value)
-        if isinstance(value, (set, frozenset)):
-            items = sorted(items)
-        return [_encode(v) for v in items]
+        return dict(zip(map(str, value), map(_encode, value.values())))
+    if isinstance(value, (set, frozenset)):
+        value = sorted(value)
+    if isinstance(value, (list, tuple)):
+        return list(map(_encode, value))
     raise TypeError(f"cannot encode {type(value).__name__}")
 
 

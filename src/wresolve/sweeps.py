@@ -103,21 +103,20 @@ def sweep_cyclic_depth(r_max: int = 25) -> SweepResult:
     return _run("cyclic-depth-search", outcomes())
 
 
-def iter_germ_supports(i_max=4, j_max=8, lam_max=4, tri_i_max=2, tri_j_max=4):
-    """Systematic support family: all valid singletons and pairs on the
-    (i_max, j_max) grid plus all triples on a reduced grid."""
-    grid = [
-        (i, j)
-        for i in range(i_max + 1)
-        for j in range(j_max + 1)
-        if (i, j) != (0, 0)
-    ]
-    axial = [(0, j) for j in range(1, lam_max + 1)]
+def _grid(i_max: int, j_max: int) -> list[tuple[int, int]]:
+    return [(i, j) for i in range(i_max + 1) for j in range(j_max + 1) if i or j]
+
+
+def iter_germ_supports():
+    """Systematic support family: the axial singletons {(0, j)}, j <= 4;
+    each of them paired with a point of the grid i <= 4, j <= 8; and the
+    triples on the grid i <= 2, j <= 4 with an axial point j <= 4."""
+    axial = [(0, j) for j in range(1, 5)]
     for a in axial:
         yield frozenset({a})
     seen = set()
     for a in axial:
-        for p in grid:
+        for p in _grid(4, 8):
             if p == a:
                 continue
             s = frozenset({a, p})
@@ -125,21 +124,15 @@ def iter_germ_supports(i_max=4, j_max=8, lam_max=4, tri_i_max=2, tri_j_max=4):
                 continue
             seen.add(s)
             yield s
-    small = [
-        (i, j)
-        for i in range(tri_i_max + 1)
-        for j in range(tri_j_max + 1)
-        if (i, j) != (0, 0)
-    ]
-    for combo in itertools.combinations(small, 3):
+    for combo in itertools.combinations(_grid(2, 4), 3):
         axials = [j for i, j in combo if i == 0]
-        if not axials or min(axials) > lam_max:
+        if not axials or min(axials) > 4:
             continue
         yield frozenset(combo)
 
 
-def iter_germ_family(r_max=7, **support_kw):
-    for support in iter_germ_supports(**support_kw):
+def iter_germ_family(r_max=7):
+    for support in iter_germ_supports():
         for r in range(2, r_max + 1):
             for beta in _units(r):
                 yield CARGerm(r, beta, support)
@@ -162,11 +155,11 @@ def _check_germ_depth(g: CARGerm) -> str | None:
     return None
 
 
-def sweep_germ_depth(r_max: int = 7, **support_kw) -> SweepResult:
+def sweep_germ_depth(r_max: int = 7) -> SweepResult:
     """Search depth == formula depth lam*r - t, inside the basket window."""
     return _run(
         "germ-depth-dual-route",
-        map(_check_germ_depth, iter_germ_family(r_max, **support_kw)),
+        map(_check_germ_depth, iter_germ_family(r_max)),
     )
 
 
@@ -185,10 +178,10 @@ def _check_residual(g: CARGerm, lam: int, n1: int) -> str | None:
     return None
 
 
-def sweep_residual_recursion(r_max: int = 7, **support_kw) -> SweepResult:
+def sweep_residual_recursion(r_max: int = 7) -> SweepResult:
     """After one blow-up: lam drops by nu_1, t drops by 1, nu reindexes."""
     def outcomes():
-        for g in iter_germ_family(r_max, **support_kw):
+        for g in iter_germ_family(r_max):
             lam = germs.axial_weight(g)
             n1 = germs.nu(g, 1)
             if n1 < lam:
@@ -274,8 +267,9 @@ def _check_en_exceptional(
     return None
 
 
-def sweep_en_exceptional(r_max: int = 99, r1_steps: int = 3) -> SweepResult:
-    """Exceptional IA+IA: s*r1 >= 2 and K_Y.C_Y <= 0 for admissible r1 <= 3r."""
+def sweep_en_exceptional(r_max: int = 99) -> SweepResult:
+    """Exceptional IA+IA: s*r1 >= 2 and K_Y.C_Y <= 0 for the minimal
+    admissible r1 and the two r and 2r above it."""
     def outcomes():
         for r in range(5, r_max + 1, 2):
             for a2 in range(r // 2 + 1, r):
@@ -283,7 +277,7 @@ def sweep_en_exceptional(r_max: int = 99, r1_steps: int = 3) -> SweepResult:
                     continue
                 case = neighborhoods.ExceptionalIAIACase(r, a2)
                 base = neighborhoods.minimal_r1(case)
-                for step in range(r1_steps):
+                for step in range(3):
                     yield _check_en_exceptional(case, base + step * r)
 
     return _run("en-exceptional-iaia", outcomes())
@@ -453,10 +447,11 @@ def sweep_o3_chains(cases_per_shape: int = 200, seed: int = 20240817) -> SweepRe
     return _run("o3-chain-calculus", _through_first_failure(pairs))
 
 
-def random_trace(rng: random.Random, max_len: int = 12, max_dep: int = 10):
-    dep = rng.randint(0, max_dep)
+def random_trace(rng: random.Random):
+    """A valid trace of 1 to 12 steps from a depth of at most 10."""
+    dep = rng.randint(0, 10)
     steps = []
-    for _ in range(rng.randint(1, max_len)):
+    for _ in range(rng.randint(1, 12)):
         kinds = [traces.FLOP, traces.DIV_TO_POINT, traces.DIV_TO_CURVE]
         if dep == 0:
             kinds.append(traces.BLOWDOWN_LCI)
@@ -504,14 +499,19 @@ def violating_extensions(trace) -> list:
 def _check_trace(t) -> str | None:
     if not traces.validate_trace(t).valid:
         return f"generated trace rejected: {t.steps[:3]}..."
+    # the prefix is valid, so a mutant is valid exactly when its last step is
+    end = t.steps[-1].dep_after
     for bad in violating_extensions(t):
-        if traces.validate_trace(bad).valid:
-            return f"mutant accepted: {bad.steps[-1]}"
+        last = bad.steps[-1]
+        if all(d.ok for d in traces._check_step(last, len(t.steps), end)):
+            return f"mutant accepted: {last}"
     return None
 
 
 def sweep_trace_rules(n_traces: int = 10000, seed: int = 20240818) -> SweepResult:
-    """Metamorphic check: generated traces pass, every mutation fails."""
+    """Metamorphic check: generated traces pass, every mutation fails.
+    A trace is validated once; a mutant only appends a step to it, so only
+    that step is checked, from the depth the trace ends at."""
     rng = random.Random(seed)
     outcomes = ((_check_trace(random_trace(rng)),) for _ in range(n_traces))
     return _run("trace-rule-metamorphic", _through_first_failure(outcomes))

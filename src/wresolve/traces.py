@@ -14,10 +14,10 @@ depth rules:
                   Gorenstein terminus)
 
 plus the chaining condition that consecutive steps agree on the model
-depth.  ``validate_trace`` reports one diagnostic per step;
-``induction_certificate`` checks that the trace is usable as the
-recursive step of a depth induction: every Flip or DivToCurve must act
-strictly below the starting depth, and no Flip may act at depth 0.
+depth.  One per-step transition, ``_check_step``, applies both;
+``validate_trace`` folds it over the steps, and ``induction_certificate``
+folds it once more, requiring every Flip or DivToCurve to act strictly
+below the starting depth, as the recursive step of a depth induction must.
 """
 
 from __future__ import annotations
@@ -101,6 +101,18 @@ def _step_rule(step: TraceStep) -> tuple[str, bool, str]:
     raise AssertionError(step.kind)
 
 
+def _check_step(step: TraceStep, index: int, dep: int | None) -> tuple[StepDiagnostic, ...]:
+    """The diagnostics of step ``index`` of a trace that stands at model
+    depth ``dep`` (None before the first step): a chaining diagnostic when
+    the step does not start at ``dep``, then the step's rule diagnostic."""
+    rule, ok, note = _step_rule(step)
+    checked = StepDiagnostic(index, step.kind, rule, ok, note)
+    if dep is None or dep == step.dep_before:
+        return (checked,)
+    note = f"dep_before = {step.dep_before} does not continue {dep}"
+    return (StepDiagnostic(index, step.kind, "chaining", False, note), checked)
+
+
 def validate_trace(trace: FactorizationTrace, raise_on_violation: bool = False) -> TraceVerdict:
     """Check every step rule and the depth chaining between steps.
 
@@ -109,40 +121,21 @@ def validate_trace(trace: FactorizationTrace, raise_on_violation: bool = False) 
     RuleViolation carrying the step index and rule name.
     """
     diags = []
-    valid = True
+    dep = None
     for idx, step in enumerate(trace.steps):
-        if idx > 0 and trace.steps[idx - 1].dep_after != step.dep_before:
-            diags.append(
-                StepDiagnostic(
-                    index=idx,
-                    kind=step.kind,
-                    rule="chaining",
-                    ok=False,
-                    note=(
-                        f"dep_before = {step.dep_before} does not continue "
-                        f"{trace.steps[idx - 1].dep_after}"
-                    ),
-                )
-            )
-            valid = False
-            if raise_on_violation:
-                raise RuleViolation(
-                    f"step {idx} breaks the chaining rule", index=idx, rule="chaining"
-                )
-        rule, ok, note = _step_rule(step)
-        diags.append(
-            StepDiagnostic(index=idx, kind=step.kind, rule=rule, ok=ok, note=note)
-        )
-        if not ok:
-            valid = False
-            if raise_on_violation:
-                raise RuleViolation(
-                    f"step {idx} ({step.kind} {step.dep_before} -> "
-                    f"{step.dep_after}) breaks: {rule}",
-                    index=idx,
-                    rule=rule,
-                )
-    return TraceVerdict(valid=valid, diagnostics=tuple(diags))
+        diags += _check_step(step, idx, dep)
+        dep = step.dep_after
+    verdict = TraceVerdict(valid=all(d.ok for d in diags), diagnostics=tuple(diags))
+    first = verdict.first_failure() if raise_on_violation else None
+    if first is None:
+        return verdict
+    if first.rule == "chaining":
+        message = f"step {first.index} breaks the chaining rule"
+    else:
+        step = trace.steps[first.index]
+        move = f"{step.kind} {step.dep_before} -> {step.dep_after}"
+        message = f"step {first.index} ({move}) breaks: {first.rule}"
+    raise RuleViolation(message, index=first.index, rule=first.rule)
 
 
 def induction_certificate(trace: FactorizationTrace) -> bool:
@@ -150,17 +143,16 @@ def induction_certificate(trace: FactorizationTrace) -> bool:
 
     Requires a valid trace whose Flip and DivToCurve steps all start
     strictly below the trace's initial depth (they must land in models
-    the induction hypothesis already covers), and no Flip at depth 0.
-    The empty trace certifies trivially.
+    the induction hypothesis already covers).  A Flip at depth 0 needs no
+    check of its own: its rule dep_after < dep_before fails there, as
+    depths are >= 0.  The empty trace certifies trivially.
     """
-    if not validate_trace(trace).valid:
-        return False
-    if not trace.steps:
-        return True
-    d0 = trace.steps[0].dep_before
-    for step in trace.steps:
-        if step.kind == FLIP and step.dep_before == 0:
+    d0 = trace.steps[0].dep_before if trace.steps else None
+    dep = None
+    for idx, step in enumerate(trace.steps):
+        if not all(d.ok for d in _check_step(step, idx, dep)):
             return False
         if step.kind in (FLIP, DIV_TO_CURVE) and step.dep_before >= d0:
             return False
+        dep = step.dep_after
     return True

@@ -477,6 +477,16 @@ def test_input_too_deep_for_the_recursion_limit():
     assert "Traceback" not in proc.stderr
 
 
+def test_deep_resolve_tree_is_printed():
+    # 800 nested stages fit the recursion limit when the encoder costs
+    # one frame per level
+    proc = spawn(["resolve", '{"r":2,"beta":1,"support":[[0,800],[1,0]]}'],
+                 stdout=subprocess.PIPE)
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["dep"] == 800
+    assert "Traceback" not in proc.stderr
+
+
 def test_memory_error_is_one_json_error(capsys, monkeypatch):
     def exhausted(obj):
         raise MemoryError

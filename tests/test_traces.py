@@ -1,5 +1,7 @@
 """Step rules, chaining, and induction certificates for factorizations."""
 
+import random
+
 import pytest
 
 from wresolve.errors import RuleViolation
@@ -9,9 +11,12 @@ from wresolve.traces import (
     DIV_TO_POINT,
     FLIP,
     FLOP,
+    KINDS,
     WEXTRACTION,
     FactorizationTrace,
     TraceStep,
+    TraceVerdict,
+    _check_step,
     induction_certificate,
     validate_trace,
 )
@@ -85,11 +90,13 @@ def test_raise_on_violation():
         validate_trace(bad, raise_on_violation=True)
     assert exc.value.index == 0
     assert exc.value.rule == "dep_after = dep_before"
+    assert str(exc.value) == "step 0 (Flop 3 -> 2) breaks: dep_after = dep_before"
     with pytest.raises(RuleViolation) as exc:
         validate_trace(
             trace(step(FLOP, 3, 3), step(FLOP, 2, 2)), raise_on_violation=True
         )
     assert exc.value.rule == "chaining"
+    assert str(exc.value) == "step 1 breaks the chaining rule"
 
 
 def test_empty_trace():
@@ -141,3 +148,83 @@ def test_certificate_allows_deep_extractions():
     assert induction_certificate(tr) is False  # the flip sits above d0 = 4
     tr2 = trace(step(WEXTRACTION, 4, 3), step(FLIP, 3, 1), step(DIV_TO_CURVE, 1, 0))
     assert induction_certificate(tr2) is True
+
+
+def seeded_step_lists(n, seed):
+    """Step tuples of length 0 to 6 with depths up to 3: about a third
+    break the chaining, and Flips at depth 0 occur."""
+    rng = random.Random(seed)
+    for _ in range(n):
+        dep = rng.randint(0, 3)
+        steps = []
+        for _ in range(rng.randint(0, 6)):
+            if rng.random() < 0.25:
+                dep = rng.randint(0, 3)
+            after = rng.randint(0, 3)
+            steps.append(step(rng.choice(KINDS), dep, after))
+            dep = after
+        yield tuple(steps)
+
+
+def two_pass_certificate(tr):
+    """Reference certificate: validate in full, then walk the steps again,
+    with an explicit clause against Flips at depth 0."""
+    if not validate_trace(tr).valid:
+        return False
+    if not tr.steps:
+        return True
+    d0 = tr.steps[0].dep_before
+    for st in tr.steps:
+        if st.kind == FLIP and st.dep_before == 0:
+            return False
+        if st.kind in (FLIP, DIV_TO_CURVE) and st.dep_before >= d0:
+            return False
+    return True
+
+
+def test_certificate_matches_two_pass_reference():
+    seen = set()
+    for steps in seeded_step_lists(3000, seed=11):
+        tr = FactorizationTrace(steps)
+        got = induction_certificate(tr)
+        assert got is two_pass_certificate(tr)
+        broken = any(a.dep_after != b.dep_before for a, b in zip(steps, steps[1:]))
+        zero_flip = any(st.kind == FLIP and st.dep_before == 0 for st in steps)
+        seen.add((got, broken, zero_flip))
+    # the lists reach every branch: certified, broken chains, zero-depth flips
+    assert {(True, False, False), (False, True, False), (False, False, True)} <= seen
+
+
+def raised(tr):
+    try:
+        validate_trace(tr, raise_on_violation=True)
+    except RuleViolation as exc:
+        return str(exc), exc.index, exc.rule
+    return None
+
+
+def violation(st, diag):
+    """Message, index and rule of the error that a failed diagnostic of
+    step st raises."""
+    if diag.rule == "chaining":
+        return f"step {diag.index} breaks the chaining rule", diag.index, "chaining"
+    move = f"{st.kind} {st.dep_before} -> {st.dep_after}"
+    return f"step {diag.index} ({move}) breaks: {diag.rule}", diag.index, diag.rule
+
+
+def test_validate_trace_is_a_fold_of_check_step():
+    for steps in seeded_step_lists(3000, seed=12):
+        if not steps:
+            continue
+        prefix, last = steps[:-1], steps[-1]
+        head = validate_trace(FactorizationTrace(prefix))
+        tail = _check_step(last, len(prefix), prefix[-1].dep_after if prefix else None)
+        diags = head.diagnostics + tail
+        want = TraceVerdict(valid=all(d.ok for d in diags), diagnostics=diags)
+        assert validate_trace(FactorizationTrace(steps)) == want
+        # the error is the prefix's, or else the first failure of the last step
+        want_error = raised(FactorizationTrace(prefix))
+        failed = [d for d in tail if not d.ok]
+        if want_error is None and failed:
+            want_error = violation(last, failed[0])
+        assert raised(FactorizationTrace(steps)) == want_error
