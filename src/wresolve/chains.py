@@ -19,6 +19,12 @@ weight must come out at the fixed threshold (2d for shape A; 2d+1 and
 (2d+1)/2 for the two shape-B equations), each blow-up has discrepancy
 1/2, and the stage-a exponents are the germ data of the singular point
 the chain ends on.
+
+Every chain weight is a half-integer, so the walks weigh monomials in
+doubled weights (x -> 1, z -> 2, y, u, w -> 2d-1, 2d+1 or 2d+3) and do
+integer work per stage; Fractions appear only in the stage fields and
+in error messages.  beta_k, gamma_k, delta_k, beta_k_b and gamma_k_b
+keep the exact rational closed forms the walks are checked against.
 """
 
 from __future__ import annotations
@@ -112,13 +118,40 @@ def gamma_k_b(i: int, j: int, k: int, d: int) -> int:
     return j + 1 + k * (i - d)
 
 
+def _lines_a(case: O3CaseA):
+    """Shape-A z-exponents as affine functions base + k * slope of the stage.
+
+    One (monomial, base, slope, x-degree) row per first-support term (beta)
+    and per second-support term (2 gamma, which also gains k mod 2), and
+    the slope of 2 delta (which loses k mod 2; its base is 0).
+    """
+    d = case.d
+    beta = [((i, j), j, i - 2 * d, 2 * i) for i, j in sorted(case.supp_a)]
+    gamma2 = [((i, j), 2 * j, 2 * i + 1 - 2 * d, 2 * i + 1)
+              for i, j in sorted(case.supp_b)]
+    return beta, gamma2, 2 * case.alpha - 1 - 2 * d
+
+
+def _lines_b(case: O3CaseB):
+    """Shape-B z-exponents as (monomial, base, slope, x-degree) rows: the
+    first-equation terms x^(2i) z^j, then the second-equation x^(2i+1)."""
+    d = case.d
+    first = [((i, j), j, i - 2 * d - 1, 2 * i) for i, j in sorted(case.supp_a)]
+    second = [((i, j), j + 1, i - d, 2 * i + 1) for i, j in sorted(case.supp_b)]
+    return first, second
+
+
 def check_constraints(case) -> None:
     """Support admissibility; raises ConstraintViolation with the witness.
 
     Shape A: a i + j >= 2 a d on the first support, (2i+1) a + 2 j >=
     2 a d - 1 on the second, (2 alpha - 1) a >= 2 a d + 1.  Shape B:
     both exponent families stay nonnegative through stage a, which is
-    what the analogous support staircases amount to.
+    what the analogous support staircases amount to.  Each exponent is
+    base + k * slope with base >= 0, so a falling one first goes negative
+    at k = base // -slope + 1; the witness is the one with the smallest
+    such k <= a, earliest in support order on ties, as a stage-by-stage
+    walk would meet it.
     """
     a, d = case.a, case.d
     if isinstance(case, O3CaseA):
@@ -140,19 +173,20 @@ def check_constraints(case) -> None:
             )
         return
     if isinstance(case, O3CaseB):
-        for k in range(1, a + 1):
-            for i, j in sorted(case.supp_a):
-                if beta_k_b(i, j, k, d) < 0:
-                    raise ConstraintViolation(
-                        f"first-equation exponent negative at stage {k} on ({i}, {j})",
-                        i=i, j=j, k=k,
-                    )
-            for i, j in sorted(case.supp_b):
-                if gamma_k_b(i, j, k, d) < 0:
-                    raise ConstraintViolation(
-                        f"second-equation exponent negative at stage {k} on ({i}, {j})",
-                        i=i, j=j, k=k,
-                    )
+        first, second = _lines_b(case)
+        witness = None
+        for equation, lines in (("first", first), ("second", second)):
+            for (i, j), base, slope, _ in lines:
+                if slope < 0:
+                    k = base // -slope + 1
+                    if k <= a and (witness is None or k < witness[0]):
+                        witness = (k, equation, i, j)
+        if witness is not None:
+            k, equation, i, j = witness
+            raise ConstraintViolation(
+                f"{equation}-equation exponent negative at stage {k} on ({i}, {j})",
+                i=i, j=j, k=k,
+            )
         return
     raise TypeError(f"unsupported case {type(case).__name__}")
 
@@ -172,38 +206,47 @@ def nonnegativity_check(case) -> NonnegativityReport:
     from the support wall, and the half-integral gamma / delta exponents
     are integers >= -1/2, hence >= 0.  ConstraintViolation carries the
     first offending (i, j, k).  For shape B check_constraints already
-    walks every exponent through stage a, so only the count remains.
+    covers every exponent through stage a, so only the count remains.
+    The walk runs on integers: a beta >= j (a - k), and the doubled
+    gamma / delta must be even and nonnegative.
     """
     check_constraints(case)
     a, d = case.a, case.d
-    checks = 0
+    per_stage = len(case.supp_a) + len(case.supp_b)
     if isinstance(case, O3CaseA):
+        beta, gamma2, delta2_slope = _lines_a(case)
         for k in range(1, a + 1):
-            for i, j in sorted(case.supp_a):
-                b = beta_k(i, j, k, d)
-                floor_bound = Fraction(j * (a - k), a)
-                if b < floor_bound or b < 0:
+            odd = k % 2
+            for (i, j), base, slope, _ in beta:
+                b = base + k * slope
+                if a * b < j * (a - k) or b < 0:
                     raise ConstraintViolation(
                         f"beta({i},{j};{k}) = {b} escapes its bound", i=i, j=j, k=k
                     )
-                checks += 1
-            for i, j in sorted(case.supp_b):
-                g = gamma_k(i, j, k, d)
-                if g.denominator != 1 or g < 0:
+            for (i, j), base, slope, _ in gamma2:
+                g2 = base + k * slope + odd
+                if g2 % 2 or g2 < 0:
                     raise ConstraintViolation(
-                        f"gamma({i},{j};{k}) = {g} is not a nonnegative integer",
+                        f"gamma({i},{j};{k}) = {Fraction(g2, 2)} is not a nonnegative integer",
                         i=i, j=j, k=k,
                     )
-                checks += 1
-            dl = delta_k(k, case.alpha, d)
-            if dl.denominator != 1 or dl < 0:
+            dl2 = k * delta2_slope - odd
+            if dl2 % 2 or dl2 < 0:
                 raise ConstraintViolation(
-                    f"delta({k}) = {dl} is not a nonnegative integer", k=k
+                    f"delta({k}) = {Fraction(dl2, 2)} is not a nonnegative integer", k=k
                 )
-            checks += 1
-    else:
-        checks = a * (len(case.supp_a) + len(case.supp_b))
-    return NonnegativityReport(a=a, d=d, checks=checks, ok=True)
+        per_stage += 1
+    return NonnegativityReport(a=a, d=d, checks=a * per_stage, ok=True)
+
+
+def _doubled_weights(case, k: int) -> tuple[int, ...]:
+    """Twice the stage-k blow-up weights: x -> 1, z -> 2, the rest odd."""
+    d = case.d
+    lo, hi = 2 * d - 1, 2 * d + 1
+    if isinstance(case, O3CaseA):
+        return (1, lo, 2, hi) if k % 2 == 0 else (1, hi, 2, lo)
+    top = 2 * d + 3
+    return (1, lo, 2, hi, top) if k % 2 == 0 else (1, top, 2, hi, lo)
 
 
 def chain_weights(case, k: int) -> tuple[Fraction, ...]:
@@ -212,17 +255,7 @@ def chain_weights(case, k: int) -> tuple[Fraction, ...]:
     Shape A orders the coordinates (x, y, z, u), shape B (x, y, z, u, w);
     x and z always carry 1/2 and 1.
     """
-    d = case.d
-    h = Fraction(1, 2)
-    lo, hi = (2 * d - 1) * h, (2 * d + 1) * h
-    if isinstance(case, O3CaseA):
-        if k % 2 == 0:
-            return (h, lo, Fraction(1), hi)
-        return (h, hi, Fraction(1), lo)
-    top = (2 * d + 3) * h
-    if k % 2 == 0:
-        return (h, lo, Fraction(1), hi, top)
-    return (h, top, Fraction(1), hi, lo)
+    return tuple(Fraction(w, 2) for w in _doubled_weights(case, k))
 
 
 @dataclass(frozen=True)
@@ -240,6 +273,18 @@ class ChainStage:
     witnesses: tuple[str, ...]
 
 
+def _monomial_names_a(case: O3CaseA, k: int, a_exps, b_exps, dl: int) -> list[str]:
+    """Names of the stage-k shape-A monomials, in the order the walk weighs them."""
+    odd = k % 2 == 1
+    return [
+        "u2z" if odd else "u2",
+        "y2" if odd else "y2z",
+        *(f"x{2 * i}z{e}" for (i, _), e in a_exps),
+        *(f"ux{2 * i + 1}z{g}" for (i, _), g in b_exps),
+        f"yx{2 * case.alpha - 1}z{dl}",
+    ]
+
+
 def chain_simulate(case: O3CaseA, k_max: int | None = None) -> tuple[ChainStage, ...]:
     """Walk the shape-A chain and certify the stage weights.
 
@@ -248,10 +293,15 @@ def chain_simulate(case: O3CaseA, k_max: int | None = None) -> tuple[ChainStage,
     x^(4d), which therefore must sit in the first support
     (ConstraintViolation when missing).  Stage a carries the germ data
     of the endpoint.
+
+    The walk weighs monomials in doubled weights, so every stage is
+    integer work; the Fraction stage fields are built once per parity
+    and shared by the stages below a, and afresh only for stage a.
     """
     check_constraints(case)
     a, d = case.a, case.d
-    if (2 * d, 0) not in case.supp_a:
+    pivot = (2 * d, 0)
+    if pivot not in case.supp_a:
         raise ConstraintViolation(
             "first support must contain the pivot (2d, 0)", i=2 * d, j=0
         )
@@ -259,67 +309,74 @@ def chain_simulate(case: O3CaseA, k_max: int | None = None) -> tuple[ChainStage,
         k_max = a
     if not (0 <= k_max <= a):
         raise ValueError("stage range is 0..a")
-    target = Fraction(2 * d)
+    beta, gamma2, delta2_slope = _lines_a(case)
+    y_x_deg = 2 * case.alpha - 1  # x-degree of the y-term
+    target = 4 * d
+    # the witnesses are the parity lead (first or second built-in monomial)
+    # and the pivot x^(4d) z^0, each at a fixed place in the weight list
+    pivot_slot = 2 + sorted(case.supp_a).index(pivot)
+    witness_slots = (
+        (("y2z", 1), (f"x{4 * d}z0", pivot_slot)),
+        (("u2z", 0), (f"x{4 * d}z0", pivot_slot)),
+    )
+    doubled = [_doubled_weights(case, k) for k in (0, 1)]
+    weights = [tuple(Fraction(w, 2) for w in ws) for ws in doubled]
+    discrepancy = [Fraction(sum(ws) - target - 2, 2) for ws in doubled]
+    sigma_weight = Fraction(target, 2)
     stages = []
     for k in range(k_max + 1):
-        w = chain_weights(case, k)
-        wx, wy, wz, wu = w
-        odd = k % 2 == 1
-        lead = "u2z" if odd else "y2z"
-        monos: list[tuple[str, Fraction]] = []
-        monos.append(("u2z" if odd else "u2", 2 * wu + (wz if odd else 0)))
-        monos.append(("y2" if odd else "y2z", 2 * wy + (0 if odd else wz)))
+        odd = k % 2
+        wx, wy, wz, wu = doubled[odd]
+        wts = [2 * wu + (wz if odd else 0), 2 * wy + (0 if odd else wz)]
         a_exps = []
-        for i, j in sorted(case.supp_a):
-            e = beta_k(i, j, k, d)
+        for ij, base, slope, x_deg in beta:
+            e = base + k * slope
             if e < 0:
                 raise WeightMismatch(
-                    f"negative z-exponent on x^{2 * i} at stage {k}",
-                    stage=k, monomial=(i, j),
+                    f"negative z-exponent on x^{x_deg} at stage {k}",
+                    stage=k, monomial=ij,
                 )
-            a_exps.append(((i, j), e))
-            monos.append((f"x{2 * i}z{e}", 2 * i * wx + e * wz))
+            a_exps.append((ij, e))
+            wts.append(x_deg * wx + e * wz)
         b_exps = []
-        for i, j in sorted(case.supp_b):
-            g = gamma_k(i, j, k, d)
-            if g.denominator != 1 or g < 0:
+        for ij, base, slope, x_deg in gamma2:
+            g2 = base + k * slope + odd
+            if g2 % 2 or g2 < 0:
                 raise WeightMismatch(
-                    f"z-exponent {g} on u x^{2 * i + 1} invalid at stage {k}",
-                    stage=k, monomial=(i, j),
+                    f"z-exponent {Fraction(g2, 2)} on u x^{x_deg} invalid at stage {k}",
+                    stage=k, monomial=ij,
                 )
-            g = int(g)
-            b_exps.append(((i, j), g))
-            monos.append((f"ux{2 * i + 1}z{g}", wu + (2 * i + 1) * wx + g * wz))
-        dl = delta_k(k, case.alpha, d)
-        if dl.denominator != 1 or dl < 0:
+            g = g2 // 2
+            b_exps.append((ij, g))
+            wts.append(wu + x_deg * wx + g * wz)
+        dl2 = k * delta2_slope - odd
+        if dl2 % 2 or dl2 < 0:
             raise WeightMismatch(
-                f"z-exponent {dl} on the y-term invalid at stage {k}", stage=k
+                f"z-exponent {Fraction(dl2, 2)} on the y-term invalid at stage {k}",
+                stage=k,
             )
-        dl = int(dl)
-        monos.append((f"yx{2 * case.alpha - 1}z{dl}",
-                      wy + (2 * case.alpha - 1) * wx + dl * wz))
-        sigma_wt = min(wt for _, wt in monos)
-        if k < a and sigma_wt != target:
-            bad = min(monos, key=lambda m: m[1])
+        dl = dl2 // 2
+        wts.append(wy + y_x_deg * wx + dl * wz)
+        low = min(wts)
+        if k < a and low != target:
+            names = _monomial_names_a(case, k, a_exps, b_exps, dl)
             raise WeightMismatch(
-                f"stage {k} weight {sigma_wt} != {target}",
-                stage=k, monomial=bad[0],
+                f"stage {k} weight {Fraction(low, 2)} != {2 * d}",
+                stage=k, monomial=names[wts.index(low)],
             )
-        witnesses = tuple(
-            name for name, wt in monos
-            if wt == sigma_wt and (name == lead or name == f"x{4 * d}z0")
-        )
         stages.append(
             ChainStage(
                 k=k,
-                weights=w,
-                lead=lead,
+                weights=weights[odd],
+                lead=witness_slots[odd][0][0],
                 a_exponents=tuple(a_exps),
                 b_exponents=tuple(b_exps),
                 y_exponent=dl,
-                sigma_weight=sigma_wt,
-                discrepancy=sum(w) - target - 1,
-                witnesses=witnesses,
+                sigma_weight=sigma_weight if k < a else Fraction(low, 2),
+                discrepancy=discrepancy[odd],
+                witnesses=tuple(
+                    name for name, slot in witness_slots[odd] if wts[slot] == low
+                ),
             )
         )
     return tuple(stages)
@@ -339,62 +396,70 @@ class ChainStageB:
 
 
 def chain_stages_b(case: O3CaseB, k_max: int | None = None) -> tuple[ChainStageB, ...]:
-    """Walk the shape-B chain; stage weights must be 2d+1 and (2d+1)/2."""
+    """Walk the shape-B chain; stage weights must be 2d+1 and (2d+1)/2.
+
+    As in chain_simulate the walk runs on doubled weights, with the
+    thresholds 4d+2 and 2d+1; Fractions appear only in the stage fields.
+    """
     check_constraints(case)
     a, d = case.a, case.d
     if k_max is None:
         k_max = a
     if not (0 <= k_max <= a):
         raise ValueError("stage range is 0..a")
-    t1 = Fraction(2 * d + 1)
-    t2 = Fraction(2 * d + 1, 2)
+    first, second = _lines_b(case)
+    t1, t2 = 4 * d + 2, 2 * d + 1
+    wt_first, wt_second = Fraction(t1, 2), Fraction(t2, 2)
+    doubled = [_doubled_weights(case, k) for k in (0, 1)]
+    weights = [tuple(Fraction(w, 2) for w in ws) for ws in doubled]
+    discrepancy = [Fraction(sum(ws) - t1 - t2 - 2, 2) for ws in doubled]
     stages = []
     for k in range(k_max + 1):
-        w = chain_weights(case, k)
-        wx, wy, wz, wu, ww = w
-        odd = k % 2 == 1
-        first: list[tuple[str, Fraction]] = [
-            ("u2", 2 * wu), ("yw", wy + ww)]
+        odd = k % 2
+        wx, wy, wz, wu, ww = doubled[odd]
+        wts1 = [2 * wu, wy + ww]
         p_exps = []
-        for i, j in sorted(case.supp_a):
-            e = beta_k_b(i, j, k, d)
+        for ij, base, slope, x_deg in first:
+            e = base + k * slope
             if e < 0:
                 raise WeightMismatch(
                     f"negative first-equation exponent at stage {k}",
-                    stage=k, monomial=(i, j),
+                    stage=k, monomial=ij,
                 )
-            p_exps.append(((i, j), e))
-            first.append((f"x{2 * i}z{e}", 2 * i * wx + e * wz))
-        second: list[tuple[str, Fraction]] = [
-            ("y" if odd else "yz", wy + (0 if odd else wz)),
-            (f"x{2 * d + 1}", (2 * d + 1) * wx),
-            ("wz" if odd else "w", ww + (wz if odd else 0)),
-        ]
+            p_exps.append((ij, e))
+            wts1.append(x_deg * wx + e * wz)
+        wts2 = [wy + (0 if odd else wz), (2 * d + 1) * wx, ww + (wz if odd else 0)]
         q_exps = []
-        for i, j in sorted(case.supp_b):
-            e = gamma_k_b(i, j, k, d)
+        for ij, base, slope, x_deg in second:
+            e = base + k * slope
             if e < 0:
                 raise WeightMismatch(
                     f"negative second-equation exponent at stage {k}",
-                    stage=k, monomial=(i, j),
+                    stage=k, monomial=ij,
                 )
-            q_exps.append(((i, j), e))
-            second.append((f"x{2 * i + 1}z{e}", (2 * i + 1) * wx + e * wz))
-        wt1 = min(wt for _, wt in first)
-        wt2 = min(wt for _, wt in second)
-        if k < a and (wt1, wt2) != (t1, t2):
-            raise WeightMismatch(
-                f"stage {k} weights ({wt1}, {wt2}) != ({t1}, {t2})", stage=k
-            )
+            q_exps.append((ij, e))
+            wts2.append(x_deg * wx + e * wz)
+        w1, w2 = min(wts1), min(wts2)
+        if k < a:
+            if (w1, w2) != (t1, t2):
+                raise WeightMismatch(
+                    f"stage {k} weights ({Fraction(w1, 2)}, {Fraction(w2, 2)})"
+                    f" != ({wt_first}, {wt_second})",
+                    stage=k,
+                )
+            stage_first, stage_second, disc = wt_first, wt_second, discrepancy[odd]
+        else:
+            stage_first, stage_second = Fraction(w1, 2), Fraction(w2, 2)
+            disc = Fraction(sum(doubled[odd]) - w1 - w2 - 2, 2)
         stages.append(
             ChainStageB(
                 k=k,
-                weights=w,
+                weights=weights[odd],
                 p_exponents=tuple(p_exps),
                 q_exponents=tuple(q_exps),
-                wt_first=wt1,
-                wt_second=wt2,
-                discrepancy=sum(w) - wt1 - wt2 - 1,
+                wt_first=stage_first,
+                wt_second=stage_second,
+                discrepancy=disc,
             )
         )
     return tuple(stages)

@@ -475,25 +475,27 @@ def random_trace(rng: random.Random):
     return traces.FactorizationTrace(tuple(steps))
 
 
-def violating_extensions(trace) -> list:
-    """Single-step mutations that must each be rejected."""
+def _violating_steps(trace):
+    """The steps whose single appending to the trace must be rejected."""
     dep = trace.steps[-1].dep_after if trace.steps else 0
-    out = [
-        trace.steps + (traces.TraceStep(traces.FLOP, dep, dep + 1),),
-        trace.steps + (traces.TraceStep(traces.FLIP, dep, dep),),
-        trace.steps + (traces.TraceStep(traces.DIV_TO_CURVE, dep, dep + 1),),
-    ]
+    yield traces.TraceStep(traces.FLOP, dep, dep + 1)
+    yield traces.TraceStep(traces.FLIP, dep, dep)
+    yield traces.TraceStep(traces.DIV_TO_CURVE, dep, dep + 1)
     if trace.steps:
         # chaining break: step starts at the wrong depth
-        out.append(trace.steps + (traces.TraceStep(traces.FLOP, dep + 1, dep + 1),))
+        yield traces.TraceStep(traces.FLOP, dep + 1, dep + 1)
     if dep == 0:
-        out.append(trace.steps + (traces.TraceStep(traces.WEXTRACTION, 0, 3),))
+        yield traces.TraceStep(traces.WEXTRACTION, 0, 3)
     if dep >= 2:
-        out.append(trace.steps + (traces.TraceStep(traces.WEXTRACTION, dep, dep - 2),))
-        out.append(trace.steps + (traces.TraceStep(traces.DIV_TO_POINT, dep, dep - 2),))
+        yield traces.TraceStep(traces.WEXTRACTION, dep, dep - 2)
+        yield traces.TraceStep(traces.DIV_TO_POINT, dep, dep - 2)
     if dep >= 1:
-        out.append(trace.steps + (traces.TraceStep(traces.BLOWDOWN_LCI, dep, 0),))
-    return [traces.FactorizationTrace(s) for s in out]
+        yield traces.TraceStep(traces.BLOWDOWN_LCI, dep, 0)
+
+
+def violating_extensions(trace) -> list:
+    """Single-step mutations that must each be rejected."""
+    return [traces.FactorizationTrace(trace.steps + (s,)) for s in _violating_steps(trace)]
 
 
 def _check_trace(t) -> str | None:
@@ -501,8 +503,7 @@ def _check_trace(t) -> str | None:
         return f"generated trace rejected: {t.steps[:3]}..."
     # the prefix is valid, so a mutant is valid exactly when its last step is
     end = t.steps[-1].dep_after
-    for bad in violating_extensions(t):
-        last = bad.steps[-1]
+    for last in _violating_steps(t):
         if all(d.ok for d in traces._check_step(last, len(t.steps), end)):
             return f"mutant accepted: {last}"
     return None

@@ -5,8 +5,10 @@ from fractions import Fraction
 
 import pytest
 
+from wresolve import chains
 from wresolve.chains import (
     ChainStage,
+    ChainStageB,
     DepthIdentity,
     O3CaseA,
     O3CaseB,
@@ -22,7 +24,7 @@ from wresolve.chains import (
     gamma_k_b,
     nonnegativity_check,
 )
-from wresolve.errors import ConstraintViolation
+from wresolve.errors import ConstraintViolation, WeightMismatch
 
 CASE_A = O3CaseA(3, 1, 2, frozenset({(2, 0)}))
 CASE_A_FULL = O3CaseA(3, 1, 2, frozenset({(2, 0)}), frozenset({(1, 1)}))
@@ -224,3 +226,273 @@ def test_depth_identity_is_exact():
 def test_depth_identity_validation():
     with pytest.raises(ValueError):
         depth_identity(CASE_A, -1)
+
+
+# The Fraction walks the integer ones replaced, kept as references: every
+# stage weight, threshold and exponent is an exact rational here, and the
+# shape-B constraint check walks every stage.
+
+def _weights_by_fractions(case, k):
+    d = case.d
+    h = Fraction(1, 2)
+    lo, hi = (2 * d - 1) * h, (2 * d + 1) * h
+    if isinstance(case, O3CaseA):
+        if k % 2 == 0:
+            return (h, lo, Fraction(1), hi)
+        return (h, hi, Fraction(1), lo)
+    top = (2 * d + 3) * h
+    if k % 2 == 0:
+        return (h, lo, Fraction(1), hi, top)
+    return (h, top, Fraction(1), hi, lo)
+
+
+def _check_constraints_by_walk(case):
+    if isinstance(case, O3CaseA):
+        return check_constraints(case)
+    a, d = case.a, case.d
+    for k in range(1, a + 1):
+        for i, j in sorted(case.supp_a):
+            if beta_k_b(i, j, k, d) < 0:
+                raise ConstraintViolation(
+                    f"first-equation exponent negative at stage {k} on ({i}, {j})",
+                    i=i, j=j, k=k,
+                )
+        for i, j in sorted(case.supp_b):
+            if gamma_k_b(i, j, k, d) < 0:
+                raise ConstraintViolation(
+                    f"second-equation exponent negative at stage {k} on ({i}, {j})",
+                    i=i, j=j, k=k,
+                )
+
+
+def _nonnegativity_by_fractions(case):
+    _check_constraints_by_walk(case)
+    a, d = case.a, case.d
+    checks = 0
+    if isinstance(case, O3CaseA):
+        for k in range(1, a + 1):
+            for i, j in sorted(case.supp_a):
+                b = beta_k(i, j, k, d)
+                floor_bound = Fraction(j * (a - k), a)
+                if b < floor_bound or b < 0:
+                    raise ConstraintViolation(
+                        f"beta({i},{j};{k}) = {b} escapes its bound", i=i, j=j, k=k
+                    )
+                checks += 1
+            for i, j in sorted(case.supp_b):
+                g = gamma_k(i, j, k, d)
+                if g.denominator != 1 or g < 0:
+                    raise ConstraintViolation(
+                        f"gamma({i},{j};{k}) = {g} is not a nonnegative integer",
+                        i=i, j=j, k=k,
+                    )
+                checks += 1
+            dl = delta_k(k, case.alpha, d)
+            if dl.denominator != 1 or dl < 0:
+                raise ConstraintViolation(
+                    f"delta({k}) = {dl} is not a nonnegative integer", k=k
+                )
+            checks += 1
+    else:
+        checks = a * (len(case.supp_a) + len(case.supp_b))
+    return chains.NonnegativityReport(a=a, d=d, checks=checks, ok=True)
+
+
+def _simulate_by_fractions(case, k_max=None):
+    _check_constraints_by_walk(case)
+    a, d = case.a, case.d
+    if (2 * d, 0) not in case.supp_a:
+        raise ConstraintViolation(
+            "first support must contain the pivot (2d, 0)", i=2 * d, j=0
+        )
+    if k_max is None:
+        k_max = a
+    if not (0 <= k_max <= a):
+        raise ValueError("stage range is 0..a")
+    target = Fraction(2 * d)
+    stages = []
+    for k in range(k_max + 1):
+        w = _weights_by_fractions(case, k)
+        wx, wy, wz, wu = w
+        odd = k % 2 == 1
+        lead = "u2z" if odd else "y2z"
+        monos = []
+        monos.append(("u2z" if odd else "u2", 2 * wu + (wz if odd else 0)))
+        monos.append(("y2" if odd else "y2z", 2 * wy + (0 if odd else wz)))
+        a_exps = []
+        for i, j in sorted(case.supp_a):
+            e = beta_k(i, j, k, d)
+            if e < 0:
+                raise WeightMismatch(
+                    f"negative z-exponent on x^{2 * i} at stage {k}",
+                    stage=k, monomial=(i, j),
+                )
+            a_exps.append(((i, j), e))
+            monos.append((f"x{2 * i}z{e}", 2 * i * wx + e * wz))
+        b_exps = []
+        for i, j in sorted(case.supp_b):
+            g = gamma_k(i, j, k, d)
+            if g.denominator != 1 or g < 0:
+                raise WeightMismatch(
+                    f"z-exponent {g} on u x^{2 * i + 1} invalid at stage {k}",
+                    stage=k, monomial=(i, j),
+                )
+            g = int(g)
+            b_exps.append(((i, j), g))
+            monos.append((f"ux{2 * i + 1}z{g}", wu + (2 * i + 1) * wx + g * wz))
+        dl = delta_k(k, case.alpha, d)
+        if dl.denominator != 1 or dl < 0:
+            raise WeightMismatch(
+                f"z-exponent {dl} on the y-term invalid at stage {k}", stage=k
+            )
+        dl = int(dl)
+        monos.append((f"yx{2 * case.alpha - 1}z{dl}",
+                      wy + (2 * case.alpha - 1) * wx + dl * wz))
+        sigma_wt = min(wt for _, wt in monos)
+        if k < a and sigma_wt != target:
+            bad = min(monos, key=lambda m: m[1])
+            raise WeightMismatch(
+                f"stage {k} weight {sigma_wt} != {target}",
+                stage=k, monomial=bad[0],
+            )
+        witnesses = tuple(
+            name for name, wt in monos
+            if wt == sigma_wt and (name == lead or name == f"x{4 * d}z0")
+        )
+        stages.append(ChainStage(
+            k=k, weights=w, lead=lead, a_exponents=tuple(a_exps),
+            b_exponents=tuple(b_exps), y_exponent=dl, sigma_weight=sigma_wt,
+            discrepancy=sum(w) - target - 1, witnesses=witnesses,
+        ))
+    return tuple(stages)
+
+
+def _stages_b_by_fractions(case, k_max=None):
+    _check_constraints_by_walk(case)
+    a, d = case.a, case.d
+    if k_max is None:
+        k_max = a
+    if not (0 <= k_max <= a):
+        raise ValueError("stage range is 0..a")
+    t1 = Fraction(2 * d + 1)
+    t2 = Fraction(2 * d + 1, 2)
+    stages = []
+    for k in range(k_max + 1):
+        w = _weights_by_fractions(case, k)
+        wx, wy, wz, wu, ww = w
+        odd = k % 2 == 1
+        first = [("u2", 2 * wu), ("yw", wy + ww)]
+        p_exps = []
+        for i, j in sorted(case.supp_a):
+            e = beta_k_b(i, j, k, d)
+            if e < 0:
+                raise WeightMismatch(
+                    f"negative first-equation exponent at stage {k}",
+                    stage=k, monomial=(i, j),
+                )
+            p_exps.append(((i, j), e))
+            first.append((f"x{2 * i}z{e}", 2 * i * wx + e * wz))
+        second = [
+            ("y" if odd else "yz", wy + (0 if odd else wz)),
+            (f"x{2 * d + 1}", (2 * d + 1) * wx),
+            ("wz" if odd else "w", ww + (wz if odd else 0)),
+        ]
+        q_exps = []
+        for i, j in sorted(case.supp_b):
+            e = gamma_k_b(i, j, k, d)
+            if e < 0:
+                raise WeightMismatch(
+                    f"negative second-equation exponent at stage {k}",
+                    stage=k, monomial=(i, j),
+                )
+            q_exps.append(((i, j), e))
+            second.append((f"x{2 * i + 1}z{e}", (2 * i + 1) * wx + e * wz))
+        wt1 = min(wt for _, wt in first)
+        wt2 = min(wt for _, wt in second)
+        if k < a and (wt1, wt2) != (t1, t2):
+            raise WeightMismatch(
+                f"stage {k} weights ({wt1}, {wt2}) != ({t1}, {t2})", stage=k
+            )
+        stages.append(ChainStageB(
+            k=k, weights=w, p_exponents=tuple(p_exps), q_exponents=tuple(q_exps),
+            wt_first=wt1, wt_second=wt2, discrepancy=sum(w) - wt1 - wt2 - 1,
+        ))
+    return tuple(stages)
+
+
+def _walk_outcome(walk, *args):
+    # repr, so Fraction-valued fields and witness order count
+    try:
+        return repr(walk(*args))
+    except (ConstraintViolation, WeightMismatch, ValueError) as exc:
+        return (type(exc).__name__, str(exc), vars(exc))
+
+
+def _support_around(rng, wall, i_max, size):
+    # exponents on, above and below the wall j >= wall(i)
+    return frozenset(
+        (i, max(0, wall(i) + rng.randint(-2, 3)))
+        for i in (rng.randint(0, i_max) for _ in range(rng.randint(0, size)))
+    )
+
+
+def _chain_cases(seed=17, n=300):
+    rng = random.Random(seed)
+    for _ in range(n):
+        a, d = rng.choice((3, 5, 7, 9, 11, 13)), rng.randint(1, 3)
+        k_max = rng.choice((None, 0, 1, a - 1, a, rng.randint(-1, a + 1)))
+        supp_a = _support_around(rng, lambda i: 2 * a * d - a * i, 3 * d + 2, 4)
+        if rng.random() < 0.9:
+            supp_a |= {(2 * d, 0)}  # else the pivot is missing
+        supp_b = _support_around(
+            rng, lambda i: -(-(2 * a * d - 1 - (2 * i + 1) * a) // 2), 2 * d + 2, 4)
+        alpha = rng.randint(max(1, d - 1), d + 3)  # d and below miss the wall
+        yield O3CaseA(a, d, alpha, supp_a, supp_b), k_max
+        supp_a = _support_around(rng, lambda i: (2 * d + 1) * a - a * i, 2 * d + 3, 4)
+        supp_b = _support_around(rng, lambda i: a * (d - i) - 1, d + 2, 4)
+        yield O3CaseB(a, d, supp_a, supp_b), k_max
+
+
+def test_walks_match_fraction_walks():
+    counts = {"stages": 0, "raised": 0}
+    for case, k_max in _chain_cases():
+        if isinstance(case, O3CaseA):
+            walk, ref = chain_simulate, _simulate_by_fractions
+        else:
+            walk, ref = chain_stages_b, _stages_b_by_fractions
+        want = _walk_outcome(ref, case, k_max)
+        assert _walk_outcome(walk, case, k_max) == want, (case, k_max)
+        assert _walk_outcome(nonnegativity_check, case) == _walk_outcome(
+            _nonnegativity_by_fractions, case), case
+        assert _walk_outcome(check_constraints, case) == _walk_outcome(
+            _check_constraints_by_walk, case), case
+        counts["raised" if isinstance(want, tuple) else "stages"] += 1
+    # both outcomes are well represented
+    assert counts["stages"] > 150 and counts["raised"] > 150, counts
+
+
+def test_shape_b_constraints_do_not_walk(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("the shape-B check must not walk the stages")
+
+    monkeypatch.setattr(chains, "beta_k_b", forbidden)
+    monkeypatch.setattr(chains, "gamma_k_b", forbidden)
+    a = 10**9 + 1
+    # x^0 z^j falls by 2d + 1 = 3 per stage: first negative at j // 3 + 1
+    j = 10**9
+    with pytest.raises(ConstraintViolation) as exc:
+        check_constraints(O3CaseB(a, 1, frozenset({(0, j), (5, 0)})))
+    k = j // 3 + 1
+    assert (exc.value.i, exc.value.j, exc.value.k) == (0, j, k)
+    assert str(exc.value) == f"first-equation exponent negative at stage {k} on (0, {j})"
+    # a tie at stage k: the second-equation x^1 z^(k-2) falls by d = 1 per
+    # stage from k - 1; the first support is reported, as the walk meets it
+    tie = O3CaseB(a, 1, frozenset({(0, j)}), frozenset({(0, k - 2), (0, k + 5)}))
+    with pytest.raises(ConstraintViolation) as exc:
+        nonnegativity_check(tie)
+    assert (exc.value.i, exc.value.j, exc.value.k) == (0, j, k)
+    # without the first-support term the second-equation one is reported
+    with pytest.raises(ConstraintViolation) as exc:
+        check_constraints(O3CaseB(a, 1, frozenset(), tie.supp_b))
+    assert (exc.value.i, exc.value.j, exc.value.k) == (0, k - 2, k)
+    assert nonnegativity_check(O3CaseB(a, 1, frozenset({(4, 0)}))).checks == a
