@@ -11,7 +11,6 @@ beyond 2^53 as decimal strings so consumers never round.
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import os
 import sys
@@ -19,32 +18,26 @@ from dataclasses import asdict, fields, is_dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from . import chains, germs, neighborhoods, riemannroch, sweeps, traces
-from .baskets import (
-    CA_R,
-    CAX2,
-    CAX4,
-    CD2,
-    CYCLIC,
-    GORENSTEIN,
-    KINDS,
-    Basket,
-    CyclicQuotient,
-    TerminalClass,
-    aw,
-    basket_of,
-    normalize_cyclic,
-    sigma,
-    xi,
-)
+# each handler imports the layers it calls, so a one-shot command loads
+# only those; errors and rationals serve every subcommand
 from .errors import InvalidParameter, SchemaError, WresolveError
-from .germs import CARGerm
 from .rationals import format_rat, parse_rat
 
 MAX_SAFE_INT = 2**53
 
-# the verify flags and their defaults: one --flag-name per run_all parameter
-_VERIFY_PARAMS = inspect.signature(sweeps.run_all).parameters
+# the verify flags and their defaults: one --flag-name per run_all
+# parameter, in its order (a test checks this against the signature)
+_VERIFY_DEFAULTS = {
+    "cyclic_max": 25,
+    "germ_r_max": 7,
+    "rr_max": 40,
+    "en_r_max": 99,
+    "semi_max": 30,
+    "iib_max": 51,
+    "o3_cases": 200,
+    "trace_count": 10000,
+    "seed": 20240817,
+}
 
 
 def _encode(value):
@@ -135,6 +128,8 @@ def _pairs(value, name):
 
 
 def _basket(value, name):
+    from .baskets import Basket
+
     message = f"{name} must be a list of [b, r] or [b, r, n]"
     return Basket.of(*_int_rows(value, (2, 3), message))
 
@@ -148,24 +143,27 @@ def _field(obj, key, parse=_int, default=_REQUIRED, **bounds):
     return parse(obj[key], f"key {key!r}", **bounds)
 
 
-def _parse_germ(obj) -> CARGerm:
+def _parse_germ(obj):
+    from .germs import CARGerm
+
     r, beta = _field(obj, "r"), _field(obj, "beta")
     return CARGerm(r, beta, frozenset(_field(obj, "support", _pairs)))
 
 
-# every class name, lower-cased, with and without its "/"
-_CLASS_ALIASES = {
-    alias: kind
-    for kind in KINDS
-    for alias in (kind.lower(), kind.lower().replace("/", ""))
-} | {"smooth": GORENSTEIN}
+def _parse_class(obj):
+    from .baskets import CA_R, CAX2, CAX4, CD2, CYCLIC, GORENSTEIN, KINDS
+    from .baskets import CyclicQuotient, TerminalClass
 
-
-def _parse_class(obj) -> TerminalClass:
     name = obj.get("class")
     if not isinstance(name, str):
         raise SchemaError("missing class name under key 'class'")
-    kind = _CLASS_ALIASES.get(name.lower())
+    # every class name, lower-cased, with and without its "/"
+    aliases = {
+        alias: kind
+        for kind in KINDS
+        for alias in (kind.lower(), kind.lower().replace("/", ""))
+    } | {"smooth": GORENSTEIN}
+    kind = aliases.get(name.lower())
     if kind is None:
         raise SchemaError(f"unknown class {name!r}")
     if kind == CYCLIC:
@@ -183,18 +181,22 @@ def _parse_class(obj) -> TerminalClass:
 
 
 def _cmd_basket(obj):
+    from . import baskets
+
     tc = _parse_class(obj)
-    basket = basket_of(tc)
+    basket = baskets.basket_of(tc)
     return {
         "class": tc.kind,
         "entries": [[e.b, e.r, e.n] for e in basket.entries],
-        "aw": aw(basket),
-        "sigma": sigma(basket),
-        "xi": xi(basket),
+        "aw": baskets.aw(basket),
+        "sigma": baskets.sigma(basket),
+        "xi": baskets.xi(basket),
     }
 
 
 def _cmd_depth(obj):
+    from . import germs
+
     if "class" in obj:
         bound = germs.depth_bound(_parse_class(obj))
         return {"lower": bound.lower, "upper": bound.upper, "exact": bound.exact}
@@ -210,39 +212,30 @@ def _search_limit(obj):
 
 
 def _cmd_resolve(obj):
+    from . import germs
+
     g = _parse_germ(obj)
     tree = germs.resolution_tree(g, _search_limit(obj))
     return {"dep": tree["dep"], "tree": tree}
 
 
 def _cmd_blowup(obj):
+    from . import baskets, germs
+
     g = _parse_germ(obj)
     step = germs.blowup_step(g, _field(obj, "r1"), _field(obj, "r2"))
     quotients = []
     for q in step.cyclic_points:
         entry = {"index": q.r, "weights": list(q.weights)}
         if q.r >= 2:
-            entry["normal"] = list(normalize_cyclic(q))
+            entry["normal"] = list(baskets.normalize_cyclic(q))
         quotients.append(entry)
     return {"quotients": quotients, "residual": step.residual}
 
 
-# case name with "+" and "_" dropped, lower-cased -> case class; the JSON
-# keys are the dataclass field names
-_EN_CASES = {
-    cls.__name__.removesuffix("Case").lower(): cls
-    for cls in (
-        neighborhoods.ICCase,
-        neighborhoods.IIBCase,
-        neighborhoods.IACase,
-        neighborhoods.ExceptionalIAIACase,
-        neighborhoods.SemistableIAIACase,
-        neighborhoods.IAIAIIICase,
-    )
-}
-
-
 def _cmd_en(obj):
+    from . import neighborhoods
+
     if "points" in obj:
         raw = _rows(obj["points"], (2,), "'points' must be a list of [r, w0]")
         pts = [
@@ -255,7 +248,13 @@ def _cmd_en(obj):
         raise SchemaError("missing case name under key 'case'")
     kx = _field(obj, "kx", _rat, default=None)
     r1 = _field(obj, "r1", default=None)
-    cls = _EN_CASES.get(name.replace("+", "").replace("_", "").lower())
+    # case name with "+" and "_" dropped, lower-cased -> case class; the
+    # JSON keys are the dataclass field names
+    cases = {
+        cls.__name__.removesuffix("Case").lower(): cls
+        for cls in neighborhoods.ENCase.__args__
+    }
+    cls = cases.get(name.replace("+", "").replace("_", "").lower())
     if cls is None:
         raise SchemaError(f"unknown neighborhood case {name!r}")
     case = cls(*(_field(obj, f.name) for f in fields(cls)))
@@ -265,6 +264,9 @@ def _cmd_en(obj):
 
 
 def _cmd_rr(obj):
+    from . import riemannroch
+    from .baskets import Basket
+
     if "a_over_n" in obj:
         value = riemannroch.delta_chi(
             _field(obj, "a_over_n", _rat),
@@ -298,7 +300,7 @@ def _cmd_rr(obj):
     return out
 
 
-def _stage_payload_a(st: chains.ChainStage):
+def _stage_payload_a(st):
     return {
         "k": st.k,
         "weights": list(st.weights),
@@ -311,7 +313,7 @@ def _stage_payload_a(st: chains.ChainStage):
     }
 
 
-def _stage_payload_b(st: chains.ChainStageB):
+def _stage_payload_b(st):
     return {
         "k": st.k,
         "weights": list(st.weights),
@@ -324,6 +326,8 @@ def _stage_payload_b(st: chains.ChainStageB):
 
 
 def _cmd_o3(obj):
+    from . import chains
+
     shape = obj.get("case")
     if shape not in ("A", "B"):
         raise SchemaError("key 'case' must be \"A\" or \"B\"")
@@ -359,6 +363,8 @@ def _cmd_o3(obj):
 
 
 def _cmd_trace(obj):
+    from . import traces
+
     raw = obj.get("steps")
     if not isinstance(raw, list):
         raise SchemaError("trace needs 'steps': a list of objects")
@@ -382,7 +388,9 @@ def _cmd_trace(obj):
 
 
 def _cmd_verify(args):
-    results = sweeps.run_all(**{name: getattr(args, name) for name in _VERIFY_PARAMS})
+    from . import sweeps
+
+    results = sweeps.run_all(**{name: getattr(args, name) for name in _VERIFY_DEFAULTS})
     if args.output == "json":
         payload = [{**asdict(r), "elapsed": round(r.elapsed, 3)} for r in results]
         print(json.dumps(payload, indent=2))
@@ -438,8 +446,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run the cross-check sweeps")
     v.add_argument("--output", "-o", choices=("json", "text"), default="text")
-    for name, param in _VERIFY_PARAMS.items():
-        v.add_argument("--" + name.replace("_", "-"), type=int, default=param.default)
+    for name, default in _VERIFY_DEFAULTS.items():
+        v.add_argument("--" + name.replace("_", "-"), type=int, default=default)
     v.set_defaults(handler=None)
     return parser
 

@@ -298,6 +298,38 @@ def _nonnegativity_by_fractions(case):
     return chains.NonnegativityReport(a=a, d=d, checks=checks, ok=True)
 
 
+def _nonnegativity_by_walk(case):
+    # the O(a |support|) integer walk nonnegativity_check made before it
+    # became check_constraints alone: a beta >= j (a - k), and the doubled
+    # gamma / delta must be even and nonnegative
+    check_constraints(case)
+    a, d = case.a, case.d
+    per_stage = len(case.supp_a) + len(case.supp_b)
+    if isinstance(case, O3CaseA):
+        for k in range(1, a + 1):
+            odd = k % 2
+            for i, j in sorted(case.supp_a):
+                b = j + k * (i - 2 * d)
+                if a * b < j * (a - k) or b < 0:
+                    raise ConstraintViolation(
+                        f"beta({i},{j};{k}) = {b} escapes its bound", i=i, j=j, k=k
+                    )
+            for i, j in sorted(case.supp_b):
+                g2 = 2 * j + k * (2 * i + 1 - 2 * d) + odd
+                if g2 % 2 or g2 < 0:
+                    raise ConstraintViolation(
+                        f"gamma({i},{j};{k}) = {Fraction(g2, 2)} is not a nonnegative integer",
+                        i=i, j=j, k=k,
+                    )
+            dl2 = k * (2 * case.alpha - 1 - 2 * d) - odd
+            if dl2 % 2 or dl2 < 0:
+                raise ConstraintViolation(
+                    f"delta({k}) = {Fraction(dl2, 2)} is not a nonnegative integer", k=k
+                )
+        per_stage += 1
+    return chains.NonnegativityReport(a=a, d=d, checks=a * per_stage, ok=True)
+
+
 def _simulate_by_fractions(case, k_max=None):
     _check_constraints_by_walk(case)
     a, d = case.a, case.d
@@ -469,6 +501,49 @@ def test_walks_match_fraction_walks():
         counts["raised" if isinstance(want, tuple) else "stages"] += 1
     # both outcomes are well represented
     assert counts["stages"] > 150 and counts["raised"] > 150, counts
+
+
+def _wall_cases():
+    # (case, breaks): each wall met exactly, and missed by one
+    for a, d in ((3, 1), (5, 2), (7, 3)):
+        pivot = frozenset({(2 * d, 0)})
+        for i in range(2 * d):
+            j = 2 * a * d - a * i  # a i + j >= 2ad
+            yield O3CaseA(a, d, d + 1, pivot | {(i, j)}), False
+            yield O3CaseA(a, d, d + 1, pivot | {(i, j - 1)}), True
+        for i in range(d):
+            j = -(-(2 * a * d - 1 - (2 * i + 1) * a) // 2)  # (2i+1) a + 2j >= 2ad - 1
+            yield O3CaseA(a, d, d + 1, pivot, frozenset({(i, j)})), False
+            yield O3CaseA(a, d, d + 1, pivot, frozenset({(i, j - 1)})), True
+        yield O3CaseA(a, d, d + 1, pivot), False  # (2 alpha - 1) a >= 2ad + 1
+        yield O3CaseA(a, d, d, pivot), True
+        for i in range(2 * d + 1):
+            j = a * (2 * d + 1 - i)  # first equation, down 2d + 1 - i per stage
+            yield O3CaseB(a, d, frozenset({(i, j)})), False
+            yield O3CaseB(a, d, frozenset({(i, j - 1)})), True
+        for i in range(d):
+            j = a * (d - i) - 1  # second equation, down d - i per stage
+            yield O3CaseB(a, d, frozenset(), frozenset({(i, j)})), False
+            yield O3CaseB(a, d, frozenset(), frozenset({(i, j - 1)})), True
+
+
+def test_nonnegativity_matches_the_walk():
+    # the walk never fires once check_constraints has passed, so certifying
+    # by check_constraints alone changes no report and no exception
+    raised = 0
+    for case, _ in _chain_cases():
+        want = _walk_outcome(_nonnegativity_by_walk, case)
+        assert _walk_outcome(nonnegativity_check, case) == want, case
+        raised += isinstance(want, tuple)
+    assert raised > 150, raised
+    for case, breaks in _wall_cases():
+        want = _walk_outcome(_nonnegativity_by_walk, case)
+        assert isinstance(want, tuple) == breaks, case
+        assert _walk_outcome(nonnegativity_check, case) == want, case
+    # O(|support|): a chain of a billion stages is certified at once
+    a = 10**9 + 1
+    big = O3CaseA(a, 1, 2, frozenset({(2, 0), (0, 2 * a)}), frozenset({(1, 0)}))
+    assert nonnegativity_check(big).checks == 4 * a
 
 
 def test_shape_b_constraints_do_not_walk(monkeypatch):

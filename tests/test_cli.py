@@ -1,5 +1,6 @@
 """Command-line surface: wire formats, exit codes, determinism."""
 
+import inspect
 import io
 import json
 import os
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import wresolve
-from wresolve import cli
+from wresolve import cli, sweeps
 from wresolve.cli import main
 
 GERM = '{"r":5,"beta":2,"support":[[0,2],[1,1]]}'
@@ -399,6 +400,43 @@ def test_verify_json(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert code == 0
     assert all(entry["ok"] for entry in payload)
+
+
+def test_verify_defaults_are_run_all_defaults():
+    params = inspect.signature(sweeps.run_all).parameters
+    assert list(cli._VERIFY_DEFAULTS.items()) == [
+        (name, p.default) for name, p in params.items()
+    ]
+
+
+VERIFY_HELP = """\
+usage: wresolve verify [-h] [--output {json,text}] [--cyclic-max CYCLIC_MAX]
+                       [--germ-r-max GERM_R_MAX] [--rr-max RR_MAX]
+                       [--en-r-max EN_R_MAX] [--semi-max SEMI_MAX]
+                       [--iib-max IIB_MAX] [--o3-cases O3_CASES]
+                       [--trace-count TRACE_COUNT] [--seed SEED]
+
+options:
+  -h, --help            show this help message and exit
+  --output {json,text}, -o {json,text}
+  --cyclic-max CYCLIC_MAX
+  --germ-r-max GERM_R_MAX
+  --rr-max RR_MAX
+  --en-r-max EN_R_MAX
+  --semi-max SEMI_MAX
+  --iib-max IIB_MAX
+  --o3-cases O3_CASES
+  --trace-count TRACE_COUNT
+  --seed SEED
+"""
+
+
+def test_verify_help_pinned(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps to the terminal
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "-h"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == VERIFY_HELP
 
 
 def test_console_script():
