@@ -13,18 +13,20 @@ distinguished by how the axial index r couples to (a, d):
               y z + x^(2d+1) + sum b_ij x^(2i+1) z^(j+1) + w
 
 Only z-exponents move along the chain.  This module tracks them in
-closed form, checks the support constraints that keep them nonnegative,
-and simulates the stages: at every stage below the top the equation
-weight must come out at the fixed threshold (2d for shape A; 2d+1 and
-(2d+1)/2 for the two shape-B equations), each blow-up has discrepancy
-1/2, and the stage-a exponents are the germ data of the singular point
-the chain ends on.
+closed form and simulates the stages.  check_constraints (with the
+shape-A pivot x^(4d)) is the one certificate of the chain: it keeps every
+exponent a nonnegative integer through stage a, and it makes the equation
+weight of every stage below the top come out at the fixed threshold (2d
+for shape A; 2d+1 and (2d+1)/2 for the two shape-B equations).  The walks
+report the weights they measure, each blow-up has discrepancy 1/2, and
+the stage-a exponents are the germ data of the singular point the chain
+ends on.
 
 Every chain weight is a half-integer, so the walks weigh monomials in
 doubled weights (x -> 1, z -> 2, y, u, w -> 2d-1, 2d+1 or 2d+3) and do
-integer work per stage; Fractions appear only in the stage fields and
-in error messages.  beta_k, gamma_k, delta_k, beta_k_b and gamma_k_b
-keep the exact rational closed forms the walks are checked against.
+integer work per stage; Fractions appear only in the stage fields.
+beta_k, gamma_k, delta_k, beta_k_b and gamma_k_b keep the exact rational
+closed forms the walks are checked against.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ConstraintViolation, WeightMismatch
+from .errors import ConstraintViolation
 
 
 def _clean_support(raw) -> frozenset:
@@ -207,11 +209,13 @@ def nonnegativity_check(case) -> NonnegativityReport:
 
     * shape A, beta = j + k (i - 2d):  a beta - j (a - k) = k (a i + j - 2 a d)
       >= 0 by the first-support wall, so beta >= j (a - k) / a >= 0;
-    * shape A, 2 gamma = 2j + k (2i + 1 - 2d) + (k mod 2) is even; without
-      the (k mod 2) term it is affine in k, >= 0 at k = 0 and >= -1 at
-      k = a by the second-support wall, so 2 gamma >= -1, hence >= 0;
-    * shape A, 2 delta = k (2 alpha - 1 - 2d) - (k mod 2) is even, and the
-      alpha wall makes the slope >= 1, so 2 delta >= k - 1 >= 0;
+    * shape A, 2 gamma = 2j + k (2i + 1 - 2d) + (k mod 2) is even, since
+      k times an odd number plus (k mod 2) is; without the (k mod 2) term
+      it is affine in k, >= 0 at k = 0 and >= -1 at k = a by the
+      second-support wall, so 2 gamma >= -1, hence >= 0;
+    * shape A, 2 delta = k (2 alpha - 1 - 2d) - (k mod 2) is even for the
+      same reason, and the alpha wall makes the slope >= 1, so
+      2 delta >= k - 1 >= 0;
     * shape B: check_constraints finds each falling exponent's first
       negative stage itself.
 
@@ -259,30 +263,46 @@ class ChainStage:
     witnesses: tuple[str, ...]
 
 
-def _monomial_names_a(case: O3CaseA, k: int, a_exps, b_exps, dl: int) -> list[str]:
-    """Names of the stage-k shape-A monomials, in the order the walk weighs them."""
-    odd = k % 2 == 1
-    return [
-        "u2z" if odd else "u2",
-        "y2" if odd else "y2z",
-        *(f"x{2 * i}z{e}" for (i, _), e in a_exps),
-        *(f"ux{2 * i + 1}z{g}" for (i, _), g in b_exps),
-        f"yx{2 * case.alpha - 1}z{dl}",
-    ]
+def _rows_at(lines, k: int, wx: int, wz: int, wts: list) -> tuple:
+    """Stage-k exponents of (monomial, base, slope, x-degree) rows.
+
+    Appends each row's doubled weight x-degree * wx + exponent * wz to wts.
+    """
+    exps = []
+    for ij, base, slope, x_deg in lines:
+        e = base + k * slope
+        exps.append((ij, e))
+        wts.append(x_deg * wx + e * wz)
+    return tuple(exps)
 
 
 def chain_simulate(case: O3CaseA, k_max: int | None = None) -> tuple[ChainStage, ...]:
-    """Walk the shape-A chain and certify the stage weights.
+    """Walk the shape-A chain and report the measured stage weights.
 
-    Every stage strictly below a must have equation weight exactly 2d
-    (WeightMismatch otherwise), witnessed by the parity lead and by
-    x^(4d), which therefore must sit in the first support
-    (ConstraintViolation when missing).  Stage a carries the germ data
-    of the endpoint.
+    The first support must contain the pivot (2d, 0) (ConstraintViolation
+    when missing).  check_constraints and the pivot then certify that every
+    stage below a has equation weight exactly 2d, witnessed by the parity
+    lead and by x^(4d).  In doubled weights (x -> 1, z -> 2, target 4d),
+    with m = k + 1 and 1 <= m <= a for the stages k < a:
+
+    * the lead (y^2 z at even k, u^2 z at odd k) weighs 4d and the other
+      built-in monomial 4d + 2;
+    * a beta term weighs 4d + 2 [m (i - 2d) + j], affine in m and >= 4d at
+      m = 0 (j >= 0) and at m = a (the first wall); the pivot weighs 4d;
+    * a gamma term weighs 4d + m (2i + 1 - 2d) + 2j + [k even].  The
+      affine part m (2i + 1 - 2d) + 2j is >= 0 at m = 0 and >= -1 at
+      m = a by the second wall; an integer line that falls is then
+      >= 0 up to m = a - 1, which bounds every odd k (a is odd), and at
+      even k the [k even] adds the missing 1;
+    * the y-term weighs 4d + m (2 alpha - 1 - 2d) at odd k and one less at
+      even k, and the alpha wall makes that slope >= 1.
+
+    So the walk reports what it measures: sigma_weight 2d and both
+    witnesses below a, and at stage a the germ data of the endpoint.
 
     The walk weighs monomials in doubled weights, so every stage is
     integer work; the Fraction stage fields are built once per parity
-    and shared by the stages below a, and afresh only for stage a.
+    and shared by the stages that hit the threshold.
     """
     check_constraints(case)
     a, d = case.a, case.d
@@ -314,51 +334,24 @@ def chain_simulate(case: O3CaseA, k_max: int | None = None) -> tuple[ChainStage,
         odd = k % 2
         wx, wy, wz, wu = doubled[odd]
         wts = [2 * wu + (wz if odd else 0), 2 * wy + (0 if odd else wz)]
-        a_exps = []
-        for ij, base, slope, x_deg in beta:
-            e = base + k * slope
-            if e < 0:
-                raise WeightMismatch(
-                    f"negative z-exponent on x^{x_deg} at stage {k}",
-                    stage=k, monomial=ij,
-                )
-            a_exps.append((ij, e))
-            wts.append(x_deg * wx + e * wz)
+        a_exps = _rows_at(beta, k, wx, wz, wts)
         b_exps = []
         for ij, base, slope, x_deg in gamma2:
-            g2 = base + k * slope + odd
-            if g2 % 2 or g2 < 0:
-                raise WeightMismatch(
-                    f"z-exponent {Fraction(g2, 2)} on u x^{x_deg} invalid at stage {k}",
-                    stage=k, monomial=ij,
-                )
-            g = g2 // 2
+            g = (base + k * slope + odd) // 2
             b_exps.append((ij, g))
             wts.append(wu + x_deg * wx + g * wz)
-        dl2 = k * delta2_slope - odd
-        if dl2 % 2 or dl2 < 0:
-            raise WeightMismatch(
-                f"z-exponent {Fraction(dl2, 2)} on the y-term invalid at stage {k}",
-                stage=k,
-            )
-        dl = dl2 // 2
+        dl = (k * delta2_slope - odd) // 2
         wts.append(wy + y_x_deg * wx + dl * wz)
         low = min(wts)
-        if k < a and low != target:
-            names = _monomial_names_a(case, k, a_exps, b_exps, dl)
-            raise WeightMismatch(
-                f"stage {k} weight {Fraction(low, 2)} != {2 * d}",
-                stage=k, monomial=names[wts.index(low)],
-            )
         stages.append(
             ChainStage(
                 k=k,
                 weights=weights[odd],
                 lead=witness_slots[odd][0][0],
-                a_exponents=tuple(a_exps),
+                a_exponents=a_exps,
                 b_exponents=tuple(b_exps),
                 y_exponent=dl,
-                sigma_weight=sigma_weight if k < a else Fraction(low, 2),
+                sigma_weight=sigma_weight if low == target else Fraction(low, 2),
                 discrepancy=discrepancy[odd],
                 witnesses=tuple(
                     name for name, slot in witness_slots[odd] if wts[slot] == low
@@ -382,10 +375,16 @@ class ChainStageB:
 
 
 def chain_stages_b(case: O3CaseB, k_max: int | None = None) -> tuple[ChainStageB, ...]:
-    """Walk the shape-B chain; stage weights must be 2d+1 and (2d+1)/2.
+    """Walk the shape-B chain and report the two measured equation weights.
 
-    As in chain_simulate the walk runs on doubled weights, with the
-    thresholds 4d+2 and 2d+1; Fractions appear only in the stage fields.
+    check_constraints certifies that every stage below a has weights 2d+1
+    and (2d+1)/2.  In doubled weights the thresholds are 4d+2 and 2d+1,
+    which u^2, y w and x^(2d+1) reach at every stage.  A support row of
+    either equation weighs its threshold plus 2 (base + m slope), twice
+    its own exponent at stage m = k + 1, and check_constraints keeps that
+    exponent >= 0 through stage a; the other built-in monomials weigh
+    more.  As in chain_simulate the walk does integer work per stage and
+    builds the Fraction stage fields once per parity.
     """
     check_constraints(case)
     a, d = case.a, case.d
@@ -404,35 +403,11 @@ def chain_stages_b(case: O3CaseB, k_max: int | None = None) -> tuple[ChainStageB
         odd = k % 2
         wx, wy, wz, wu, ww = doubled[odd]
         wts1 = [2 * wu, wy + ww]
-        p_exps = []
-        for ij, base, slope, x_deg in first:
-            e = base + k * slope
-            if e < 0:
-                raise WeightMismatch(
-                    f"negative first-equation exponent at stage {k}",
-                    stage=k, monomial=ij,
-                )
-            p_exps.append((ij, e))
-            wts1.append(x_deg * wx + e * wz)
+        p_exps = _rows_at(first, k, wx, wz, wts1)
         wts2 = [wy + (0 if odd else wz), (2 * d + 1) * wx, ww + (wz if odd else 0)]
-        q_exps = []
-        for ij, base, slope, x_deg in second:
-            e = base + k * slope
-            if e < 0:
-                raise WeightMismatch(
-                    f"negative second-equation exponent at stage {k}",
-                    stage=k, monomial=ij,
-                )
-            q_exps.append((ij, e))
-            wts2.append(x_deg * wx + e * wz)
+        q_exps = _rows_at(second, k, wx, wz, wts2)
         w1, w2 = min(wts1), min(wts2)
-        if k < a:
-            if (w1, w2) != (t1, t2):
-                raise WeightMismatch(
-                    f"stage {k} weights ({Fraction(w1, 2)}, {Fraction(w2, 2)})"
-                    f" != ({wt_first}, {wt_second})",
-                    stage=k,
-                )
+        if (w1, w2) == (t1, t2):
             stage_first, stage_second, disc = wt_first, wt_second, discrepancy[odd]
         else:
             stage_first, stage_second = Fraction(w1, 2), Fraction(w2, 2)
@@ -441,8 +416,8 @@ def chain_stages_b(case: O3CaseB, k_max: int | None = None) -> tuple[ChainStageB
             ChainStageB(
                 k=k,
                 weights=weights[odd],
-                p_exponents=tuple(p_exps),
-                q_exponents=tuple(q_exps),
+                p_exponents=p_exps,
+                q_exponents=q_exps,
                 wt_first=stage_first,
                 wt_second=stage_second,
                 discrepancy=disc,

@@ -289,7 +289,8 @@ def _cmd_rr(obj):
         out["aw_bound"] = riemannroch.aw_upper_bound(case)
         out["sufficient_bound"] = riemannroch.case_data(case).sufficient_bound
     awx = _field(obj, "aw", default=None)
-    if awx is not None or tag == riemannroch.E11:
+    # E11 is checked without an aw; case_depth_check refuses O3 with or without one
+    if awx is not None or tag in (riemannroch.E11, riemannroch.O3):
         rep = riemannroch.case_depth_check(case, awx)
         out["check"] = {
             "aw": rep.aw,
@@ -411,7 +412,7 @@ def _emit(payload, mode):
 
 def _emit_error(exc: WresolveError):
     body = {"type": type(exc).__name__, "message": str(exc)}
-    for attr in ("index", "rule", "i", "j", "k", "stage", "monomial"):
+    for attr in ("index", "rule", "i", "j", "k"):
         value = getattr(exc, attr, None)
         if value is not None:
             body[attr] = value

@@ -32,7 +32,6 @@ from fractions import Fraction
 
 from .baskets import Basket, CyclicQuotient, aw as basket_aw, normalize_cyclic
 from .errors import InvalidParameter
-from .germs import cyclic_depth_search
 
 E1_A4 = "E1_a4"
 E1_A2 = "E1_a2"
@@ -176,6 +175,8 @@ def case_depth_check(case: ContractionCase, aw: int | None = None) -> CaseDepthR
     the basket indices 2 and 6 and dep(X) <= 7.
     """
     if case.tag == E11:
+        from .germs import cyclic_depth_search  # only E11 searches
+
         points = (CyclicQuotient(2, (1, 1, 1)), CyclicQuotient(6, (1, -1, -1)))
         dep_y = 0
         for pt in points:

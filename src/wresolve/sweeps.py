@@ -371,8 +371,10 @@ def _check_depth_identity(case, rng: random.Random, tag: str) -> str | None:
 def _check_case_a(case: chains.O3CaseA, rng: random.Random) -> str | None:
     a, d, alpha, r = case.a, case.d, case.alpha, case.r
     tag = f"A(a={a}, d={d})"
-    chains.nonnegativity_check(case)
     stages = chains.chain_simulate(case)
+    for st in stages:
+        if st.y_exponent < 0 or any(e < 0 for _, e in st.a_exponents + st.b_exponents):
+            return f"{tag}: negative exponent at stage {st.k}"
     for st in stages[:-1]:
         if st.sigma_weight != 2 * d:
             return f"{tag}: stage {st.k} weight {st.sigma_weight}"
@@ -406,8 +408,10 @@ def _check_case_a(case: chains.O3CaseA, rng: random.Random) -> str | None:
 def _check_case_b(case: chains.O3CaseB, rng: random.Random) -> str | None:
     a, d, r = case.a, case.d, case.r
     tag = f"B(a={a}, d={d})"
-    chains.nonnegativity_check(case)
     stages = chains.chain_stages_b(case)
+    for st in stages:
+        if any(e < 0 for _, e in st.p_exponents + st.q_exponents):
+            return f"{tag}: negative exponent at stage {st.k}"
     for st in stages[:-1]:
         if st.wt_first != 2 * d + 1 or st.wt_second != Fraction(2 * d + 1, 2):
             return f"{tag}: stage {st.k} weights broke"

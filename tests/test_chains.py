@@ -571,3 +571,38 @@ def test_shape_b_constraints_do_not_walk(monkeypatch):
         check_constraints(O3CaseB(a, 1, frozenset(), tie.supp_b))
     assert (exc.value.i, exc.value.j, exc.value.k) == (0, k - 2, k)
     assert nonnegativity_check(O3CaseB(a, 1, frozenset({(4, 0)}))).checks == a
+
+
+def test_constraints_certify_the_walks():
+    # check_constraints and the shape-A pivot are the whole certificate:
+    # past them every stage below a hits its threshold, with both shape-A
+    # witnesses, and every exponent is >= 0, so no walk refuses a stage
+    cases = [case for case, _ in _chain_cases()] + [case for case, _ in _wall_cases()]
+    walked = 0
+    for case in cases:
+        try:
+            check_constraints(case)
+        except ConstraintViolation:
+            continue
+        d = case.d
+        if isinstance(case, O3CaseA):
+            if (2 * d, 0) not in case.supp_a:
+                with pytest.raises(ConstraintViolation, match="pivot"):
+                    chain_simulate(case)
+                continue
+            stages = chain_simulate(case)
+            for st in stages[:-1]:
+                assert st.sigma_weight == 2 * d, (case, st.k)
+                assert st.witnesses == (st.lead, f"x{4 * d}z0"), (case, st.k)
+            exps = [st.y_exponent for st in stages] + [
+                e for st in stages for _, e in st.a_exponents + st.b_exponents
+            ]
+        else:
+            stages = chain_stages_b(case)
+            for st in stages[:-1]:
+                assert st.wt_first == 2 * d + 1, (case, st.k)
+                assert st.wt_second == Fraction(2 * d + 1, 2), (case, st.k)
+            exps = [e for st in stages for _, e in st.p_exponents + st.q_exponents]
+        assert min(exps, default=0) >= 0, case
+        walked += 1
+    assert walked > 150, walked

@@ -166,6 +166,32 @@ def test_en_errors(capsys):
     assert payload["error"]["type"] == "InvalidCaseData"
 
 
+def test_class_and_iib_inputs(capsys):
+    code, payload = run_json(capsys, ["basket", '{"class":"cA/r",' + GERM[1:]])
+    assert code == 0
+    assert payload == {
+        "class": "cA/r", "entries": [[2, 5, 2]], "aw": 2, "sigma": 4, "xi": 10,
+    }
+    code, payload = run_json(capsys, ["basket", '{"class":"cAx/2"}'])
+    assert code == 0 and payload["entries"] == [[1, 2, 2]]
+    code, payload = run_json(capsys, ["depth", '{"class":"cAx/2","k":3}'])
+    assert code == 0
+    assert payload == {"lower": None, "upper": 5, "exact": False}
+    # without k the class parses, and the depth bound refuses it
+    code, payload = run_json(capsys, ["depth", '{"class":"cAx/2"}'])
+    assert code == 2
+    assert payload["error"]["message"] == "cAx/2 depth bound needs the parameter k"
+    # r1 is the first IIB weight, not the IA r1 override: it sets cf = 3/7
+    code, payload = run_json(
+        capsys, ["en", '{"case":"IIB","r1":7,"r2":2,"r3":1,"r4":1,"kx":"-1/2"}']
+    )
+    assert code == 0
+    assert payload == {
+        "ky_cy": "-11/28", "nonpositive": True, "kx_c": "-1/2", "cf": "3/7",
+        "r1": None, "s": None, "delta": None,
+    }
+
+
 def test_rr_correction(capsys):
     code, out = run(capsys, ["rr", '{"basket":[[1,2]]}'])
     assert (code, out) == (0, '{"correction": "1/4"}\n')
@@ -471,6 +497,21 @@ RR_JUMP = '"basket_y":[[5,18]],"basket_x":[[1,2,5]]}'
                      id="en-bool-index"),
         pytest.param(["resolve", GERM[:-1] + ',"limit":-5}'], 1, "SchemaError",
                      id="resolve-limit-negative"),
+        pytest.param(["depth", "[1, 2]"], 1, "SchemaError", id="top-level-array"),
+        pytest.param(["en", '{"points":[[5]]}'], 1, "SchemaError", id="rows-length"),
+        pytest.param(["depth", '{"r":5,"beta":2,"support":[[0,"2"]]}'], 1,
+                     "SchemaError", id="int-rows-type"),
+        pytest.param(["basket", "{}"], 1, "SchemaError", id="class-missing"),
+        pytest.param(["basket", '{"class":"cZ/9"}'], 1, "SchemaError",
+                     id="class-unknown"),
+        pytest.param(["en", '{"r":5}'], 1, "SchemaError", id="en-case-missing"),
+        pytest.param(["rr", '{"rprime":3}'], 1, "SchemaError", id="rr-no-input"),
+        pytest.param(["rr", '{"case":"E9"}'], 1, "SchemaError", id="rr-case-unknown"),
+        pytest.param(["trace", '{"steps":[1]}'], 1, "SchemaError",
+                     id="trace-step-not-object"),
+        pytest.param(["o3", '{"case":"B","a":4,"d":1}'], 2, "InvalidParameter",
+                     id="o3-b-even-a"),
+        pytest.param(["rr", '{"case":"O3"}'], 2, "InvalidParameter", id="rr-o3"),
     ],
 )
 def test_boundary_errors(capsys, argv, code, kind):

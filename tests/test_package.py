@@ -125,6 +125,7 @@ def test_import_wresolve_loads_no_layer():
          {"chains"}),
         (["trace", {"steps": [{"kind": "Flop", "before": 3, "after": 3}]}],
          {"traces"}),
+        (["rr", {"basket": [[1, 2]]}], {"riemannroch", "baskets"}),
     ],
     ids=lambda v: v[0] if isinstance(v, list) else None,
 )

@@ -2,7 +2,9 @@
 
 import random
 
-from wresolve import germs, sweeps, traces
+import pytest
+
+from wresolve import chains, germs, sweeps, traces
 
 
 def test_result_line_format():
@@ -70,6 +72,31 @@ def test_run_all_quick():
     names = [r.name for r in results]
     assert names[0] == "cyclic-depth-search"
     assert names[-1] == "trace-rule-metamorphic"
+
+
+def _parity_swapped(weights):
+    return lambda case, k: weights(case, k + 1)
+
+
+def _beta_lowered(lines):
+    # every beta row one lower: the pivot exponent is -1 from stage 0
+    def lowered(case):
+        beta, gamma2, delta2_slope = lines(case)
+        return [(ij, base - 1, s, x) for ij, base, s, x in beta], gamma2, delta2_slope
+    return lowered
+
+
+# the sweep checks the weights and exponents the walks measure, so a broken
+# walk shows up as a failed sweep, not as an exception from the walk
+@pytest.mark.parametrize("name, wrong, detail", [
+    ("_doubled_weights", _parity_swapped, "A(a=3, d=1): stage 0 weight 1"),
+    ("_lines_a", _beta_lowered, "A(a=3, d=1): negative exponent at stage 0"),
+], ids=["weights", "exponents"])
+def test_o3_sweep_reports_a_broken_walk(monkeypatch, name, wrong, detail):
+    monkeypatch.setattr(chains, name, wrong(getattr(chains, name)))
+    res = sweeps.sweep_o3_chains(12, seed=20240817)
+    assert not res.ok
+    assert res.detail == f"first failure: {detail}"
 
 
 def test_runner_counts_every_case_after_a_failure(monkeypatch):
