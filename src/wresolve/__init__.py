@@ -33,7 +33,7 @@ _EXPORTS = {
         "errors": (
             "CaseViolation", "ConstraintViolation", "InvalidCaseData",
             "InvalidParameter", "InvalidSplit", "NotTerminalForm", "RuleViolation",
-            "SchemaError", "SearchLimitExceeded", "WeightMismatch", "WresolveError",
+            "SchemaError", "SearchLimitExceeded", "WresolveError",
         ),
         "germs": (
             "CARGerm", "DepthBound", "admissible_splits", "axial_weight",

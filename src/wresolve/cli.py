@@ -57,6 +57,9 @@ def _encode(value):
         return dict(zip(map(str, value), map(_encode, value.values())))
     if isinstance(value, (set, frozenset)):
         value = sorted(value)
+    if isinstance(value, tuple) and hasattr(value, "_fields"):
+        # a tuple row (traces.StepDiagnostic): an object over its field table
+        return dict(zip(value._fields, map(_encode, value)))
     if isinstance(value, (list, tuple)):
         return list(map(_encode, value))
     raise TypeError(f"cannot encode {type(value).__name__}")
@@ -289,7 +292,8 @@ def _cmd_rr(obj):
         out["aw_bound"] = riemannroch.aw_upper_bound(case)
         out["sufficient_bound"] = riemannroch.case_data(case).sufficient_bound
     awx = _field(obj, "aw", default=None)
-    # E11 is checked without an aw; case_depth_check refuses O3 with or without one
+    # E11 is checked without an aw; case_depth_check refuses an aw for E11, and
+    # O3 with or without one
     if awx is not None or tag in (riemannroch.E11, riemannroch.O3):
         rep = riemannroch.case_depth_check(case, awx)
         out["check"] = {

@@ -46,15 +46,6 @@ class ConstraintViolation(WresolveError):
         self.k = k
 
 
-class WeightMismatch(WresolveError):
-    """A chain stage equation does not have the expected weight."""
-
-    def __init__(self, message, stage=None, monomial=None):
-        super().__init__(message)
-        self.stage = stage
-        self.monomial = monomial
-
-
 class RuleViolation(WresolveError):
     """A factorization trace step breaks its depth rule."""
 

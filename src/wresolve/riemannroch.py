@@ -172,9 +172,11 @@ def case_depth_check(case: ContractionCase, aw: int | None = None) -> CaseDepthR
     E1/E2 need the axial weight aw of the contracted cD/2 point (within
     the classical sufficient bound); dep(X) <= 2 aw by the cD/2 depth
     bound.  E11 contracts over a cE/2 point: dep(Y) is recomputed from
-    the basket indices 2 and 6 and dep(X) <= 7.
+    the basket indices 2 and 6 and dep(X) <= 7; it takes no aw.
     """
     if case.tag == E11:
+        if aw is not None:
+            raise InvalidParameter("E11 takes no aw")
         from .germs import cyclic_depth_search  # only E11 searches
 
         points = (CyclicQuotient(2, (1, 1, 1)), CyclicQuotient(6, (1, -1, -1)))

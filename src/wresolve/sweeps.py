@@ -497,28 +497,35 @@ def _violating_steps(trace):
         yield traces.TraceStep(traces.BLOWDOWN_LCI, dep, 0)
 
 
-def violating_extensions(trace) -> list:
-    """Single-step mutations that must each be rejected."""
-    return [traces.FactorizationTrace(trace.steps + (s,)) for s in _violating_steps(trace)]
-
-
-def _check_trace(t) -> str | None:
+def _check_trace(t, accepted: dict) -> str | None:
     if not traces.validate_trace(t).valid:
         return f"generated trace rejected: {t.steps[:3]}..."
     # the prefix is valid, so a mutant is valid exactly when its last step is
     end = t.steps[-1].dep_after
-    for last in _violating_steps(t):
-        if all(d.ok for d in traces._check_step(last, len(t.steps), end)):
-            return f"mutant accepted: {last}"
-    return None
+    if end not in accepted:
+        accepted[end] = next(
+            (last for last in _violating_steps(t)
+             if all(d.ok for d in traces._check_step(last, len(t.steps), end))),
+            None,
+        )
+    last = accepted[end]
+    return None if last is None else f"mutant accepted: {last}"
 
 
 def sweep_trace_rules(n_traces: int = 10000, seed: int = 20240818) -> SweepResult:
     """Metamorphic check: generated traces pass, every mutation fails.
+
     A trace is validated once; a mutant only appends a step to it, so only
-    that step is checked, from the depth the trace ends at."""
+    that step is checked, from the depth the trace ends at.  The mutants of
+    a nonempty trace, and whether each step passes its rule and continues
+    the chain, depend on that end depth alone (the index a diagnostic
+    carries never decides ``ok``), and ``random_trace`` never yields an
+    empty trace.  So each end depth's mutants are checked once, on its
+    first trace, and later traces ending there reuse the first accepted
+    mutant (or None) from ``accepted``."""
     rng = random.Random(seed)
-    outcomes = ((_check_trace(random_trace(rng)),) for _ in range(n_traces))
+    accepted: dict[int, traces.TraceStep | None] = {}
+    outcomes = ((_check_trace(random_trace(rng), accepted),) for _ in range(n_traces))
     return _run("trace-rule-metamorphic", _through_first_failure(outcomes))
 
 

@@ -22,6 +22,7 @@ below the starting depth, as the recursive step of a depth induction must.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 from .errors import RuleViolation
@@ -61,13 +62,14 @@ class FactorizationTrace:
         object.__setattr__(self, "steps", tuple(self.steps))
 
 
-@dataclass(frozen=True)
-class StepDiagnostic:
-    index: int
-    kind: str
-    rule: str
-    ok: bool
-    note: str = ""
+class StepDiagnostic(
+    namedtuple("StepDiagnostic", "index kind rule ok note", defaults=("",))
+):
+    """One verdict row: step ``index`` of ``kind`` against ``rule``, whether
+    it holds, and a note.  An immutable tuple, so a long trace costs one
+    small allocation per row."""
+
+    __slots__ = ()
 
 
 @dataclass(frozen=True)
@@ -82,35 +84,32 @@ class TraceVerdict:
         return None
 
 
-def _step_rule(step: TraceStep) -> tuple[str, bool, str]:
-    b, a = step.dep_before, step.dep_after
-    if step.kind == WEXTRACTION:
-        ok = b >= 1 and a >= b - 1
-        note = "minimal-resolution extraction" if ok and a == b - 1 else ""
-        return "dep_after >= dep_before - 1 >= 0", ok, note
-    if step.kind == FLIP:
-        return "dep_after < dep_before", a < b, ""
-    if step.kind == FLOP:
-        return "dep_after = dep_before", a == b, ""
-    if step.kind == DIV_TO_POINT:
-        return "dep_after >= dep_before - 1", a >= b - 1, ""
-    if step.kind == DIV_TO_CURVE:
-        return "dep_after <= dep_before", a <= b, ""
-    if step.kind == BLOWDOWN_LCI:
-        return "dep_before = 0", b == 0, ""
-    raise AssertionError(step.kind)
+# kind -> its rule text and the rule as a test of (dep_before, dep_after)
+_RULES = {
+    WEXTRACTION: ("dep_after >= dep_before - 1 >= 0", lambda b, a: a >= b - 1 >= 0),
+    FLIP: ("dep_after < dep_before", lambda b, a: a < b),
+    FLOP: ("dep_after = dep_before", lambda b, a: a == b),
+    DIV_TO_POINT: ("dep_after >= dep_before - 1", lambda b, a: a >= b - 1),
+    DIV_TO_CURVE: ("dep_after <= dep_before", lambda b, a: a <= b),
+    BLOWDOWN_LCI: ("dep_before = 0", lambda b, a: b == 0),
+}
 
 
 def _check_step(step: TraceStep, index: int, dep: int | None) -> tuple[StepDiagnostic, ...]:
     """The diagnostics of step ``index`` of a trace that stands at model
     depth ``dep`` (None before the first step): a chaining diagnostic when
     the step does not start at ``dep``, then the step's rule diagnostic."""
-    rule, ok, note = _step_rule(step)
-    checked = StepDiagnostic(index, step.kind, rule, ok, note)
-    if dep is None or dep == step.dep_before:
+    kind, b, a = step.kind, step.dep_before, step.dep_after
+    rule, holds = _RULES[kind]
+    ok = holds(b, a)
+    # a WExtraction one depth down extracts from a minimal resolution
+    minimal = ok and kind == WEXTRACTION and a == b - 1
+    note = "minimal-resolution extraction" if minimal else ""
+    checked = StepDiagnostic(index, kind, rule, ok, note)
+    if dep is None or dep == b:
         return (checked,)
-    note = f"dep_before = {step.dep_before} does not continue {dep}"
-    return (StepDiagnostic(index, step.kind, "chaining", False, note), checked)
+    note = f"dep_before = {b} does not continue {dep}"
+    return (StepDiagnostic(index, kind, "chaining", False, note), checked)
 
 
 def validate_trace(trace: FactorizationTrace, raise_on_violation: bool = False) -> TraceVerdict:

@@ -24,7 +24,7 @@ from wresolve.chains import (
     gamma_k_b,
     nonnegativity_check,
 )
-from wresolve.errors import ConstraintViolation, WeightMismatch
+from wresolve.errors import ConstraintViolation
 
 CASE_A = O3CaseA(3, 1, 2, frozenset({(2, 0)}))
 CASE_A_FULL = O3CaseA(3, 1, 2, frozenset({(2, 0)}), frozenset({(1, 1)}))
@@ -232,6 +232,16 @@ def test_depth_identity_validation():
 # stage weight, threshold and exponent is an exact rational here, and the
 # shape-B constraint check walks every stage.
 
+class StageMismatch(Exception):
+    """A reference walk met a stage off its expected weight; the support
+    walls certify that the library walks never do."""
+
+    def __init__(self, message, stage=None, monomial=None):
+        super().__init__(message)
+        self.stage = stage
+        self.monomial = monomial
+
+
 def _weights_by_fractions(case, k):
     d = case.d
     h = Fraction(1, 2)
@@ -355,7 +365,7 @@ def _simulate_by_fractions(case, k_max=None):
         for i, j in sorted(case.supp_a):
             e = beta_k(i, j, k, d)
             if e < 0:
-                raise WeightMismatch(
+                raise StageMismatch(
                     f"negative z-exponent on x^{2 * i} at stage {k}",
                     stage=k, monomial=(i, j),
                 )
@@ -365,7 +375,7 @@ def _simulate_by_fractions(case, k_max=None):
         for i, j in sorted(case.supp_b):
             g = gamma_k(i, j, k, d)
             if g.denominator != 1 or g < 0:
-                raise WeightMismatch(
+                raise StageMismatch(
                     f"z-exponent {g} on u x^{2 * i + 1} invalid at stage {k}",
                     stage=k, monomial=(i, j),
                 )
@@ -374,7 +384,7 @@ def _simulate_by_fractions(case, k_max=None):
             monos.append((f"ux{2 * i + 1}z{g}", wu + (2 * i + 1) * wx + g * wz))
         dl = delta_k(k, case.alpha, d)
         if dl.denominator != 1 or dl < 0:
-            raise WeightMismatch(
+            raise StageMismatch(
                 f"z-exponent {dl} on the y-term invalid at stage {k}", stage=k
             )
         dl = int(dl)
@@ -383,7 +393,7 @@ def _simulate_by_fractions(case, k_max=None):
         sigma_wt = min(wt for _, wt in monos)
         if k < a and sigma_wt != target:
             bad = min(monos, key=lambda m: m[1])
-            raise WeightMismatch(
+            raise StageMismatch(
                 f"stage {k} weight {sigma_wt} != {target}",
                 stage=k, monomial=bad[0],
             )
@@ -418,7 +428,7 @@ def _stages_b_by_fractions(case, k_max=None):
         for i, j in sorted(case.supp_a):
             e = beta_k_b(i, j, k, d)
             if e < 0:
-                raise WeightMismatch(
+                raise StageMismatch(
                     f"negative first-equation exponent at stage {k}",
                     stage=k, monomial=(i, j),
                 )
@@ -433,7 +443,7 @@ def _stages_b_by_fractions(case, k_max=None):
         for i, j in sorted(case.supp_b):
             e = gamma_k_b(i, j, k, d)
             if e < 0:
-                raise WeightMismatch(
+                raise StageMismatch(
                     f"negative second-equation exponent at stage {k}",
                     stage=k, monomial=(i, j),
                 )
@@ -442,7 +452,7 @@ def _stages_b_by_fractions(case, k_max=None):
         wt1 = min(wt for _, wt in first)
         wt2 = min(wt for _, wt in second)
         if k < a and (wt1, wt2) != (t1, t2):
-            raise WeightMismatch(
+            raise StageMismatch(
                 f"stage {k} weights ({wt1}, {wt2}) != ({t1}, {t2})", stage=k
             )
         stages.append(ChainStageB(
@@ -456,7 +466,7 @@ def _walk_outcome(walk, *args):
     # repr, so Fraction-valued fields and witness order count
     try:
         return repr(walk(*args))
-    except (ConstraintViolation, WeightMismatch, ValueError) as exc:
+    except (ConstraintViolation, StageMismatch, ValueError) as exc:
         return (type(exc).__name__, str(exc), vars(exc))
 
 

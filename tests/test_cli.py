@@ -4,6 +4,7 @@ import inspect
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -11,8 +12,9 @@ from pathlib import Path
 import pytest
 
 import wresolve
-from wresolve import cli, sweeps
+from wresolve import cli, sweeps, traces
 from wresolve.cli import main
+from wresolve.errors import RuleViolation
 
 GERM = '{"r":5,"beta":2,"support":[[0,2],[1,1]]}'
 
@@ -323,6 +325,54 @@ def test_trace_violation_pinned(capsys):
     assert err["rule"] == "dep_after = dep_before"
 
 
+def trace_wire_cases(n, seed):
+    """Seeded generated traces, every third with one chaining break, then
+    the empty trace."""
+    rng = random.Random(seed)
+    for i in range(n):
+        steps = list(sweeps.random_trace(rng).steps)
+        if i % 3 == 0 and len(steps) > 1:
+            m = rng.randrange(1, len(steps))
+            st = steps[m]
+            steps[m] = traces.TraceStep(st.kind, st.dep_before + 1, st.dep_after)
+        yield traces.FactorizationTrace(tuple(steps))
+    yield traces.FactorizationTrace(())
+
+
+def expected_trace_output(tr, mode):
+    """The trace wire rendered on the test side, one dict per verdict row."""
+    try:
+        verdict = traces.validate_trace(tr, raise_on_violation=True)
+    except RuleViolation as exc:
+        error = {"type": "RuleViolation", "message": str(exc),
+                 "index": exc.index, "rule": exc.rule}
+        return 2, json.dumps({"error": error}) + "\n"
+    valid, induction = verdict.valid, traces.induction_certificate(tr)
+    rows = [
+        {"index": d.index, "kind": d.kind, "rule": d.rule, "ok": d.ok, "note": d.note}
+        for d in verdict.diagnostics
+    ]
+    if mode == "json":
+        return 0, json.dumps({"valid": valid, "induction": induction, "steps": rows}) + "\n"
+    return 0, f"valid: {valid}\ninduction: {induction}\nsteps: {json.dumps(rows)}\n"
+
+
+def test_trace_wire_matches_a_dict_per_row_rendering(capsys):
+    seen = set()
+    for tr in trace_wire_cases(200, seed=31):
+        payload = json.dumps({"steps": [
+            {"kind": s.kind, "before": s.dep_before, "after": s.dep_after}
+            for s in tr.steps
+        ]})
+        for mode in ("json", "text"):
+            got = run(capsys, ["trace", payload, "-o", mode])
+            assert got == expected_trace_output(tr, mode)
+        diags = traces.validate_trace(tr).diagnostics
+        seen |= {got[0]} | {d.rule for d in diags} | {d.note for d in diags}
+    # valid traces with minimal-resolution notes, and broken chains
+    assert {0, 2, "chaining", "minimal-resolution extraction"} <= seen
+
+
 def test_trace_schema_errors(capsys):
     code, payload = run_json(capsys, ["trace", '{"steps":[{"kind":"Nope","before":1,"after":1}]}'])
     assert code == 1
@@ -512,6 +562,8 @@ RR_JUMP = '"basket_y":[[5,18]],"basket_x":[[1,2,5]]}'
         pytest.param(["o3", '{"case":"B","a":4,"d":1}'], 2, "InvalidParameter",
                      id="o3-b-even-a"),
         pytest.param(["rr", '{"case":"O3"}'], 2, "InvalidParameter", id="rr-o3"),
+        pytest.param(["rr", '{"case":"E11","aw":3}'], 2, "InvalidParameter",
+                     id="rr-e11-aw"),
     ],
 )
 def test_boundary_errors(capsys, argv, code, kind):

@@ -142,6 +142,8 @@ def test_case_depth_check_rejections():
         case_depth_check(ContractionCase(E1_A4, 9), aw=9)  # past the bound
     with pytest.raises(InvalidParameter):
         case_depth_check(ContractionCase(E2, 4), aw=0)
+    with pytest.raises(InvalidParameter, match="E11 takes no aw"):
+        case_depth_check(ContractionCase(E11), aw=3)  # E11 would drop it
 
 
 def test_case_depth_check_holds_on_families():

@@ -29,20 +29,26 @@ def test_random_traces_are_valid():
         assert traces.validate_trace(t).valid
 
 
+def rejected(step, index, dep):
+    """Whether appending step at index to a valid trace standing at dep
+    (None for the empty trace) gives an invalid trace."""
+    return not all(d.ok for d in traces._check_step(step, index, dep))
+
+
 def test_violating_extensions_all_fail():
     rng = random.Random(7)
     for _ in range(200):
         t = sweeps.random_trace(rng)
-        mutants = sweeps.violating_extensions(t)
+        mutants = list(sweeps._violating_steps(t))
         assert len(mutants) >= 4
         for bad in mutants:
-            assert not traces.validate_trace(bad).valid
+            assert rejected(bad, len(t.steps), t.steps[-1].dep_after)
 
 
 def test_violating_extensions_of_empty_trace():
     empty = traces.FactorizationTrace(())
-    for bad in sweeps.violating_extensions(empty):
-        assert not traces.validate_trace(bad).valid
+    for bad in sweeps._violating_steps(empty):
+        assert rejected(bad, 0, None)
 
 
 def test_random_o3_cases_pass_constraints():
@@ -117,3 +123,21 @@ def test_trace_sweep_stops_at_first_failure(monkeypatch):
     assert not res.ok
     assert res.cases == 1
     assert res.detail.startswith("first failure: generated trace rejected")
+
+
+def test_trace_sweep_catches_an_accepted_mutant(monkeypatch):
+    # a Flop that changes the depth passes: the mutant Flop dep -> dep + 1
+    # that every generated trace gets must be reported
+    check = traces._check_step
+
+    def lenient(step, index, dep):
+        diags = check(step, index, dep)
+        if step.kind == traces.FLOP:
+            return tuple(d._replace(ok=True) if d.rule != "chaining" else d for d in diags)
+        return diags
+
+    monkeypatch.setattr(traces, "_check_step", lenient)
+    res = sweeps.sweep_trace_rules(50)
+    assert not res.ok
+    assert res.cases == 1
+    assert res.detail.startswith("first failure: mutant accepted: TraceStep(kind='Flop'")

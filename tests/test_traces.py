@@ -14,6 +14,7 @@ from wresolve.traces import (
     KINDS,
     WEXTRACTION,
     FactorizationTrace,
+    StepDiagnostic,
     TraceStep,
     TraceVerdict,
     _check_step,
@@ -70,6 +71,36 @@ def test_minimal_resolution_note():
     assert verdict.diagnostics[0].note == "minimal-resolution extraction"
     verdict = validate_trace(trace(step(WEXTRACTION, 3, 3)))
     assert verdict.diagnostics[0].note == ""
+
+
+def test_step_diagnostic_is_an_immutable_row():
+    assert StepDiagnostic._fields == ("index", "kind", "rule", "ok", "note")
+    assert StepDiagnostic(0, FLOP, "dep_after = dep_before", True).note == ""
+    row = validate_trace(trace(step(WEXTRACTION, 3, 2))).diagnostics[0]
+    assert repr(row) == (
+        "StepDiagnostic(index=0, kind='WExtraction', "
+        "rule='dep_after >= dep_before - 1 >= 0', ok=True, "
+        "note='minimal-resolution extraction')"
+    )
+    assert row == (0, WEXTRACTION, "dep_after >= dep_before - 1 >= 0", True,
+                   "minimal-resolution extraction")
+    assert row._asdict()["note"] == "minimal-resolution extraction"
+    with pytest.raises(AttributeError):
+        row.ok = False
+    with pytest.raises(AttributeError):
+        row.extra = 1  # no instance dict
+
+
+def test_verdicts_compare_and_find_their_first_failure():
+    broken = trace(step(FLOP, 2, 2), step(FLIP, 3, 1), step(FLOP, 1, 2))
+    verdict = validate_trace(broken)
+    assert verdict == validate_trace(broken)
+    assert verdict != validate_trace(trace(step(FLOP, 2, 2)))
+    assert verdict.first_failure() == StepDiagnostic(
+        1, FLIP, "chaining", False, "dep_before = 3 does not continue 2"
+    )
+    assert [d.ok for d in verdict.diagnostics] == [True, False, True, False]
+    assert validate_trace(trace(step(FLOP, 2, 2))).first_failure() is None
 
 
 def test_chaining():
