@@ -442,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     add("basket", _cmd_basket, "basket and aw/sigma/Xi of a terminal class")
     add("depth", _cmd_depth, "depth of a germ, or depth bounds of a class")
-    add("resolve", _cmd_resolve, "exhaustive depth search with resolution tree")
+    add("resolve", _cmd_resolve, "depth search with resolution tree")
     add("blowup", _cmd_blowup, "apply one admissible weighted blow-up")
     add("en", _cmd_en, "extremal-neighborhood intersection numbers")
     add("rr", _cmd_rr, "chi corrections, thresholds, case depth checks")

@@ -12,21 +12,27 @@ between terms is out of scope.  The three core numbers are
 
 and the minimal number of depth-one extractions needed to reach a
 Gorenstein model is exactly lam * r - t.  ``depth_search`` recovers the
-same number without that formula: each stage prices every admissible
-weighted blow-up and walks on to the one residual they all share.  It
-exists so the closed form can be checked against an independent route.
+same number without that formula: it walks the blow-up stages down the
+one residual every split of a stage shares and adds up the stage prices.
+It exists so the closed form can be checked against an independent route.
 
 A blow-up with weights 1/r(r1, r2, 1, r), r1 + r2 = r nu_1, leaves two
 cyclic quotient points of indices r1 and r2 (type 1/ri(r, -r, -1), stored
 axis-last) and, when nu_1 < lam, a residual germ with the same r and beta
 and support { (i, i + j - nu_1) }.  Splits are assumed to satisfy
 r1 = beta, r2 = -beta mod r.
+
+An index-n cyclic point has depth n - 1, by induction on n: splitting it
+into indices a and n - a costs 1 + (a - 1) + (n - a - 1) = n - 1 whatever
+a is.  So every split of a stage costs the same 1 + (r1 - 1) + (r2 - 1) =
+r nu_1 - 1, and the walk prices each stage once and takes its first split
+(beta, r nu_1 - beta).  ``cyclic_depth_search`` checks n - 1 by exhaustive
+search; only the ``cyclic-depth-search`` sweep and the tests call it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import gcd
 
 from .baskets import (
@@ -149,31 +155,38 @@ def blowup_step(g: CARGerm, r1: int, r2: int) -> BlowupResult:
     return BlowupResult(cyclic_points=points, residual=residual)
 
 
-@lru_cache(maxsize=None)
+def _cyclic_depth_table(r_max: int) -> list[int]:
+    """Exhaustive-search depth of every index n <= r_max, bottom up
+    (entry n; entry 0 is unused)."""
+    depth = [0] * (r_max + 1)
+    for n in range(2, r_max + 1):
+        depth[n] = 1 + min(depth[a] + depth[n - a] for a in range(1, n // 2 + 1))
+    return depth
+
+
 def cyclic_depth_search(r: int) -> int:
     """Minimal extraction count for a cyclic point, by exhaustive splits.
 
     Every depth-one extraction over an index-r point splits it into
     indices a and r - a; this searches all of them (a superset of the
     geometrically realized ones, which is harmless because every branch
-    bottoms out at the same total, r - 1).
+    bottoms out at the same total: 1 + (a - 1) + (r - a - 1) = r - 1).
+    It is the oracle for the r - 1 that depth_search prices points by.
     """
     if r < 1:
         raise ValueError("index must be >= 1")
-    if r == 1:
-        return 0
-    return min(
-        1 + cyclic_depth_search(a) + cyclic_depth_search(r - a)
-        for a in range(1, r // 2 + 1)
-    )
+    return _cyclic_depth_table(r)[r]
 
 
 def depth_search(g: CARGerm, limit: int | None = None) -> int:
-    """Depth by search over all admissible blow-up sequences.
+    """Depth of the cheapest admissible blow-up sequence, found by walking it.
 
     Independent of depth_formula.  Every split of a stage leaves the same
-    residual germ, so each stage prices its splits by the cyclic points
-    they leave, keeps the first cheapest and walks on to that residual.
+    residual germ and costs the same: it leaves cyclic points of indices
+    r1 + r2 = r nu_1, and an index-n point costs n - 1 (a split into a and
+    n - a costs 1 + (a - 1) + (n - a - 1)), so 1 + (r1 - 1) + (r2 - 1) =
+    r nu_1 - 1.  The search adds these stage prices while it walks down
+    the residuals, along the first split of each stage.
     limit caps the step count of any single resolution path (default
     lam * r, which no path can legally reach since the depth is
     lam * r - t); exceeding it raises SearchLimitExceeded.
@@ -193,33 +206,28 @@ def _walk(g: CARGerm, limit: int | None) -> dict:
     budget = axial_weight(g) * g.r if limit is None else limit
     stages = []
     while g is not None:
-        splits = admissible_splits(g)
-        costs = []
-        for r1, r2 in splits:
-            costs.append(1 + cyclic_depth_search(r1) + cyclic_depth_search(r2))
-            if costs[-1] > budget:
-                raise SearchLimitExceeded(
-                    f"path cost {costs[-1]} exceeds the ceiling {budget}"
-                )
-        # every split leaves the residual at most budget - max(costs)
-        budget -= max(costs)
-        r1, r2 = splits[costs.index(min(costs))]
-        stages.append((g, len(splits), r1, r2, min(costs)))
+        n1 = nu(g, 1)
+        cost = g.r * n1 - 1
+        if cost > budget:
+            raise SearchLimitExceeded(
+                f"path cost {cost} exceeds the ceiling {budget}"
+            )
+        budget -= cost
+        r1, r2 = g.beta, g.r * n1 - g.beta
+        stages.append((g, n1, r1, r2, cost))
         g = blowup_step(g, r1, r2).residual
     tree, dep = None, 0
-    for g, considered, r1, r2, cost in reversed(stages):
+    for g, n1, r1, r2, cost in reversed(stages):
         dep += cost
         tree = {
             "kind": "germ",
             "index": g.r,
             "axial_weight": axial_weight(g),
-            "nu1": nu(g, 1),
+            "nu1": n1,
             "dep": dep,
             "split": [r1, r2],
-            "splits_considered": considered,
-            "quotients": [
-                {"index": r, "dep": cyclic_depth_search(r)} for r in (r1, r2)
-            ],
+            "splits_considered": n1,
+            "quotients": [{"index": r, "dep": r - 1} for r in (r1, r2)],
             "residual": tree,
         }
     return tree

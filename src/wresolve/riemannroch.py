@@ -177,13 +177,11 @@ def case_depth_check(case: ContractionCase, aw: int | None = None) -> CaseDepthR
     if case.tag == E11:
         if aw is not None:
             raise InvalidParameter("E11 takes no aw")
-        from .germs import cyclic_depth_search  # only E11 searches
-
         points = (CyclicQuotient(2, (1, 1, 1)), CyclicQuotient(6, (1, -1, -1)))
         dep_y = 0
         for pt in points:
             _, idx = normalize_cyclic(pt)
-            dep_y += cyclic_depth_search(idx)
+            dep_y += idx - 1  # an index-n cyclic point has depth n - 1
         dep_x_upper = 7  # cE/2 upper bound
         return CaseDepthReport(
             tag=case.tag,

@@ -78,8 +78,7 @@ def _units(r):
     return [b for b in range(1, r) if gcd(b, r) == 1]
 
 
-def _check_cyclic_search(r: int) -> str | None:
-    found = germs.cyclic_depth_search(r)
+def _check_cyclic_search(r: int, found: int) -> str | None:
     if found != r - 1:
         return f"index {r}: search {found} != {r - 1}"
     return None
@@ -93,10 +92,12 @@ def _check_cyclic_germ(r: int, beta: int) -> str | None:
 
 
 def sweep_cyclic_depth(r_max: int = 25) -> SweepResult:
-    """Exhaustive-search depth of cyclic points vs the closed form r - 1."""
+    """Exhaustive-search depth of cyclic points vs the closed form r - 1,
+    which depth_search prices them by; one table serves every index."""
     def outcomes():
+        searched = germs._cyclic_depth_table(r_max)
         for r in range(2, r_max + 1):
-            yield _check_cyclic_search(r)
+            yield _check_cyclic_search(r, searched[r])
             for beta in _units(r):
                 yield _check_cyclic_germ(r, beta)
 

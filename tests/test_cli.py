@@ -69,7 +69,7 @@ def test_resolve(capsys):
     assert code == 0
     assert payload["dep"] == 9
     assert payload["tree"]["splits_considered"] == 2
-    assert payload["tree"]["split"] in ([2, 8], [7, 3])
+    assert payload["tree"]["split"] == [2, 8]
 
 
 def test_resolve_limit_key(capsys):
@@ -599,12 +599,27 @@ def spawn(argv, **kwargs):
 
 
 def test_input_too_deep_for_the_recursion_limit():
-    # cyclic_depth_search recurses once per index below 249
-    proc = spawn(["resolve", '{"r":250,"beta":1,"support":[[0,1]]}'],
+    # a 2000-stage tree: the JSON encoder nests once per stage
+    proc = spawn(["resolve", '{"r":2,"beta":1,"support":[[0,2000],[1,0]]}'],
                  stdout=subprocess.PIPE)
     assert proc.returncode == 2
     assert proc.stdout.count("\n") == 1
-    assert json.loads(proc.stdout)["error"]["type"] == "InvalidParameter"
+    assert json.loads(proc.stdout)["error"] == {
+        "type": "InvalidParameter", "message": "input too large (RecursionError)"
+    }
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("germ, dep", [
+    ('{"r":601,"beta":1,"support":[[0,1]]}', 600),
+    ('{"r":2,"beta":1,"support":[[0,10000000]]}', 19999999),
+], ids=["index-601", "axial-weight-1e7"])
+def test_large_index_and_axial_weight_resolve(germ, dep):
+    # each stage is priced once by r*nu_1 - 1, not by searching its
+    # cyclic points or building its nu_1 splits
+    proc = spawn(["resolve", germ], stdout=subprocess.PIPE)
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["dep"] == dep
     assert "Traceback" not in proc.stderr
 
 

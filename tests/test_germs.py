@@ -1,7 +1,8 @@
 """Depth calculus for one-parameter hypersurface germs."""
 
 import random
-from itertools import count
+from functools import lru_cache
+from itertools import count, product
 
 import pytest
 
@@ -186,12 +187,74 @@ def test_search_does_not_use_the_formula(monkeypatch):
     def forbidden(g):
         raise AssertionError("the search must not use lam*r - t")
 
+    def unpriced(*args):
+        raise AssertionError("the search prices a stage by r*nu_1 - 1")
+
     monkeypatch.setattr(germs, "tvalue", forbidden)
     monkeypatch.setattr(germs, "depth_formula", forbidden)
+    monkeypatch.setattr(germs, "cyclic_depth_search", unpriced)
+    monkeypatch.setattr(germs, "admissible_splits", unpriced)
     for g, dep in ((G1, 7), (G2, 2), (G3, 9), (G4, 4), (G5, 2)):
         assert depth_search(g) == dep
         assert resolution_tree(g)["dep"] == dep
     assert resolution_tree(G4) == G4_TREE
+
+
+_cyclic_by_search = lru_cache(maxsize=None)(cyclic_depth_search)
+
+
+def _walk_by_exhaustive_pricing(g, limit=None):
+    # the retired walk: price every admissible split of a stage by searching
+    # its cyclic points, keep the first cheapest, walk on to the residual
+    if g.r == 1:
+        return {"kind": "germ", "index": 1, "dep": 0, "split": None,
+                "quotients": [], "residual": None}
+    budget = axial_weight(g) * g.r if limit is None else limit
+    stages = []
+    while g is not None:
+        splits = admissible_splits(g)
+        costs = []
+        for r1, r2 in splits:
+            costs.append(1 + _cyclic_by_search(r1) + _cyclic_by_search(r2))
+            if costs[-1] > budget:
+                raise SearchLimitExceeded(
+                    f"path cost {costs[-1]} exceeds the ceiling {budget}"
+                )
+        budget -= max(costs)
+        r1, r2 = splits[costs.index(min(costs))]
+        stages.append((g, len(splits), r1, r2, min(costs)))
+        g = blowup_step(g, r1, r2).residual
+    tree, dep = None, 0
+    for g, considered, r1, r2, cost in reversed(stages):
+        dep += cost
+        tree = {
+            "kind": "germ", "index": g.r, "axial_weight": axial_weight(g),
+            "nu1": nu(g, 1), "dep": dep, "split": [r1, r2],
+            "splits_considered": considered,
+            "quotients": [
+                {"index": r, "dep": _cyclic_by_search(r)} for r in (r1, r2)
+            ],
+            "residual": tree,
+        }
+    return tree
+
+
+def _tree_or_message(walk, g, limit):
+    try:
+        return walk(g, limit)
+    except SearchLimitExceeded as exc:
+        return str(exc)
+
+
+def test_walk_matches_exhaustive_pricing():
+    outcomes = []
+    for g, limit in product(iter_germ_family(5), (None, 0, 1, 3, 8)):
+        got = _tree_or_message(resolution_tree, g, limit)
+        assert got == _tree_or_message(_walk_by_exhaustive_pricing, g, limit), (
+            g, limit)
+        outcomes.append(isinstance(got, str))
+    assert len(outcomes) == 5 * 3726
+    assert any(outcomes) and not all(outcomes)  # trees and limit messages
 
 
 def _tvalue_by_scan(g):
@@ -223,7 +286,7 @@ def test_resolution_tree_shape():
     tree = resolution_tree(G3)
     assert tree["dep"] == 9
     assert tree["index"] == 5
-    assert tree["split"] in ([2, 8], [7, 3])
+    assert tree["split"] == [2, 8]
     assert tree["residual"] is None
     assert tree["splits_considered"] == 2
 

@@ -120,7 +120,7 @@ def test_import_wresolve_loads_no_layer():
         (["resolve", GERM], {"germs", "baskets"}),
         (["blowup", {**GERM, "r1": 2, "r2": 8}], {"germs", "baskets"}),
         (["en", {"case": "ExceptionalIAIA", "r": 5, "a2": 3}], {"neighborhoods"}),
-        (["rr", {"case": "E11"}], {"riemannroch", "germs", "baskets"}),
+        (["rr", {"case": "E11"}], {"riemannroch", "baskets"}),
         (["o3", {"case": "A", "a": 3, "d": 1, "alpha": 2, "suppA": [[2, 0]]}],
          {"chains"}),
         (["trace", {"steps": [{"kind": "Flop", "before": 3, "after": 3}]}],
