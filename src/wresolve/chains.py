@@ -195,8 +195,8 @@ def check_constraints(case) -> None:
 
 @dataclass(frozen=True)
 class NonnegativityReport:
-    a: int
-    d: int
+    """Exponents certified nonnegative through stage a, and the verdict."""
+
     checks: int
     ok: bool = True
 
@@ -226,7 +226,7 @@ def nonnegativity_check(case) -> NonnegativityReport:
     per_stage = len(case.supp_a) + len(case.supp_b)
     if isinstance(case, O3CaseA):
         per_stage += 1  # delta
-    return NonnegativityReport(a=case.a, d=case.d, checks=case.a * per_stage, ok=True)
+    return NonnegativityReport(checks=case.a * per_stage, ok=True)
 
 
 def _doubled_weights(case, k: int) -> tuple[int, ...]:
@@ -430,8 +430,6 @@ def chain_stages_b(case: O3CaseB, k_max: int | None = None) -> tuple[ChainStageB
 class DepthIdentity:
     """Depth ledger across the chain, relative to the endpoint depth."""
 
-    a: int
-    r: int
     dep_q3: int
     dep_x_upper: int
     dep_y: int
@@ -458,6 +456,5 @@ def depth_identity(case, dep_q3: int) -> DepthIdentity:
     else:
         raise TypeError(f"unsupported case {type(case).__name__}")
     return DepthIdentity(
-        a=a, r=r, dep_q3=dep_q3, dep_x_upper=upper, dep_y=dep_y,
-        check=dep_y >= upper + a - 2,
+        dep_q3=dep_q3, dep_x_upper=upper, dep_y=dep_y, check=dep_y >= upper + a - 2
     )

@@ -13,8 +13,9 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
-from dataclasses import asdict, fields, is_dataclass
+from dataclasses import fields, is_dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -49,17 +50,19 @@ def _encode(value):
         return format_rat(value)
     if isinstance(value, str):
         return value
-    if is_dataclass(value):
-        return _encode(asdict(value))
     # map costs one stack frame per nesting level (a comprehension costs
     # two), so deep resolve trees stay inside the recursion limit
     if isinstance(value, dict):
         return dict(zip(map(str, value), map(_encode, value.values())))
     if isinstance(value, (set, frozenset)):
         value = sorted(value)
-    if isinstance(value, tuple) and hasattr(value, "_fields"):
-        # a tuple row (traces.StepDiagnostic): an object over its field table
-        return dict(zip(value._fields, map(_encode, value)))
+    # a record (a named tuple row or a dataclass): an object over its field
+    # table, in field order; records hold only their wire fields
+    names = getattr(value, "_fields", None)
+    if names is None and is_dataclass(value):
+        names = [f.name for f in fields(value)]
+    if names is not None:
+        return dict(zip(names, map(_encode, map(value.__getattribute__, names))))
     if isinstance(value, (list, tuple)):
         return list(map(_encode, value))
     raise TypeError(f"cannot encode {type(value).__name__}")
@@ -97,7 +100,9 @@ def _convert(convert, value, name, expected):
 def _int(value, name, minimum=None):
     """An integer, or a decimal string of one; never a bool or a float."""
     if isinstance(value, str):
-        value = _convert(int, value, name, "an integer")
+        # only -?[0-9]+: int() alone also takes "1_0", " 7" and "٣"
+        digits = value if re.fullmatch("-?[0-9]+", value) else ""
+        value = _convert(int, digits, name, "an integer")
     if isinstance(value, bool) or not isinstance(value, int):
         raise SchemaError(f"{name} must be an integer")
     if minimum is not None and value < minimum:
@@ -201,8 +206,7 @@ def _cmd_depth(obj):
     from . import germs
 
     if "class" in obj:
-        bound = germs.depth_bound(_parse_class(obj))
-        return {"lower": bound.lower, "upper": bound.upper, "exact": bound.exact}
+        return germs.depth_bound(_parse_class(obj))
     return {"dep": germs.depth_formula(_parse_germ(obj)), "exact": True}
 
 
@@ -263,7 +267,7 @@ def _cmd_en(obj):
     case = cls(*(_field(obj, f.name) for f in fields(cls)))
     if cls is neighborhoods.IIBCase:
         r1 = None  # the IIB weights already sit in the case data
-    return asdict(neighborhoods.key_check(case, kx=kx, r1=r1))
+    return neighborhoods.key_check(case, kx=kx, r1=r1)
 
 
 def _cmd_rr(obj):
@@ -295,13 +299,7 @@ def _cmd_rr(obj):
     # E11 is checked without an aw; case_depth_check refuses an aw for E11, and
     # O3 with or without one
     if awx is not None or tag in (riemannroch.E11, riemannroch.O3):
-        rep = riemannroch.case_depth_check(case, awx)
-        out["check"] = {
-            "aw": rep.aw,
-            "dep_y": [rep.dep_y_min, rep.dep_y_max],
-            "dep_x_upper": rep.dep_x_upper,
-            "ok": rep.ok,
-        }
+        out["check"] = riemannroch.case_depth_check(case, awx)
     return out
 
 
@@ -350,20 +348,12 @@ def _cmd_o3(obj):
     else:
         case = chains.O3CaseB(a=a, d=d, supp_a=supp_a, supp_b=supp_b)
         walk, stage_payload = chains.chain_stages_b, _stage_payload_b
-    nn = chains.nonnegativity_check(case)
-    stages = [stage_payload(s) for s in walk(case, k_max)]
-    ident = chains.depth_identity(case, dep_q3)
     return {
         "case": shape,
         "r": case.r,
-        "nonnegativity": {"checks": nn.checks, "ok": nn.ok},
-        "stages": stages,
-        "identity": {
-            "dep_q3": ident.dep_q3,
-            "dep_x_upper": ident.dep_x_upper,
-            "dep_y": ident.dep_y,
-            "check": ident.check,
-        },
+        "nonnegativity": chains.nonnegativity_check(case),
+        "stages": [stage_payload(s) for s in walk(case, k_max)],
+        "identity": chains.depth_identity(case, dep_q3),
     }
 
 
@@ -397,7 +387,7 @@ def _cmd_verify(args):
 
     results = sweeps.run_all(**{name: getattr(args, name) for name in _VERIFY_DEFAULTS})
     if args.output == "json":
-        payload = [{**asdict(r), "elapsed": round(r.elapsed, 3)} for r in results]
+        payload = [{**vars(r), "elapsed": round(r.elapsed, 3)} for r in results]
         print(json.dumps(payload, indent=2))
     else:
         for r in results:

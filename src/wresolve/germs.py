@@ -186,38 +186,22 @@ def depth_search(g: CARGerm, limit: int | None = None) -> int:
     r1 + r2 = r nu_1, and an index-n point costs n - 1 (a split into a and
     n - a costs 1 + (a - 1) + (n - a - 1)), so 1 + (r1 - 1) + (r2 - 1) =
     r nu_1 - 1.  The search adds these stage prices while it walks down
-    the residuals, along the first split of each stage.
+    the residuals, along the first split of each stage, keeping only the
+    current stage.
     limit caps the step count of any single resolution path (default
     lam * r, which no path can legally reach since the depth is
     lam * r - t); exceeding it raises SearchLimitExceeded.
     """
-    return _walk(g, limit)["dep"]
+    return sum(cost for *_, cost in _walk(g, limit))
 
 
 def resolution_tree(g: CARGerm, limit: int | None = None) -> dict:
     """Depth search that also reports one optimal resolution tree."""
-    return _walk(g, limit)
-
-
-def _walk(g: CARGerm, limit: int | None) -> dict:
     if g.r == 1:
         return {"kind": "germ", "index": 1, "dep": 0, "split": None,
                 "quotients": [], "residual": None}
-    budget = axial_weight(g) * g.r if limit is None else limit
-    stages = []
-    while g is not None:
-        n1 = nu(g, 1)
-        cost = g.r * n1 - 1
-        if cost > budget:
-            raise SearchLimitExceeded(
-                f"path cost {cost} exceeds the ceiling {budget}"
-            )
-        budget -= cost
-        r1, r2 = g.beta, g.r * n1 - g.beta
-        stages.append((g, n1, r1, r2, cost))
-        g = blowup_step(g, r1, r2).residual
     tree, dep = None, 0
-    for g, n1, r1, r2, cost in reversed(stages):
+    for g, n1, r1, r2, cost in reversed(list(_walk(g, limit))):
         dep += cost
         tree = {
             "kind": "germ",
@@ -233,12 +217,31 @@ def _walk(g: CARGerm, limit: int | None) -> dict:
     return tree
 
 
-@dataclass(frozen=True)
-class DepthBound:
-    """Depth estimate: hard upper bound, optional lower bound, exactness."""
+def _walk(g: CARGerm, limit: int | None):
+    """Yield (germ, nu_1, r1, r2, cost) per stage down the residual chain,
+    charging each cost to the path budget; a Gorenstein germ has no stage."""
+    if g.r == 1:
+        return
+    budget = axial_weight(g) * g.r if limit is None else limit
+    while g is not None:
+        n1 = nu(g, 1)
+        cost = g.r * n1 - 1
+        if cost > budget:
+            raise SearchLimitExceeded(
+                f"path cost {cost} exceeds the ceiling {budget}"
+            )
+        budget -= cost
+        r1, r2 = g.beta, g.r * n1 - g.beta
+        yield g, n1, r1, r2, cost
+        g = blowup_step(g, r1, r2).residual
 
-    upper: int
+
+@dataclass(frozen=True, kw_only=True)
+class DepthBound:
+    """Depth estimate: optional lower bound, hard upper bound, exactness."""
+
     lower: int | None = None
+    upper: int
     exact: bool = False
 
     def __post_init__(self):
@@ -251,7 +254,7 @@ class DepthBound:
 
     @classmethod
     def exactly(cls, value: int) -> "DepthBound":
-        return cls(upper=value, lower=value, exact=True)
+        return cls(lower=value, upper=value, exact=True)
 
 
 def depth_bound(tc: TerminalClass) -> DepthBound:

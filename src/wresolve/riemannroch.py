@@ -93,8 +93,7 @@ class _CaseData:
     e3: Fraction
     basket_y: Basket
     sufficient_bound: int
-    dep_y_min: int
-    dep_y_max: int
+    dep_y: tuple[int, int]  # (min, max)
 
 
 def case_data(case: ContractionCase) -> _CaseData:
@@ -110,8 +109,7 @@ def case_data(case: ContractionCase) -> _CaseData:
                 e3=Fraction(1, rp),
                 basket_y=Basket.of((rp - 4, 2 * rp)),
                 sufficient_bound=rp - 1,
-                dep_y_min=2 * rp - 1,
-                dep_y_max=2 * rp - 1,
+                dep_y=(2 * rp - 1, 2 * rp - 1),
             )
         if case.tag == E1_A2:
             if rp is None or rp <= 2:
@@ -121,8 +119,7 @@ def case_data(case: ContractionCase) -> _CaseData:
                 e3=Fraction(2, rp),
                 basket_y=Basket.of((rp - 2, 2 * rp)),
                 sufficient_bound=rp - 1,
-                dep_y_min=2 * rp - 1,
-                dep_y_max=2 * rp - 1,
+                dep_y=(2 * rp - 1, 2 * rp - 1),
             )
         if case.tag == E2:
             if rp is None or rp <= 1:
@@ -132,8 +129,7 @@ def case_data(case: ContractionCase) -> _CaseData:
                 e3=Fraction(1, rp),
                 basket_y=Basket.of((rp - 1, 2 * rp, 2)),
                 sufficient_bound=2 * rp - 1,
-                dep_y_min=4 * rp - 2,
-                dep_y_max=4 * rp - 1,
+                dep_y=(4 * rp - 2, 4 * rp - 1),
             )
     except ValueError as exc:
         raise InvalidParameter(str(exc)) from exc
@@ -156,12 +152,13 @@ def aw_upper_bound(case: ContractionCase) -> int:
 
 @dataclass(frozen=True)
 class CaseDepthReport:
-    """Depth comparison across one contraction: dep(Y) vs dep(X) - 1."""
+    """Depth comparison across one contraction: dep(Y) vs dep(X) - 1.
 
-    tag: str
+    dep_y is the (min, max) range of dep(Y) over the case.
+    """
+
     aw: int | None
-    dep_y_min: int
-    dep_y_max: int
+    dep_y: tuple[int, int]
     dep_x_upper: int
     ok: bool
 
@@ -184,10 +181,8 @@ def case_depth_check(case: ContractionCase, aw: int | None = None) -> CaseDepthR
             dep_y += idx - 1  # an index-n cyclic point has depth n - 1
         dep_x_upper = 7  # cE/2 upper bound
         return CaseDepthReport(
-            tag=case.tag,
             aw=None,
-            dep_y_min=dep_y,
-            dep_y_max=dep_y,
+            dep_y=(dep_y, dep_y),
             dep_x_upper=dep_x_upper,
             ok=dep_y >= dep_x_upper - 1,
         )
@@ -202,12 +197,10 @@ def case_depth_check(case: ContractionCase, aw: int | None = None) -> CaseDepthR
         )
     dep_x_upper = 2 * aw  # cD/2 depth bound, Xi = 2 aw
     return CaseDepthReport(
-        tag=case.tag,
         aw=aw,
-        dep_y_min=data.dep_y_min,
-        dep_y_max=data.dep_y_max,
+        dep_y=data.dep_y,
         dep_x_upper=dep_x_upper,
-        ok=data.dep_y_min >= dep_x_upper - 1,
+        ok=data.dep_y[0] >= dep_x_upper - 1,
     )
 
 

@@ -213,7 +213,7 @@ def _check_rr_bounds(case: riemannroch.ContractionCase, data) -> str | None:
             return f"{tag} r'={rp} aw={awx}: depth check failed"
     if tag in (riemannroch.E1_A4, riemannroch.E1_A2):
         rep = riemannroch.case_depth_check(case, rp - 1)
-        if rep.dep_y_min - 1 != 2 * rp - 2:
+        if rep.dep_y[0] - 1 != 2 * rp - 2:
             return f"{tag} r'={rp}: dep(Y) - 1 != 2r' - 2"
     return None
 
@@ -241,8 +241,8 @@ def sweep_rr_bounds(rp_max: int = 40) -> SweepResult:
 
 def _check_e11(case: riemannroch.ContractionCase) -> str | None:
     rep = riemannroch.case_depth_check(case)
-    if rep.dep_y_min != 6 or rep.dep_y_max != 6:
-        return f"dep(Y) = {rep.dep_y_min} != 6"
+    if rep.dep_y != (6, 6):
+        return f"dep(Y) = {rep.dep_y} != (6, 6)"
     if rep.dep_x_upper != 7:
         return f"dep(X) bound = {rep.dep_x_upper} != 7"
     if not rep.ok:

@@ -202,8 +202,7 @@ def test_depth_identity_frozen():
         assert (ident.dep_x_upper, ident.dep_y) == (q + 9, q + 10)
         assert ident.check
     ident = depth_identity(O3CaseA(5, 1, 3, frozenset({(2, 0)})), 0)
-    assert ident == DepthIdentity(a=5, r=9, dep_q3=0, dep_x_upper=15,
-                                  dep_y=18, check=True)
+    assert ident == DepthIdentity(dep_q3=0, dep_x_upper=15, dep_y=18, check=True)
     for q in (0, 2):
         ident = depth_identity(O3CaseB(3, 1), q)
         assert (ident.dep_x_upper, ident.dep_y) == (q + 15, q + 16)
@@ -305,7 +304,7 @@ def _nonnegativity_by_fractions(case):
             checks += 1
     else:
         checks = a * (len(case.supp_a) + len(case.supp_b))
-    return chains.NonnegativityReport(a=a, d=d, checks=checks, ok=True)
+    return chains.NonnegativityReport(checks=checks, ok=True)
 
 
 def _nonnegativity_by_walk(case):
@@ -337,7 +336,7 @@ def _nonnegativity_by_walk(case):
                     f"delta({k}) = {Fraction(dl2, 2)} is not a nonnegative integer", k=k
                 )
         per_stage += 1
-    return chains.NonnegativityReport(a=a, d=d, checks=a * per_stage, ok=True)
+    return chains.NonnegativityReport(checks=a * per_stage, ok=True)
 
 
 def _simulate_by_fractions(case, k_max=None):

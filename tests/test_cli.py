@@ -564,6 +564,19 @@ RR_JUMP = '"basket_y":[[5,18]],"basket_x":[[1,2,5]]}'
         pytest.param(["rr", '{"case":"O3"}'], 2, "InvalidParameter", id="rr-o3"),
         pytest.param(["rr", '{"case":"E11","aw":3}'], 2, "InvalidParameter",
                      id="rr-e11-aw"),
+        # integer fields take plain decimal strings only
+        pytest.param(["depth", '{"r":"1_0","beta":3,"support":[[0,1]]}'], 1,
+                     "SchemaError", id="int-string-underscore"),
+        pytest.param(["depth", '{"r":" 7","beta":3,"support":[[0,1]]}'], 1,
+                     "SchemaError", id="int-string-space"),
+        pytest.param(["depth", '{"r":"\u0663","beta":1,"support":[[0,1]]}'], 1,
+                     "SchemaError", id="int-string-arabic-indic-digit"),
+        pytest.param(["depth", '{"r":"+5","beta":2,"support":[[0,1]]}'], 1,
+                     "SchemaError", id="int-string-plus"),
+        pytest.param(["depth", '{"r":"5\\n","beta":2,"support":[[0,1]]}'], 1,
+                     "SchemaError", id="int-string-newline"),
+        pytest.param(["depth", '{"r":"","beta":2,"support":[[0,1]]}'], 1,
+                     "SchemaError", id="int-string-empty"),
     ],
 )
 def test_boundary_errors(capsys, argv, code, kind):
@@ -575,6 +588,14 @@ def test_boundary_errors(capsys, argv, code, kind):
 
 def test_resolve_negative_env_limit(capsys, monkeypatch):
     monkeypatch.setenv("DEPTH_SEARCH_LIMIT", "-1")
+    code, payload = run_json(capsys, ["resolve", GERM])
+    assert code == 1
+    assert payload["error"]["type"] == "SchemaError"
+
+
+@pytest.mark.parametrize("limit", ["1_0", " 9", "\u0669", "+9"])
+def test_resolve_env_limit_takes_plain_digits(capsys, monkeypatch, limit):
+    monkeypatch.setenv("DEPTH_SEARCH_LIMIT", limit)
     code, payload = run_json(capsys, ["resolve", GERM])
     assert code == 1
     assert payload["error"]["type"] == "SchemaError"

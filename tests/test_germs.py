@@ -1,6 +1,7 @@
 """Depth calculus for one-parameter hypersurface germs."""
 
 import random
+import tracemalloc
 from functools import lru_cache
 from itertools import count, product
 
@@ -255,6 +256,28 @@ def test_walk_matches_exhaustive_pricing():
         outcomes.append(isinstance(got, str))
     assert len(outcomes) == 5 * 3726
     assert any(outcomes) and not all(outcomes)  # trees and limit messages
+
+
+def test_search_is_the_tree_depth():
+    outcomes = []
+    for g, limit in product(iter_germ_family(5), (None, 0, 1, 3, 8)):
+        got = _tree_or_message(depth_search, g, limit)
+        tree = _tree_or_message(resolution_tree, g, limit)
+        assert got == (tree if isinstance(tree, str) else tree["dep"]), (g, limit)
+        outcomes.append(isinstance(got, str))
+    assert any(outcomes) and not all(outcomes)  # depths and limit messages
+
+
+def test_search_keeps_one_stage_in_memory():
+    # a 2000-stage chain; building its tree as well peaked at 2.7 MiB
+    g = CARGerm(2, 1, frozenset({(0, 2000), (1, 0)}))
+    tracemalloc.start()
+    try:
+        assert depth_search(g) == 2000
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 1024
 
 
 def _tvalue_by_scan(g):

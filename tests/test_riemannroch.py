@@ -119,16 +119,16 @@ def test_cd2_basket():
 
 def test_case_depth_check_frozen():
     rep = case_depth_check(ContractionCase(E1_A4, 9), aw=8)
-    assert rep == CaseDepthReport(E1_A4, 8, 17, 17, 16, True)
+    assert rep == CaseDepthReport(8, (17, 17), 16, True)
     rep = case_depth_check(ContractionCase(E1_A2, 5), aw=4)
-    assert rep == CaseDepthReport(E1_A2, 4, 9, 9, 8, True)
+    assert rep == CaseDepthReport(4, (9, 9), 8, True)
     rep = case_depth_check(ContractionCase(E2, 4), aw=7)
-    assert rep == CaseDepthReport(E2, 7, 14, 15, 14, True)
+    assert rep == CaseDepthReport(7, (14, 15), 14, True)
 
 
 def test_case_depth_check_e11():
     rep = case_depth_check(ContractionCase(E11))
-    assert (rep.dep_y_min, rep.dep_y_max) == (6, 6)
+    assert rep.dep_y == (6, 6)
     assert rep.dep_x_upper == 7
     assert rep.ok
 
