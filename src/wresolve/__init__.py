@@ -31,9 +31,9 @@ _EXPORTS = {
             "depth_identity", "gamma_k", "gamma_k_b", "nonnegativity_check",
         ),
         "errors": (
-            "CaseViolation", "ConstraintViolation", "InvalidCaseData",
-            "InvalidParameter", "InvalidSplit", "NotTerminalForm", "RuleViolation",
-            "SchemaError", "SearchLimitExceeded", "WresolveError",
+            "ConstraintViolation", "InvalidCaseData", "InvalidParameter",
+            "InvalidSplit", "NotTerminalForm", "RuleViolation", "SchemaError",
+            "SearchLimitExceeded", "WresolveError",
         ),
         "germs": (
             "CARGerm", "DepthBound", "admissible_splits", "axial_weight",

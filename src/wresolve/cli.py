@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import re
 import sys
 from dataclasses import fields, is_dataclass
 from fractions import Fraction
@@ -22,7 +21,7 @@ from pathlib import Path
 # each handler imports the layers it calls, so a one-shot command loads
 # only those; errors and rationals serve every subcommand
 from .errors import InvalidParameter, SchemaError, WresolveError
-from .rationals import format_rat, parse_rat
+from .rationals import format_rat, parse_int, parse_rat
 
 MAX_SAFE_INT = 2**53
 
@@ -99,12 +98,7 @@ def _convert(convert, value, name, expected):
 
 def _int(value, name, minimum=None):
     """An integer, or a decimal string of one; never a bool or a float."""
-    if isinstance(value, str):
-        # only -?[0-9]+: int() alone also takes "1_0", " 7" and "٣"
-        digits = value if re.fullmatch("-?[0-9]+", value) else ""
-        value = _convert(int, digits, name, "an integer")
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaError(f"{name} must be an integer")
+    value = _convert(parse_int, value, name, "an integer")
     if minimum is not None and value < minimum:
         raise SchemaError(f"{name} must be >= {minimum}")
     return value

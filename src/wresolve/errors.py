@@ -29,10 +29,6 @@ class InvalidCaseData(WresolveError):
     """Neighborhood case data violates the classification congruences."""
 
 
-class CaseViolation(WresolveError):
-    """A witness inequality failed: the case data cannot be realized."""
-
-
 class ConstraintViolation(WresolveError):
     """Support constraint check failed.
 

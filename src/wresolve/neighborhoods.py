@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .errors import CaseViolation, InvalidCaseData
+from .errors import InvalidCaseData
 
 
 @dataclass(frozen=True)
@@ -117,10 +117,7 @@ class ExceptionalIAIACase:
     def __post_init__(self):
         if self.r < 3 or self.r % 2 == 0:
             raise InvalidCaseData("exceptional IA+IA needs odd r >= 3")
-        if not (2 * self.a2 > self.r and self.a2 < self.r):
-            raise InvalidCaseData("need r/2 < a2 < r")
-        if gcd(self.a2, self.r) != 1:
-            raise InvalidCaseData("a2 must be a unit mod r")
+        _check_a2(self.r, self.a2)
 
 
 @dataclass(frozen=True)
@@ -157,10 +154,14 @@ class IAIAIIICase:
     def __post_init__(self):
         if self.r < 3:
             raise InvalidCaseData("IA+IA+III needs r >= 3")
-        if not (2 * self.a2 > self.r and self.a2 < self.r):
-            raise InvalidCaseData("need r/2 < a2 < r")
-        if gcd(self.a2, self.r) != 1:
-            raise InvalidCaseData("a2 must be a unit mod r")
+        _check_a2(self.r, self.a2)
+
+
+def _check_a2(r: int, a2: int) -> None:
+    if not (2 * a2 > r and a2 < r):
+        raise InvalidCaseData("need r/2 < a2 < r")
+    if gcd(a2, r) != 1:
+        raise InvalidCaseData("a2 must be a unit mod r")
 
 
 ENCase = ICCase | IIBCase | IACase | ExceptionalIAIACase | SemistableIAIACase | IAIAIIICase
@@ -193,19 +194,27 @@ def _resolve_r1(case, r1: int | None) -> int:
     return r1
 
 
+def _fiber_degree(case, r1: int | None) -> tuple[Fraction, int | None]:
+    """C_Y . F and the r1 it used; IC and IIB fix theirs and take no r1."""
+    if isinstance(case, (ICCase, IIBCase)):
+        if r1 is not None:
+            name = type(case).__name__.removesuffix("Case")
+            raise InvalidCaseData(f"{name} fixes its weights; r1 is not free")
+        if isinstance(case, ICCase):
+            return Fraction(1), None
+        return min(Fraction(3, case.r1), Fraction(2, case.r2)), None
+    if isinstance(case, IACase):
+        use = _resolve_r1(case, r1)
+        return Fraction(case.a1, use), use
+    if isinstance(case, (ExceptionalIAIACase, IAIAIIICase, SemistableIAIACase)):
+        use = _resolve_r1(case, r1)
+        return Fraction(1, use), use
+    raise InvalidCaseData(f"no fiber degree rule for {type(case).__name__}")
+
+
 def cf_intersection(case, r1: int | None = None) -> Fraction:
     """Fiber degree C_Y . F of the depth-one extraction for the case."""
-    if isinstance(case, ICCase):
-        return Fraction(1)
-    if isinstance(case, IIBCase):
-        if r1 is not None:
-            raise InvalidCaseData("IIB fixes its weights; r1 is not free")
-        return min(Fraction(3, case.r1), Fraction(2, case.r2))
-    if isinstance(case, IACase):
-        return Fraction(case.a1, _resolve_r1(case, r1))
-    if isinstance(case, (ExceptionalIAIACase, IAIAIIICase, SemistableIAIACase)):
-        return Fraction(1, _resolve_r1(case, r1))
-    raise InvalidCaseData(f"no fiber degree rule for {type(case).__name__}")
+    return _fiber_degree(case, r1)[0]
 
 
 @dataclass(frozen=True)
@@ -221,72 +230,53 @@ class KeyVerdict:
     delta: int | None = None
 
 
-def _verdict(ky, kx, cf, r1=None, s=None, delta=None) -> KeyVerdict:
-    return KeyVerdict(
-        ky_cy=ky, nonpositive=(ky <= 0), kx_c=kx, cf=cf, r1=r1, s=s, delta=delta
-    )
-
-
-def _witness_product(s: int, r1: int) -> None:
-    # s r1 = 2 mod r and s r1 > 0 force s r1 >= 2; anything less is
-    # inconsistent case data
-    if s * r1 < 2:
-        raise CaseViolation(f"witness product s*r1 = {s * r1} < 2")
-
-
 def key_check(case, kx=None, r1: int | None = None) -> KeyVerdict:
     """Evaluate K_Y . C_Y = K_X . C + (C_Y . F) / r and its sign.
 
-    The compound IA cases compute K_X . C internally and check their
-    witness inequalities (CaseViolation on failure).  IC, IIB and plain
-    IA take kx from the caller, validated against the w_P(0) bounds.
+    IC, IIB and plain IA take kx from the caller, validated against the
+    w_P(0) bounds; the compound IA cases compute K_X . C themselves.  The
+    index is 4 for IIB (its cAx/4 point) and r otherwise.  IC and IIB
+    take no r1.
+
+    The witness inequalities of the compound cases need no check: for
+    any admissible r1 >= 1 the case data and the congruence force them.
+
+    * Exceptional IA+IA and IA+IA+III: s = 2 a2 - r >= 1 as a2 > r/2,
+      and r1 = a2^(-1) mod r, so s r1 = 2 a2 r1 - r r1 = 2 mod r.  With
+      s r1 > 0 and r >= 3 this gives s r1 >= 2.
+    * Semistable IA+IA, r1 = a^(-1) mod r: gamma = (a r1 - 1) / r is an
+      integer, 0 only if a r1 = 1, i.e. a = 1.  But a = 1 and delta > 0
+      give a' r > r r' - r', so a' > r' - r'/r >= r' - 1 as r' <= r,
+      against a' < r'.  So gamma >= 1.  Next r1 delta = a^(-1) a r' = r'
+      mod r, and r1 delta > 0 with 2 <= r' <= r, so r1 delta >= r'.
+
+    The ``verify`` sweeps check both congruences and both inequalities.
     """
+    s = delta = None
     if isinstance(case, ICCase):
         kx = _require_kx(case, kx, Fraction(-1), Fraction(-1, case.r))
-        cf = cf_intersection(case)
-        return _verdict(kx + cf / case.r, kx, cf)
-    if isinstance(case, IIBCase):
+    elif isinstance(case, IIBCase):
         kx = _require_kx(case, kx, Fraction(-1), Fraction(-1, 4))
-        cf = cf_intersection(case)
-        return _verdict(kx + cf / 4, kx, cf)
-    if isinstance(case, IACase):
+    elif isinstance(case, IACase):
         if kx is None:
             raise InvalidCaseData("IA needs the caller's K_X . C")
         kx = Fraction(kx)
         if kx > 0:
             raise InvalidCaseData("extremal germs need K_X . C <= 0")
-        use = _resolve_r1(case, r1)
-        cf = Fraction(case.a1, use)
-        return _verdict(kx + cf / case.r, kx, cf, r1=use)
-    if isinstance(case, (ExceptionalIAIACase, IAIAIIICase)):
+    elif isinstance(case, (ExceptionalIAIACase, IAIAIIICase, SemistableIAIACase)):
         if kx is not None:
             raise InvalidCaseData("this case computes K_X . C itself")
-        s = 2 * case.a2 - case.r
-        use = _resolve_r1(case, r1)
-        _witness_product(s, use)
-        kx_c = Fraction(-s, 2 * case.r)
-        cf = Fraction(1, use)
-        ky = kx_c + cf / case.r
-        return _verdict(ky, kx_c, cf, r1=use, s=s)
-    if isinstance(case, SemistableIAIACase):
-        if kx is not None:
-            raise InvalidCaseData("this case computes K_X . C itself")
-        d = case.delta
-        use = _resolve_r1(case, r1)
-        gamma = (case.a * use - 1) // case.r
-        if gamma == 0:
-            raise CaseViolation("gamma = 0: extraction data inconsistent")
-        if (use * d - case.rprime) % case.r != 0:
-            raise CaseViolation("r1 delta is not r' mod r")
-        if use * d < case.rprime:
-            raise CaseViolation(
-                f"witness r1*delta = {use * d} < r' = {case.rprime}"
-            )
-        kx_c = Fraction(-d, case.r * case.rprime)
-        cf = Fraction(1, use)
-        ky = kx_c + cf / case.r
-        return _verdict(ky, kx_c, cf, r1=use, delta=d)
-    raise InvalidCaseData(f"no key rule for {type(case).__name__}")
+        if isinstance(case, SemistableIAIACase):
+            delta = case.delta
+            kx = Fraction(-delta, case.r * case.rprime)
+        else:
+            s = 2 * case.a2 - case.r
+            kx = Fraction(-s, 2 * case.r)
+    else:
+        raise InvalidCaseData(f"no key rule for {type(case).__name__}")
+    cf, use = _fiber_degree(case, r1)
+    ky = kx + cf / (4 if isinstance(case, IIBCase) else case.r)
+    return KeyVerdict(ky, ky <= 0, kx, cf, use, s, delta)
 
 
 def _require_kx(case, kx, lo: Fraction, hi: Fraction) -> Fraction:

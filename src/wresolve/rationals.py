@@ -6,26 +6,38 @@ stored reduced with positive denominator.  No float ever enters the core;
 ``parse_rat`` deliberately rejects them.
 """
 
+import re
 from fractions import Fraction
+
+# an optional "-" and ASCII digits only: int() and Fraction() alone also
+# take "1_0", " 7", "+7", other scripts' digits and, for Fraction, "1.5"
+_INTEGER = "-?[0-9]+"
+_RATIONAL = f"{_INTEGER}(/[0-9]+)?"
+
+
+def parse_int(value):
+    """An int, or a string matching -?[0-9]+; never a bool or a float."""
+    if isinstance(value, str) and re.fullmatch(_INTEGER, value):
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"not an integer: {value!r}")
+    return value
 
 
 def parse_rat(value):
     """Parse a rational from "p/q" / "p" strings, [p, q] pairs, or ints.
 
-    Floats and booleans are rejected, also as entries of a [p, q] pair.
+    Strings must match -?[0-9]+(/[0-9]+)?, and a pair's entries follow
+    ``parse_int``.  Floats and booleans are rejected, also inside a pair.
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, bool):
-        raise ValueError("booleans are not rationals")
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value.strip())
+    if isinstance(value, str) and re.fullmatch(_RATIONAL, value):
+        return Fraction(value)
     if isinstance(value, (list, tuple)) and len(value) == 2:
-        if any(isinstance(x, (bool, float)) for x in value):
-            raise ValueError(f"[p, q] needs integers, got {value!r}")
-        return Fraction(int(value[0]), int(value[1]))
+        return Fraction(*map(parse_int, value))
     raise ValueError(f"cannot parse a rational from {value!r}")
 
 

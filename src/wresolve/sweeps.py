@@ -261,6 +261,8 @@ def _check_en_exceptional(
 ) -> str | None:
     tag = f"r={case.r} a2={case.a2} r1={r1}"
     v = neighborhoods.key_check(case, r1=r1)
+    if (v.s * r1 - 2) % case.r != 0:
+        return f"{tag}: s*r1 = {v.s * r1} is not 2 mod r"
     if v.s * r1 < 2:
         return f"{tag}: witness failed"
     if not v.nonpositive:
@@ -269,8 +271,8 @@ def _check_en_exceptional(
 
 
 def sweep_en_exceptional(r_max: int = 99) -> SweepResult:
-    """Exceptional IA+IA: s*r1 >= 2 and K_Y.C_Y <= 0 for the minimal
-    admissible r1 and the two r and 2r above it."""
+    """Exceptional IA+IA: s*r1 = 2 mod r, s*r1 >= 2 and K_Y.C_Y <= 0 for
+    the minimal admissible r1 and the two r and 2r above it."""
     def outcomes():
         for r in range(5, r_max + 1, 2):
             for a2 in range(r // 2 + 1, r):
@@ -287,6 +289,8 @@ def sweep_en_exceptional(r_max: int = 99) -> SweepResult:
 def _check_en_semistable(case: neighborhoods.SemistableIAIACase) -> str | None:
     tag = (case.r, case.a, case.rprime, case.aprime)
     v = neighborhoods.key_check(case)
+    if (v.r1 * v.delta - case.rprime) % case.r != 0:
+        return f"{tag}: r1*delta = {v.r1 * v.delta} is not r' mod r"
     if v.r1 * v.delta < case.rprime:
         return f"{tag}: witness failed"
     if not v.nonpositive:
@@ -295,7 +299,8 @@ def _check_en_semistable(case: neighborhoods.SemistableIAIACase) -> str | None:
 
 
 def sweep_en_semistable(r_max: int = 30) -> SweepResult:
-    """Semistable IA+IA: r1*delta >= r' and K_Y.C_Y <= 0 over all shapes."""
+    """Semistable IA+IA: r1*delta = r' mod r, r1*delta >= r' and
+    K_Y.C_Y <= 0 over all shapes."""
     cases = (
         neighborhoods.SemistableIAIACase(r, a, rp, ap)
         for rp in range(2, r_max + 1)

@@ -72,6 +72,16 @@ def test_resolve(capsys):
     assert payload["tree"]["split"] == [2, 8]
 
 
+def test_resolve_index_one_leaf(capsys):
+    # an index-1 germ is already Gorenstein: the tree is one leaf
+    code, out = run(capsys, ["resolve", '{"r":1,"beta":0,"support":[[0,1]]}'])
+    assert code == 0
+    assert out == (
+        '{"dep": 0, "tree": {"kind": "germ", "index": 1, "dep": 0, "split": null, '
+        '"quotients": [], "residual": null}}\n'
+    )
+
+
 def test_resolve_limit_key(capsys):
     code, payload = run_json(capsys, ["resolve", GERM[:-1] + ',"limit":3}'])
     assert code == 2
@@ -525,6 +535,14 @@ def test_console_script():
 
 RR_JUMP = '"basket_y":[[5,18]],"basket_x":[[1,2,5]]}'
 
+# rational fields take -?[0-9]+(/[0-9]+)? strings and [p, q] pairs whose
+# entries follow the integer rule; Fraction() alone accepts each of these
+LAX_RATIONALS = {
+    "underscore": "1_0/9", "arabic-indic-digit": "\u0663/9", "plus": "+1/9",
+    "space": " 1/9", "decimal": "1.5", "exponent": "1e-2",
+    "pair-underscore": ["1_0", 9],
+}
+
 
 # every bad input gets exactly one JSON error document: exit 1 for a shape
 # or range error in the input, exit 2 for a parameter outside its domain
@@ -577,6 +595,15 @@ RR_JUMP = '"basket_y":[[5,18]],"basket_x":[[1,2,5]]}'
                      "SchemaError", id="int-string-newline"),
         pytest.param(["depth", '{"r":"","beta":2,"support":[[0,1]]}'], 1,
                      "SchemaError", id="int-string-empty"),
+        *(pytest.param(["en", json.dumps({"case": "IC", "r": 5, "kx": value})], 1,
+                       "SchemaError", id=f"en-kx-{tag}")
+          for tag, value in LAX_RATIONALS.items()),
+        *(pytest.param(["rr", '{"a_over_n":2,"e3":' + json.dumps(value) + "," + RR_JUMP],
+                       1, "SchemaError", id=f"rr-e3-{tag}")
+          for tag, value in LAX_RATIONALS.items()),
+        # IC fixes its fiber degree: a given r1 is refused, not dropped
+        pytest.param(["en", '{"case":"IC","r":5,"kx":"-1/5","r1":3}'], 2,
+                     "InvalidCaseData", id="en-ic-r1"),
     ],
 )
 def test_boundary_errors(capsys, argv, code, kind):
