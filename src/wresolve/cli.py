@@ -3,9 +3,10 @@
 Subcommands take one input argument: inline JSON (anything starting with
 "{" or "["), "-" for stdin, or a path to a JSON file.  Output is JSON by
 default (--output text for a line-oriented rendering).  Exit codes:
-0 success, 1 malformed input, 2 domain error; errors are emitted as
-{"error": {...}} JSON.  Rationals render as "p/q" strings and integers
-beyond 2^53 as decimal strings so consumers never round.
+0 success, 1 malformed input (a key the subcommand does not read
+included), 2 domain error; errors are emitted as {"error": {...}} JSON.
+Rationals render as "p/q" strings and integers beyond 2^53 as decimal
+strings so consumers never round.
 """
 
 from __future__ import annotations
@@ -118,9 +119,10 @@ def _rows(value, sizes, message):
 
 
 def _int_rows(value, sizes, message):
-    """value as a list of integer tuples whose lengths are in sizes."""
+    """value as a list of integer tuples whose lengths are in sizes; a
+    bool is never an integer."""
     rows = _rows(value, sizes, message)
-    if any(isinstance(x, bool) or not isinstance(x, int) for row in rows for x in row):
+    if any(type(x) is not int for row in rows for x in row):
         raise SchemaError(message)
     return [tuple(row) for row in rows]
 
@@ -136,13 +138,35 @@ def _basket(value, name):
     return Basket.of(*_int_rows(value, (2, 3), message))
 
 
+def _name(table, unknown, fold=str.lower):
+    """A parser for a name that fold maps to a key of table; any other
+    value is refused with unknown.format(value)."""
+
+    def parse(value, name):
+        found = isinstance(value, str) and table.get(fold(value))
+        if not found:
+            raise SchemaError(unknown.format(value))
+        return found
+
+    return parse
+
+
 def _field(obj, key, parse=_int, default=_REQUIRED, **bounds):
-    """obj[key] through parse; a missing key is an error unless there is a default."""
+    """The value under key through parse, popped so that what stays in obj
+    was never read; a missing key is an error unless there is a default."""
     if key not in obj:
         if default is _REQUIRED:
             raise SchemaError(f"missing key {key!r}")
         return default
-    return parse(obj[key], f"key {key!r}", **bounds)
+    return parse(obj.pop(key), f"key {key!r}", **bounds)
+
+
+def _read_all(read, obj):
+    """read(obj), then refuse the first key of obj that read left unread."""
+    out = read(obj)
+    for key in obj:
+        raise SchemaError(f"unknown key {key!r}")
+    return out
 
 
 def _parse_germ(obj):
@@ -152,26 +176,27 @@ def _parse_germ(obj):
     return CARGerm(r, beta, frozenset(_field(obj, "support", _pairs)))
 
 
+def _weights(value, name):
+    triple = isinstance(value, list) and len(value) == 3
+    if not triple or any(type(w) is not int for w in value):
+        raise SchemaError("cyclic class needs 'weights': [w1, w2, w3]")
+    return tuple(value)
+
+
 def _parse_class(obj):
     from .baskets import CA_R, CAX2, CAX4, CD2, CYCLIC, GORENSTEIN, KINDS
     from .baskets import CyclicQuotient, TerminalClass
 
-    name = obj.get("class")
-    if not isinstance(name, str):
-        raise SchemaError("missing class name under key 'class'")
     # every class name, lower-cased, with and without its "/"
     aliases = {
         alias: kind
         for kind in KINDS
         for alias in (kind.lower(), kind.lower().replace("/", ""))
     } | {"smooth": GORENSTEIN}
-    kind = aliases.get(name.lower())
-    if kind is None:
-        raise SchemaError(f"unknown class {name!r}")
+    kind = _field(obj, "class", _name(aliases, "unknown class {!r}"))
     if kind == CYCLIC:
         r = _field(obj, "r")
-        message = "cyclic class needs 'weights': [w1, w2, w3]"
-        (weights,) = _int_rows([obj.get("weights")], (3,), message)
+        weights = _field(obj, "weights", _weights)
         return TerminalClass(kind, quotient=CyclicQuotient(r, weights))
     if kind == CA_R:
         return TerminalClass(kind, germ=_parse_germ(obj))
@@ -234,33 +259,32 @@ def _cmd_blowup(obj):
     return {"quotients": quotients, "residual": step.residual}
 
 
+def _points(value, name):
+    from .neighborhoods import ENPoint
+
+    rows = _rows(value, (2,), "'points' must be a list of [r, w0]")
+    return [ENPoint(_int(r, "point index"), _rat(w0, "w_P(0)")) for r, w0 in rows]
+
+
 def _cmd_en(obj):
     from . import neighborhoods
 
     if "points" in obj:
-        raw = _rows(obj["points"], (2,), "'points' must be a list of [r, w0]")
-        pts = [
-            neighborhoods.ENPoint(_int(r, "point index"), _rat(w0, "w_P(0)"))
-            for r, w0 in raw
-        ]
-        return {"kx_c": neighborhoods.canonical_degree(pts)}
-    name = obj.get("case")
-    if not isinstance(name, str):
-        raise SchemaError("missing case name under key 'case'")
-    kx = _field(obj, "kx", _rat, default=None)
-    r1 = _field(obj, "r1", default=None)
+        return {"kx_c": neighborhoods.canonical_degree(_field(obj, "points", _points))}
     # case name with "+" and "_" dropped, lower-cased -> case class; the
     # JSON keys are the dataclass field names
+    def fold(name):
+        return name.replace("+", "").replace("_", "").lower()
+
     cases = {
         cls.__name__.removesuffix("Case").lower(): cls
         for cls in neighborhoods.ENCase.__args__
     }
-    cls = cases.get(name.replace("+", "").replace("_", "").lower())
-    if cls is None:
-        raise SchemaError(f"unknown neighborhood case {name!r}")
+    cls = _field(obj, "case", _name(cases, "unknown neighborhood case {!r}", fold))
+    kx = _field(obj, "kx", _rat, default=None)
     case = cls(*(_field(obj, f.name) for f in fields(cls)))
-    if cls is neighborhoods.IIBCase:
-        r1 = None  # the IIB weights already sit in the case data
+    # after the case data, which holds the IIB weights r1..r4
+    r1 = _field(obj, "r1", default=None)
     return neighborhoods.key_check(case, kx=kx, r1=r1)
 
 
@@ -278,12 +302,8 @@ def _cmd_rr(obj):
         return {"delta_chi": value}
     if "basket" in obj:
         return {"correction": riemannroch.rr_correction(_field(obj, "basket", _basket))}
-    name = obj.get("case")
-    if not isinstance(name, str):
-        raise SchemaError("need 'case', 'basket', or 'a_over_n' input")
-    tag = {t.lower(): t for t in riemannroch.TAGS}.get(name.lower())
-    if tag is None:
-        raise SchemaError(f"unknown contraction case {name!r}")
+    tags = {t.lower(): t for t in riemannroch.TAGS}
+    tag = _field(obj, "case", _name(tags, "unknown contraction case {!r}"))
     case = riemannroch.ContractionCase(tag, _field(obj, "rprime", default=None))
     out = {"case": tag}
     if tag in (riemannroch.E1_A4, riemannroch.E1_A2, riemannroch.E2):
@@ -325,9 +345,8 @@ def _stage_payload_b(st):
 def _cmd_o3(obj):
     from . import chains
 
-    shape = obj.get("case")
-    if shape not in ("A", "B"):
-        raise SchemaError("key 'case' must be \"A\" or \"B\"")
+    shapes = _name({"A": "A", "B": "B"}, "key 'case' must be \"A\" or \"B\"", str)
+    shape = _field(obj, "case", shapes)
     a = _field(obj, "a")
     d = _field(obj, "d")
     supp_a = frozenset(_field(obj, "suppA", _pairs, default=()))
@@ -351,23 +370,28 @@ def _cmd_o3(obj):
     }
 
 
+def _steps(value, name):
+    """The trace steps, each an object read whole."""
+    from .traces import KINDS, TraceStep
+
+    if not isinstance(value, list):
+        raise SchemaError("trace needs 'steps': a list of objects")
+    kinds = _name(dict(zip(KINDS, KINDS)), "unknown step kind {!r}", str)
+
+    def step(item):
+        if not isinstance(item, dict):
+            raise SchemaError("each step must be an object")
+        kind = _field(item, "kind", kinds)
+        before = _field(item, "before", minimum=0)
+        return TraceStep(kind, before, _field(item, "after", minimum=0))
+
+    return tuple(_read_all(step, item) for item in value)
+
+
 def _cmd_trace(obj):
     from . import traces
 
-    raw = obj.get("steps")
-    if not isinstance(raw, list):
-        raise SchemaError("trace needs 'steps': a list of objects")
-    steps = []
-    for item in raw:
-        if not isinstance(item, dict):
-            raise SchemaError("each step must be an object")
-        kind = item.get("kind")
-        if kind not in traces.KINDS:
-            raise SchemaError(f"unknown step kind {kind!r}")
-        before = _field(item, "before", minimum=0)
-        after = _field(item, "after", minimum=0)
-        steps.append(traces.TraceStep(kind, before, after))
-    trace = traces.FactorizationTrace(tuple(steps))
+    trace = traces.FactorizationTrace(_field(obj, "steps", _steps))
     verdict = traces.validate_trace(trace, raise_on_violation=True)
     return {
         "valid": verdict.valid,
@@ -457,7 +481,7 @@ def _run(args) -> int:
     try:
         if args.command == "verify":
             return _cmd_verify(args)
-        _emit(args.handler(_load_input(args.input)), args.output)
+        _emit(_read_all(args.handler, _load_input(args.input)), args.output)
         return 0
     except WresolveError as exc:
         _emit_error(exc)

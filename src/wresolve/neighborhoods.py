@@ -234,9 +234,9 @@ def key_check(case, kx=None, r1: int | None = None) -> KeyVerdict:
     """Evaluate K_Y . C_Y = K_X . C + (C_Y . F) / r and its sign.
 
     IC, IIB and plain IA take kx from the caller, validated against the
-    w_P(0) bounds; the compound IA cases compute K_X . C themselves.  The
-    index is 4 for IIB (its cAx/4 point) and r otherwise.  IC and IIB
-    take no r1.
+    w_P(0) bounds ([-1, 0] for IA, as K_X . C = -1 + sum w_P(0)); the
+    compound IA cases compute K_X . C themselves.  The index is 4 for IIB
+    (its cAx/4 point) and r otherwise.  IC and IIB take no r1.
 
     The witness inequalities of the compound cases need no check: for
     any admissible r1 >= 1 the case data and the congruence force them.
@@ -258,11 +258,7 @@ def key_check(case, kx=None, r1: int | None = None) -> KeyVerdict:
     elif isinstance(case, IIBCase):
         kx = _require_kx(case, kx, Fraction(-1), Fraction(-1, 4))
     elif isinstance(case, IACase):
-        if kx is None:
-            raise InvalidCaseData("IA needs the caller's K_X . C")
-        kx = Fraction(kx)
-        if kx > 0:
-            raise InvalidCaseData("extremal germs need K_X . C <= 0")
+        kx = _require_kx(case, kx, Fraction(-1), Fraction(0))
     elif isinstance(case, (ExceptionalIAIACase, IAIAIIICase, SemistableIAIACase)):
         if kx is not None:
             raise InvalidCaseData("this case computes K_X . C itself")

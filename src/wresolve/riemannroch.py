@@ -102,7 +102,7 @@ def case_data(case: ContractionCase) -> _CaseData:
     rp = case.rprime
     try:
         if case.tag == E1_A4:
-            if rp is None or rp <= 4:
+            if rp <= 4:
                 raise ValueError("E1_a4 needs r' > 4")
             return _CaseData(
                 a_over_n=Fraction(2),
@@ -112,7 +112,7 @@ def case_data(case: ContractionCase) -> _CaseData:
                 dep_y=(2 * rp - 1, 2 * rp - 1),
             )
         if case.tag == E1_A2:
-            if rp is None or rp <= 2:
+            if rp <= 2:
                 raise ValueError("E1_a2 needs r' > 2")
             return _CaseData(
                 a_over_n=Fraction(1),
@@ -122,7 +122,7 @@ def case_data(case: ContractionCase) -> _CaseData:
                 dep_y=(2 * rp - 1, 2 * rp - 1),
             )
         if case.tag == E2:
-            if rp is None or rp <= 1:
+            if rp <= 1:
                 raise ValueError("E2 needs r' > 1")
             return _CaseData(
                 a_over_n=Fraction(1),

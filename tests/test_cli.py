@@ -16,6 +16,8 @@ from wresolve import cli, sweeps, traces
 from wresolve.cli import main
 from wresolve.errors import RuleViolation
 
+from test_wire import GOLDEN, readme_examples
+
 GERM = '{"r":5,"beta":2,"support":[[0,2],[1,1]]}'
 
 
@@ -543,6 +545,17 @@ LAX_RATIONALS = {
     "pair-underscore": ["1_0", 9],
 }
 
+# each input once exited 0 and dropped the named key; every key a handler
+# reads is taken out of the input, and a leftover key is refused
+UNREAD_KEYS = [
+    (["en", '{"case":"IA","r":7,"a1":1,"a2":3,"kx":"-1/7","R1":10}'], "R1"),
+    (["o3", '{"case":"B","a":3,"d":1,"alpha":9}'], "alpha"),
+    (["basket", '{"class":"cD/3","k":5}'], "k"),
+    (["rr", '{"a_over_n":2,"e3":"1/9","rprime":4}'], "rprime"),
+    (["en", '{"points":[[2,"1/2"]],"case":"IC"}'], "case"),
+    (["trace", '{"steps":[{"kind":"Flip","before":2,"after":1,"afer":1}]}'], "afer"),
+]
+
 
 # every bad input gets exactly one JSON error document: exit 1 for a shape
 # or range error in the input, exit 2 for a parameter outside its domain
@@ -604,6 +617,21 @@ LAX_RATIONALS = {
         # IC fixes its fiber degree: a given r1 is refused, not dropped
         pytest.param(["en", '{"case":"IC","r":5,"kx":"-1/5","r1":3}'], 2,
                      "InvalidCaseData", id="en-ic-r1"),
+        # IA takes K_X . C in [-1, 0], like IC and IIB in theirs
+        pytest.param(["en", '{"case":"IA","r":7,"a1":1,"a2":3,"kx":"-100"}'], 2,
+                     "InvalidCaseData", id="en-ia-kx-below-minus-one"),
+        # r' below each family's terminal range
+        pytest.param(["rr", '{"case":"E1_a2","rprime":2}'], 2, "InvalidParameter",
+                     id="rr-e1-a2-rprime-2"),
+        pytest.param(["rr", '{"case":"E2","rprime":1}'], 2, "InvalidParameter",
+                     id="rr-e2-rprime-1"),
+        pytest.param(["rr", '{"case":"E1_a4","rprime":4}'], 2, "InvalidParameter",
+                     id="rr-e1-a4-rprime-4"),
+        *(pytest.param(argv, 1, "SchemaError", id=f"unread-{argv[0]}-{key}")
+          for argv, key in UNREAD_KEYS),
+        # the handler's own error wins over a leftover key
+        pytest.param(["en", '{"case":"IC","r":4,"kx":"-1/4","zz":1}'], 2,
+                     "InvalidCaseData", id="en-domain-error-before-unread-key"),
     ],
 )
 def test_boundary_errors(capsys, argv, code, kind):
@@ -611,6 +639,43 @@ def test_boundary_errors(capsys, argv, code, kind):
     assert got == code
     assert out.count("\n") == 1
     assert json.loads(out)["error"]["type"] == kind
+
+
+@pytest.mark.parametrize("argv, key", UNREAD_KEYS,
+                         ids=[f"{argv[0]}-{key}" for argv, key in UNREAD_KEYS])
+def test_unread_key_is_refused(capsys, argv, key):
+    code, payload = run_json(capsys, argv)
+    assert code == 1
+    assert payload["error"] == {"type": "SchemaError", "message": f"unknown key {key!r}"}
+
+
+STEPS = [{"kind": "WExtraction", "before": 3, "after": 2},
+         {"kind": "Flip", "before": 2, "after": 1}]
+# the golden requests and README examples that exit 0, and one request for
+# each subcommand neither of them shows
+ACCEPTED = [argv for sub in GOLDEN.values() for argv, code, _ in sub if code == 0]
+ACCEPTED += [argv for argv, _ in readme_examples()]
+ACCEPTED += [["resolve", GERM], ["blowup", GERM[:-1] + ',"r1":2,"r2":8}'],
+             ["trace", json.dumps({"steps": STEPS})]]
+
+
+@pytest.mark.parametrize("argv", ACCEPTED,
+                         ids=[f"{argv[0]}-{n}" for n, argv in enumerate(ACCEPTED)])
+def test_every_accepted_request_refuses_an_extra_key(capsys, argv):
+    # a handler that reads a key around _field leaves it behind, and fails here
+    sub, text, *rest = argv
+    assert run(capsys, argv)[0] == 0
+    extra = json.dumps({**json.loads(text), "zz": 1})
+    code, payload = run_json(capsys, [sub, extra, *rest])
+    assert code == 1
+    assert payload["error"] == {"type": "SchemaError", "message": "unknown key 'zz'"}
+
+
+def test_trace_step_refuses_an_extra_key(capsys):
+    steps = [*STEPS[:1], {**STEPS[1], "zz": 1}]
+    code, payload = run_json(capsys, ["trace", json.dumps({"steps": steps})])
+    assert code == 1
+    assert payload["error"] == {"type": "SchemaError", "message": "unknown key 'zz'"}
 
 
 def test_resolve_negative_env_limit(capsys, monkeypatch):

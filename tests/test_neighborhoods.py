@@ -192,11 +192,7 @@ def reference_key_check(case, kx=None, r1=None):
         cf = min(Fraction(3, case.r1), Fraction(2, case.r2))
         return KeyVerdict(kx + cf / 4, kx + cf / 4 <= 0, kx, cf)
     if isinstance(case, IACase):
-        if kx is None:
-            raise InvalidCaseData("IA needs the caller's K_X . C")
-        kx = Fraction(kx)
-        if kx > 0:
-            raise InvalidCaseData("extremal germs need K_X . C <= 0")
+        kx = _require_kx(case, kx, Fraction(-1), Fraction(0))
         use = _resolve_r1(case, r1)
         cf = Fraction(case.a1, use)
         ky = kx + cf / case.r
@@ -274,7 +270,8 @@ def _differential_inputs():
             for a2 in _units(r):
                 case = IACase(r, a1, a2)
                 least = minimal_r1(case)
-                for kx in (None, Fraction(-1, r), Fraction(1, r), Fraction(-1)):
+                for kx in (None, Fraction(-1, r), Fraction(1, r), Fraction(-1),
+                           Fraction(-2)):
                     for r1 in (None, least, least + r, least + 1, 0):
                         yield case, kx, r1
     for r in range(5, 100, 2):
@@ -297,4 +294,4 @@ def test_key_check_matches_the_witness_checking_reference():
         if isinstance(got, KeyVerdict):
             assert cf_intersection(case, r1) == got.cf
         seen += 1
-    assert seen == 164_097
+    assert seen == 183_542
