@@ -28,7 +28,7 @@ kept visible above so the discrepancy stays on the record.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd
 from typing import TYPE_CHECKING
 
@@ -38,8 +38,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from .germs import CARGerm
 
 
-@dataclass(frozen=True)
-class CyclicQuotient:
+class CyclicQuotient(namedtuple("CyclicQuotient", "r weights")):
     """Cyclic quotient germ 1/r(w1, w2, w3); weights are stored mod r.
 
     r = 1 is allowed and encodes a smooth point, so blow-up results can
@@ -47,17 +46,15 @@ class CyclicQuotient:
     baskets require r >= 2.
     """
 
-    r: int
-    weights: tuple[int, int, int]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.r < 1:
+    def __new__(cls, r, weights):
+        if r < 1:
             raise ValueError("quotient index must be >= 1")
-        if len(tuple(self.weights)) != 3:
+        weights = tuple(weights)
+        if len(weights) != 3:
             raise ValueError("need exactly three weights")
-        object.__setattr__(
-            self, "weights", tuple(int(w) % self.r for w in self.weights)
-        )
+        return super().__new__(cls, r, tuple(int(w) % r for w in weights))
 
     @property
     def smooth(self) -> bool:
@@ -93,39 +90,36 @@ def normalize_cyclic(q: CyclicQuotient) -> tuple[int, int]:
     return (b, r)
 
 
-@dataclass(frozen=True)
-class BasketEntry:
+class BasketEntry(namedtuple("BasketEntry", "b r n")):
     """n copies of the cyclic point (b, r), already in normal form."""
 
-    b: int
-    r: int
-    n: int = 1
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (0 < self.b and 2 * self.b <= self.r):
-            raise ValueError(f"entry ({self.b}, {self.r}) outside 0 < b <= r/2")
-        if gcd(self.b, self.r) != 1:
-            raise ValueError(f"entry ({self.b}, {self.r}) has gcd > 1")
-        if self.n < 1:
+    def __new__(cls, b, r, n=1):
+        if not (0 < b and 2 * b <= r):
+            raise ValueError(f"entry ({b}, {r}) outside 0 < b <= r/2")
+        if gcd(b, r) != 1:
+            raise ValueError(f"entry ({b}, {r}) has gcd > 1")
+        if n < 1:
             raise ValueError("multiplicity must be >= 1")
+        return super().__new__(cls, b, r, n)
 
 
-@dataclass(frozen=True)
-class Basket:
+class Basket(namedtuple("Basket", "entries")):
     """Multiset of normal-form cyclic points, canonically merged and sorted."""
 
-    entries: tuple[BasketEntry, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, entries=()):
         merged: dict[tuple[int, int], int] = {}
-        for e in self.entries:
+        for e in entries:
             key = (e.r, e.b)
             merged[key] = merged.get(key, 0) + e.n
         canon = tuple(
             BasketEntry(b=b, r=r, n=n)
             for (r, b), n in sorted(merged.items(), reverse=True)
         )
-        object.__setattr__(self, "entries", canon)
+        return super().__new__(cls, canon)
 
     @classmethod
     def of(cls, *items) -> "Basket":
@@ -140,12 +134,6 @@ class Basket:
 
     def merge(self, other: "Basket") -> "Basket":
         return Basket(self.entries + other.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __bool__(self):
-        return bool(self.entries)
 
 
 def aw(basket: Basket) -> int:
@@ -178,33 +166,31 @@ KINDS = (GORENSTEIN, CYCLIC, CA_R, CAX2, CAX4, CD2, CD3, CE2)
 _K_PARAM = (CAX4, CD2)
 
 
-@dataclass(frozen=True)
-class TerminalClass:
+class TerminalClass(namedtuple("TerminalClass", "kind k quotient germ")):
     """A terminal point labelled by its class in the classification.
 
     k is the axial-weight parameter where the class has one (cAx/4 and
     cD/2 require it; for cAx/2 it is optional and only feeds the depth
-    bound, since the cAx/2 basket does not depend on it).
+    bound, since the cAx/2 basket does not depend on it).  quotient (a
+    CyclicQuotient) and germ (a CARGerm) carry the cyclic and cA/r data.
     """
 
-    kind: str
-    k: int | None = None
-    quotient: CyclicQuotient | None = None
-    germ: "CARGerm | None" = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown class kind {self.kind!r}")
-        if self.kind == CYCLIC and self.quotient is None:
+    def __new__(cls, kind, k=None, quotient=None, germ=None):
+        if kind not in KINDS:
+            raise ValueError(f"unknown class kind {kind!r}")
+        if kind == CYCLIC and quotient is None:
             raise ValueError("cyclic class needs its quotient data")
-        if self.kind == CA_R and self.germ is None:
+        if kind == CA_R and germ is None:
             raise ValueError("cA/r class needs its germ data")
-        if self.kind in _K_PARAM and (self.k is None or self.k < 1):
-            raise ValueError(f"{self.kind} needs an axial parameter k >= 1")
-        if self.kind == CAX2 and self.k is not None and self.k < 1:
+        if kind in _K_PARAM and (k is None or k < 1):
+            raise ValueError(f"{kind} needs an axial parameter k >= 1")
+        if kind == CAX2 and k is not None and k < 1:
             raise ValueError("cAx/2 axial parameter must be >= 1 when given")
-        if self.kind in (GORENSTEIN, CD3, CE2) and self.k is not None:
-            raise ValueError(f"{self.kind} takes no parameter")
+        if kind in (GORENSTEIN, CD3, CE2) and k is not None:
+            raise ValueError(f"{kind} takes no parameter")
+        return super().__new__(cls, kind, k, quotient, germ)
 
     @classmethod
     def gorenstein(cls):

@@ -31,7 +31,7 @@ closed forms the walks are checked against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import ConstraintViolation
@@ -44,47 +44,40 @@ def _clean_support(raw) -> frozenset:
     return out
 
 
-@dataclass(frozen=True)
-class O3CaseA:
+class O3CaseA(namedtuple("O3CaseA", "a d alpha supp_a supp_b")):
     """Shape-A chain data; r = 2ad - 1."""
 
-    a: int
-    d: int
-    alpha: int
-    supp_a: frozenset = frozenset()
-    supp_b: frozenset = frozenset()
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.a < 3 or self.a % 2 == 0:
+    def __new__(cls, a, d, alpha, supp_a=frozenset(), supp_b=frozenset()):
+        if a < 3 or a % 2 == 0:
             raise ValueError("need odd a >= 3")
-        if self.d < 1:
+        if d < 1:
             raise ValueError("need d >= 1")
-        if self.alpha < 1:
+        if alpha < 1:
             raise ValueError("need alpha >= 1")
-        object.__setattr__(self, "supp_a", _clean_support(self.supp_a))
-        object.__setattr__(self, "supp_b", _clean_support(self.supp_b))
+        return super().__new__(
+            cls, a, d, alpha, _clean_support(supp_a), _clean_support(supp_b)
+        )
 
     @property
     def r(self) -> int:
         return 2 * self.a * self.d - 1
 
 
-@dataclass(frozen=True)
-class O3CaseB:
+class O3CaseB(namedtuple("O3CaseB", "a d supp_a supp_b")):
     """Shape-B chain data; r = (2d+1)a - 2."""
 
-    a: int
-    d: int
-    supp_a: frozenset = frozenset()
-    supp_b: frozenset = frozenset()
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.a < 3 or self.a % 2 == 0:
+    def __new__(cls, a, d, supp_a=frozenset(), supp_b=frozenset()):
+        if a < 3 or a % 2 == 0:
             raise ValueError("need odd a >= 3")
-        if self.d < 1:
+        if d < 1:
             raise ValueError("need d >= 1")
-        object.__setattr__(self, "supp_a", _clean_support(self.supp_a))
-        object.__setattr__(self, "supp_b", _clean_support(self.supp_b))
+        return super().__new__(
+            cls, a, d, _clean_support(supp_a), _clean_support(supp_b)
+        )
 
     @property
     def r(self) -> int:
@@ -193,12 +186,12 @@ def check_constraints(case) -> None:
     raise TypeError(f"unsupported case {type(case).__name__}")
 
 
-@dataclass(frozen=True)
-class NonnegativityReport:
+class NonnegativityReport(
+    namedtuple("NonnegativityReport", "checks ok", defaults=(True,))
+):
     """Exponents certified nonnegative through stage a, and the verdict."""
 
-    checks: int
-    ok: bool = True
+    __slots__ = ()
 
 
 def nonnegativity_check(case) -> NonnegativityReport:
@@ -248,19 +241,16 @@ def chain_weights(case, k: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(w, 2) for w in _doubled_weights(case, k))
 
 
-@dataclass(frozen=True)
-class ChainStage:
+class ChainStage(
+    namedtuple(
+        "ChainStage",
+        "k weights lead a_exponents b_exponents y_exponent sigma_weight"
+        " discrepancy witnesses",
+    )
+):
     """One shape-A stage: exponents, equation weight, discrepancy."""
 
-    k: int
-    weights: tuple[Fraction, ...]
-    lead: str
-    a_exponents: tuple
-    b_exponents: tuple
-    y_exponent: int
-    sigma_weight: Fraction
-    discrepancy: Fraction
-    witnesses: tuple[str, ...]
+    __slots__ = ()
 
 
 def _rows_at(lines, k: int, wx: int, wz: int, wts: list) -> tuple:
@@ -361,17 +351,15 @@ def chain_simulate(case: O3CaseA, k_max: int | None = None) -> tuple[ChainStage,
     return tuple(stages)
 
 
-@dataclass(frozen=True)
-class ChainStageB:
+class ChainStageB(
+    namedtuple(
+        "ChainStageB",
+        "k weights p_exponents q_exponents wt_first wt_second discrepancy",
+    )
+):
     """One shape-B stage: exponent pair and the two equation weights."""
 
-    k: int
-    weights: tuple[Fraction, ...]
-    p_exponents: tuple
-    q_exponents: tuple
-    wt_first: Fraction
-    wt_second: Fraction
-    discrepancy: Fraction
+    __slots__ = ()
 
 
 def chain_stages_b(case: O3CaseB, k_max: int | None = None) -> tuple[ChainStageB, ...]:
@@ -426,14 +414,10 @@ def chain_stages_b(case: O3CaseB, k_max: int | None = None) -> tuple[ChainStageB
     return tuple(stages)
 
 
-@dataclass(frozen=True)
-class DepthIdentity:
+class DepthIdentity(namedtuple("DepthIdentity", "dep_q3 dep_x_upper dep_y check")):
     """Depth ledger across the chain, relative to the endpoint depth."""
 
-    dep_q3: int
-    dep_x_upper: int
-    dep_y: int
-    check: bool
+    __slots__ = ()
 
 
 def depth_identity(case, dep_q3: int) -> DepthIdentity:

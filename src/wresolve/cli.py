@@ -15,7 +15,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import fields, is_dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -56,16 +55,27 @@ def _encode(value):
         return dict(zip(map(str, value), map(_encode, value.values())))
     if isinstance(value, (set, frozenset)):
         value = sorted(value)
-    # a record (a named tuple row or a dataclass): an object over its field
-    # table, in field order; records hold only their wire fields
+    # a record (a named tuple): an object over its field table, in field
+    # order; records hold only their wire fields
     names = getattr(value, "_fields", None)
-    if names is None and is_dataclass(value):
-        names = [f.name for f in fields(value)]
     if names is not None:
         return dict(zip(names, map(_encode, map(value.__getattribute__, names))))
     if isinstance(value, (list, tuple)):
         return list(map(_encode, value))
     raise TypeError(f"cannot encode {type(value).__name__}")
+
+
+def _object(pairs):
+    """A JSON object as a dict; a key repeated in it is refused (json.loads
+    alone would keep the last value)."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise SchemaError(f"repeated key {key!r}")
+            seen.add(key)
+    return obj
 
 
 def _load_input(arg: str):
@@ -79,7 +89,7 @@ def _load_input(arg: str):
             raise SchemaError(f"no such input file: {arg}")
         text = path.read_bytes()
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, object_pairs_hook=_object)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise SchemaError(f"input is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
@@ -272,7 +282,7 @@ def _cmd_en(obj):
     if "points" in obj:
         return {"kx_c": neighborhoods.canonical_degree(_field(obj, "points", _points))}
     # case name with "+" and "_" dropped, lower-cased -> case class; the
-    # JSON keys are the dataclass field names
+    # JSON keys are the record's field names
     def fold(name):
         return name.replace("+", "").replace("_", "").lower()
 
@@ -282,7 +292,7 @@ def _cmd_en(obj):
     }
     cls = _field(obj, "case", _name(cases, "unknown neighborhood case {!r}", fold))
     kx = _field(obj, "kx", _rat, default=None)
-    case = cls(*(_field(obj, f.name) for f in fields(cls)))
+    case = cls(*(_field(obj, name) for name in cls._fields))
     # after the case data, which holds the IIB weights r1..r4
     r1 = _field(obj, "r1", default=None)
     return neighborhoods.key_check(case, kx=kx, r1=r1)
@@ -405,7 +415,7 @@ def _cmd_verify(args):
 
     results = sweeps.run_all(**{name: getattr(args, name) for name in _VERIFY_DEFAULTS})
     if args.output == "json":
-        payload = [{**vars(r), "elapsed": round(r.elapsed, 3)} for r in results]
+        payload = [{**r._asdict(), "elapsed": round(r.elapsed, 3)} for r in results]
         print(json.dumps(payload, indent=2))
     else:
         for r in results:

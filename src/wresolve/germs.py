@@ -32,7 +32,7 @@ search; only the ``cyclic-depth-search`` sweep and the tests call it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd
 
 from .baskets import (
@@ -50,22 +50,19 @@ from .baskets import (
 from .errors import InvalidParameter, InvalidSplit, SearchLimitExceeded
 
 
-@dataclass(frozen=True)
-class CARGerm:
-    """Monomial data of a cA/r germ: index r, axis weight beta, support."""
+class CARGerm(namedtuple("CARGerm", "r beta support")):
+    """Monomial data of a cA/r germ: index r, axis weight beta (stored mod
+    r), support (a frozenset of (i, j) pairs)."""
 
-    r: int
-    beta: int
-    support: frozenset[tuple[int, int]]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.r < 1:
+    def __new__(cls, r, beta, support):
+        if r < 1:
             raise ValueError("germ index must be >= 1")
-        beta = int(self.beta) % self.r
-        if gcd(beta, self.r) != 1:
-            raise ValueError(f"beta = {self.beta} not coprime to r = {self.r}")
-        object.__setattr__(self, "beta", beta)
-        support = frozenset((int(i), int(j)) for i, j in self.support)
+        residue = int(beta) % r
+        if gcd(residue, r) != 1:
+            raise ValueError(f"beta = {beta} not coprime to r = {r}")
+        support = frozenset((int(i), int(j)) for i, j in support)
         if not support:
             raise ValueError("support must be nonempty")
         if any(i < 0 or j < 0 for i, j in support):
@@ -74,7 +71,7 @@ class CARGerm:
             raise ValueError("constant term: germ not singular at the origin")
         if not any(i == 0 for i, _ in support):
             raise ValueError("no axial monomial: axial weight would be infinite")
-        object.__setattr__(self, "support", support)
+        return super().__new__(cls, r, residue, support)
 
 
 def axial_weight(g: CARGerm) -> int:
@@ -102,16 +99,15 @@ def depth_formula(g: CARGerm) -> int:
     return axial_weight(g) * g.r - tvalue(g)
 
 
-@dataclass(frozen=True)
-class BlowupResult:
+class BlowupResult(namedtuple("BlowupResult", "cyclic_points residual")):
     """Outcome of one depth-one blow-up of a cA/r germ.
 
     Two cyclic quotient points of indices r1, r2 (r1 + r2 = r nu_1; index
-    1 entries are smooth) and the residual germ, present iff nu_1 < lam.
+    1 entries are smooth) and the residual germ, present iff nu_1 < lam
+    (None otherwise).
     """
 
-    cyclic_points: tuple[CyclicQuotient, CyclicQuotient]
-    residual: CARGerm | None
+    __slots__ = ()
 
 
 def _quotient_point(index: int, r: int) -> CyclicQuotient:
@@ -236,21 +232,24 @@ def _walk(g: CARGerm, limit: int | None):
         g = blowup_step(g, r1, r2).residual
 
 
-@dataclass(frozen=True, kw_only=True)
-class DepthBound:
-    """Depth estimate: optional lower bound, hard upper bound, exactness."""
+class DepthBound(namedtuple("DepthBound", "lower upper exact")):
+    """Depth estimate: optional lower bound, hard upper bound, exactness.
+    Built by keyword only."""
 
-    lower: int | None = None
-    upper: int
-    exact: bool = False
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.upper < 0 or (self.lower is not None and self.lower < 0):
+    def __new__(cls, *, lower=None, upper, exact=False):
+        if upper < 0 or (lower is not None and lower < 0):
             raise ValueError("depth bounds must be >= 0")
-        if self.lower is not None and self.lower > self.upper:
+        if lower is not None and lower > upper:
             raise ValueError("lower bound exceeds upper bound")
-        if self.exact and self.lower != self.upper:
+        if exact and lower != upper:
             raise ValueError("exact bound needs lower = upper")
+        return super().__new__(cls, lower, upper, exact)
+
+    def __getnewargs_ex__(self):
+        # copy and pickle rebuild through __new__, which takes keywords only
+        return (), self._asdict()
 
     @classmethod
     def exactly(cls, value: int) -> "DepthBound":

@@ -33,29 +33,27 @@ realizable; only the stated congruences and bounds are enforced.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd
 
 from .errors import InvalidCaseData
 
 
-@dataclass(frozen=True)
-class ENPoint:
+class ENPoint(namedtuple("ENPoint", "r w0")):
     """A singular point on the extremal curve: index r and its w_P(0)."""
 
-    r: int
-    w0: Fraction = Fraction(0)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.r < 1:
+    def __new__(cls, r, w0=Fraction(0)):
+        if r < 1:
             raise InvalidCaseData("point index must be >= 1")
-        w0 = Fraction(self.w0)
-        if not (0 <= w0 <= Fraction(self.r - 1, self.r)):
+        w0 = Fraction(w0)
+        if not (0 <= w0 <= Fraction(r - 1, r)):
             raise InvalidCaseData(
-                f"w_P(0) = {w0} outside [0, (r-1)/r] for r = {self.r}"
+                f"w_P(0) = {w0} outside [0, (r-1)/r] for r = {r}"
             )
-        object.__setattr__(self, "w0", w0)
+        return super().__new__(cls, r, w0)
 
 
 def canonical_degree(points) -> Fraction:
@@ -63,98 +61,89 @@ def canonical_degree(points) -> Fraction:
     return Fraction(-1) + sum((Fraction(p.w0) for p in points), Fraction(0))
 
 
-@dataclass(frozen=True)
-class ICCase:
-    r: int
+class ICCase(namedtuple("ICCase", "r")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.r < 5 or self.r % 2 == 0:
+    def __new__(cls, r):
+        if r < 5 or r % 2 == 0:
             raise InvalidCaseData("IC needs odd r >= 5")
+        return super().__new__(cls, r)
 
 
-@dataclass(frozen=True)
-class IIBCase:
-    r1: int
-    r2: int
-    r3: int
-    r4: int
+class IIBCase(namedtuple("IIBCase", "r1 r2 r3 r4")):
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, r1, r2, r3, r4):
         residues = (3, 2, 1, 1)
-        values = (self.r1, self.r2, self.r3, self.r4)
+        values = (r1, r2, r3, r4)
         for v, m in zip(values, residues):
             if v < 1 or v % 4 != m:
                 raise InvalidCaseData(
                     f"IIB weights must be = (3, 2, 1, 1) mod 4, got {values}"
                 )
+        return super().__new__(cls, *values)
 
 
-@dataclass(frozen=True)
-class IACase:
+class IACase(namedtuple("IACase", "r a1 a2")):
     """Ordinary point of type (r; a1, a2)."""
 
-    r: int
-    a1: int
-    a2: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.r < 2:
+    def __new__(cls, r, a1, a2):
+        if r < 2:
             raise InvalidCaseData("IA needs r >= 2")
-        for a in (self.a1, self.a2):
-            if not (0 < a < self.r) or gcd(a, self.r) != 1:
+        for a in (a1, a2):
+            if not (0 < a < r) or gcd(a, r) != 1:
                 raise InvalidCaseData(
                     f"IA orbifold weights must be units mod r, got {a}"
                 )
+        return super().__new__(cls, r, a1, a2)
 
 
-@dataclass(frozen=True)
-class ExceptionalIAIACase:
+class ExceptionalIAIACase(namedtuple("ExceptionalIAIACase", "r a2")):
     """(r; 1, a2) with a2 > r/2 plus the index-2 companion point."""
 
-    r: int
-    a2: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.r < 3 or self.r % 2 == 0:
+    def __new__(cls, r, a2):
+        if r < 3 or r % 2 == 0:
             raise InvalidCaseData("exceptional IA+IA needs odd r >= 3")
-        _check_a2(self.r, self.a2)
+        _check_a2(r, a2)
+        return super().__new__(cls, r, a2)
 
 
-@dataclass(frozen=True)
-class SemistableIAIACase:
+class SemistableIAIACase(namedtuple("SemistableIAIACase", "r a rprime aprime")):
     """Points (r; 1, a) and (r'; 1, a') with delta = ar' + a'r - rr' > 0."""
 
-    r: int
-    a: int
-    rprime: int
-    aprime: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (self.r >= self.rprime >= 2):
+    def __new__(cls, r, a, rprime, aprime):
+        if not (r >= rprime >= 2):
             raise InvalidCaseData("need r >= r' >= 2")
-        if not (0 < self.a < self.r) or gcd(self.a, self.r) != 1:
+        if not (0 < a < r) or gcd(a, r) != 1:
             raise InvalidCaseData("a must be a unit mod r")
-        if not (0 < self.aprime < self.rprime) or gcd(self.aprime, self.rprime) != 1:
+        if not (0 < aprime < rprime) or gcd(aprime, rprime) != 1:
             raise InvalidCaseData("a' must be a unit mod r'")
-        if self.delta <= 0:
+        case = super().__new__(cls, r, a, rprime, aprime)
+        if case.delta <= 0:
             raise InvalidCaseData("semistable shape needs ar' + a'r - rr' > 0")
+        return case
 
     @property
     def delta(self) -> int:
         return self.a * self.rprime + self.aprime * self.r - self.r * self.rprime
 
 
-@dataclass(frozen=True)
-class IAIAIIICase:
+class IAIAIIICase(namedtuple("IAIAIIICase", "r a2")):
     """Same numerics as ExceptionalIAIA, with a type III companion."""
 
-    r: int
-    a2: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.r < 3:
+    def __new__(cls, r, a2):
+        if r < 3:
             raise InvalidCaseData("IA+IA+III needs r >= 3")
-        _check_a2(self.r, self.a2)
+        _check_a2(r, a2)
+        return super().__new__(cls, r, a2)
 
 
 def _check_a2(r: int, a2: int) -> None:
@@ -217,17 +206,13 @@ def cf_intersection(case, r1: int | None = None) -> Fraction:
     return _fiber_degree(case, r1)[0]
 
 
-@dataclass(frozen=True)
-class KeyVerdict:
+class KeyVerdict(
+    namedtuple("KeyVerdict", "ky_cy nonpositive kx_c cf r1 s delta",
+               defaults=(None, None, None))
+):
     """Post-extraction degree K_Y . C_Y with its ingredients."""
 
-    ky_cy: Fraction
-    nonpositive: bool
-    kx_c: Fraction
-    cf: Fraction
-    r1: int | None = None
-    s: int | None = None
-    delta: int | None = None
+    __slots__ = ()
 
 
 def key_check(case, kx=None, r1: int | None = None) -> KeyVerdict:

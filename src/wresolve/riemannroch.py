@@ -27,7 +27,7 @@ only need delta_chi > 0; both are reported.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .baskets import Basket, CyclicQuotient, aw as basket_aw, normalize_cyclic
@@ -42,21 +42,20 @@ O3 = "O3"
 TAGS = (E1_A4, E1_A2, E2, E11, O3)
 
 
-@dataclass(frozen=True)
-class ContractionCase:
+class ContractionCase(namedtuple("ContractionCase", "tag rprime")):
     """One classified contraction case; r' parametrizes the E1/E2 families."""
 
-    tag: str
-    rprime: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.tag not in TAGS:
-            raise ValueError(f"unknown case tag {self.tag!r}")
-        if self.tag in (E1_A4, E1_A2, E2):
-            if self.rprime is None or self.rprime < 1:
-                raise ValueError(f"{self.tag} needs a positive r'")
-        elif self.rprime is not None:
-            raise ValueError(f"{self.tag} takes no r'")
+    def __new__(cls, tag, rprime=None):
+        if tag not in TAGS:
+            raise ValueError(f"unknown case tag {tag!r}")
+        if tag in (E1_A4, E1_A2, E2):
+            if rprime is None or rprime < 1:
+                raise ValueError(f"{tag} needs a positive r'")
+        elif rprime is not None:
+            raise ValueError(f"{tag} takes no r'")
+        return super().__new__(cls, tag, rprime)
 
 
 def rr_correction(basket: Basket) -> Fraction:
@@ -87,13 +86,12 @@ def cd2_basket(aw: int) -> Basket:
     return Basket.of((1, 2, aw))
 
 
-@dataclass(frozen=True)
-class _CaseData:
-    a_over_n: Fraction
-    e3: Fraction
-    basket_y: Basket
-    sufficient_bound: int
-    dep_y: tuple[int, int]  # (min, max)
+class _CaseData(
+    namedtuple("_CaseData", "a_over_n e3 basket_y sufficient_bound dep_y")
+):
+    """Exceptional data of one E1/E2 case; dep_y is the (min, max) range."""
+
+    __slots__ = ()
 
 
 def case_data(case: ContractionCase) -> _CaseData:
@@ -150,17 +148,13 @@ def aw_upper_bound(case: ContractionCase) -> int:
     return max(bound, 0)
 
 
-@dataclass(frozen=True)
-class CaseDepthReport:
+class CaseDepthReport(namedtuple("CaseDepthReport", "aw dep_y dep_x_upper ok")):
     """Depth comparison across one contraction: dep(Y) vs dep(X) - 1.
 
     dep_y is the (min, max) range of dep(Y) over the case.
     """
 
-    aw: int | None
-    dep_y: tuple[int, int]
-    dep_x_upper: int
-    ok: bool
+    __slots__ = ()
 
 
 def case_depth_check(case: ContractionCase, aw: int | None = None) -> CaseDepthReport:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd
 
@@ -25,13 +25,12 @@ from .errors import InvalidParameter
 from .germs import CARGerm
 
 
-@dataclass
-class SweepResult:
-    name: str
-    ok: bool
-    cases: int
-    elapsed: float
-    detail: str = ""
+class SweepResult(
+    namedtuple("SweepResult", "name ok cases elapsed detail", defaults=("",))
+):
+    """One sweep's verdict, case count, seconds and first failure."""
+
+    __slots__ = ()
 
     def line(self) -> str:
         mark = "PASS" if self.ok else "FAIL"

@@ -23,7 +23,6 @@ below the starting depth, as the recursive step of a depth induction must.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
 
 from .errors import RuleViolation
 
@@ -37,29 +36,26 @@ BLOWDOWN_LCI = "BlowDownLCI"
 KINDS = (WEXTRACTION, FLIP, FLOP, DIV_TO_POINT, DIV_TO_CURVE, BLOWDOWN_LCI)
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(namedtuple("TraceStep", "kind dep_before dep_after")):
     """One step: operation kind and depth on either side."""
 
-    kind: str
-    dep_before: int
-    dep_after: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown step kind {self.kind!r}")
-        if self.dep_before < 0 or self.dep_after < 0:
+    def __new__(cls, kind, dep_before, dep_after):
+        if kind not in KINDS:
+            raise ValueError(f"unknown step kind {kind!r}")
+        if dep_before < 0 or dep_after < 0:
             raise ValueError("depths must be >= 0")
+        return super().__new__(cls, kind, dep_before, dep_after)
 
 
-@dataclass(frozen=True)
-class FactorizationTrace:
+class FactorizationTrace(namedtuple("FactorizationTrace", "steps")):
     """A chain of steps; rule conformance is checked by validate_trace."""
 
-    steps: tuple[TraceStep, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "steps", tuple(self.steps))
+    def __new__(cls, steps=()):
+        return super().__new__(cls, tuple(steps))
 
 
 class StepDiagnostic(
@@ -72,10 +68,10 @@ class StepDiagnostic(
     __slots__ = ()
 
 
-@dataclass(frozen=True)
-class TraceVerdict:
-    valid: bool
-    diagnostics: tuple[StepDiagnostic, ...]
+class TraceVerdict(namedtuple("TraceVerdict", "valid diagnostics")):
+    """Whether every diagnostic holds, and the diagnostics in step order."""
+
+    __slots__ = ()
 
     def first_failure(self) -> StepDiagnostic | None:
         for d in self.diagnostics:
@@ -99,7 +95,7 @@ def _check_step(step: TraceStep, index: int, dep: int | None) -> tuple[StepDiagn
     """The diagnostics of step ``index`` of a trace that stands at model
     depth ``dep`` (None before the first step): a chaining diagnostic when
     the step does not start at ``dep``, then the step's rule diagnostic."""
-    kind, b, a = step.kind, step.dep_before, step.dep_after
+    kind, b, a = step
     rule, holds = _RULES[kind]
     ok = holds(b, a)
     # a WExtraction one depth down extracts from a minimal resolution

@@ -557,6 +557,14 @@ UNREAD_KEYS = [
 ]
 
 
+# each input once exited 0 with the last of the repeated key's values
+REPEATED_KEYS = [
+    (["en", '{"case":"IA","r":7,"a1":1,"a2":3,"kx":"-1/7","kx":"-1"}'], "kx"),
+    (["trace", '{"steps":[{"kind":"Flip","before":2,"after":1,"after":0}]}'],
+     "after"),
+]
+
+
 # every bad input gets exactly one JSON error document: exit 1 for a shape
 # or range error in the input, exit 2 for a parameter outside its domain
 @pytest.mark.parametrize(
@@ -629,6 +637,8 @@ UNREAD_KEYS = [
                      id="rr-e1-a4-rprime-4"),
         *(pytest.param(argv, 1, "SchemaError", id=f"unread-{argv[0]}-{key}")
           for argv, key in UNREAD_KEYS),
+        *(pytest.param(argv, 1, "SchemaError", id=f"repeated-{argv[0]}-{key}")
+          for argv, key in REPEATED_KEYS),
         # the handler's own error wins over a leftover key
         pytest.param(["en", '{"case":"IC","r":4,"kx":"-1/4","zz":1}'], 2,
                      "InvalidCaseData", id="en-domain-error-before-unread-key"),
@@ -669,6 +679,14 @@ def test_every_accepted_request_refuses_an_extra_key(capsys, argv):
     code, payload = run_json(capsys, [sub, extra, *rest])
     assert code == 1
     assert payload["error"] == {"type": "SchemaError", "message": "unknown key 'zz'"}
+
+
+@pytest.mark.parametrize("argv, key", REPEATED_KEYS,
+                         ids=[f"{argv[0]}-{key}" for argv, key in REPEATED_KEYS])
+def test_repeated_key_is_refused(capsys, argv, key):
+    code, payload = run_json(capsys, argv)
+    assert code == 1
+    assert payload["error"] == {"type": "SchemaError", "message": f"repeated key {key!r}"}
 
 
 def test_trace_step_refuses_an_extra_key(capsys):

@@ -78,16 +78,18 @@ def test_layers_and_unknown_names():
 
 
 FOOTPRINT = """
-import contextlib, io, json, sys
+import contextlib, importlib, io, json, sys
 argv = json.loads(sys.argv[1])
-if argv is None:
-    import wresolve
+if isinstance(argv, str):
+    importlib.import_module(argv)
 else:
     from wresolve import cli
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(argv)
     assert code == 0, code
-print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "wresolve")))
+print(json.dumps(sorted(m for m in sys.modules
+                        if m.split(".")[0] == "wresolve"
+                        or m in ("dataclasses", "inspect"))))
 """
 
 GERM = {"r": 5, "beta": 2, "support": [[0, 2], [1, 1]]}
@@ -95,8 +97,8 @@ BASE = {"wresolve", "wresolve.cli", "wresolve.errors", "wresolve.rationals"}
 
 
 def loaded(argv):
-    """The wresolve modules a fresh interpreter holds after argv (None: after
-    a bare ``import wresolve``)."""
+    """The wresolve modules, and dataclasses and inspect if present, that a
+    fresh interpreter holds after argv (a module name: after importing it)."""
     src = str(Path(wresolve.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-c", FOOTPRINT, json.dumps(argv)],
@@ -108,10 +110,20 @@ def loaded(argv):
 
 
 def test_import_wresolve_loads_no_layer():
-    assert loaded(None) == {"wresolve"}
+    assert loaded("wresolve") == {"wresolve"}
 
 
-# every subcommand loads only the layers it calls (and what they import)
+# the sweeps import every layer, and no record needs dataclasses or inspect
+def test_import_sweeps_footprint():
+    layers = {"baskets", "chains", "germs", "neighborhoods", "riemannroch",
+              "sweeps", "traces"}
+    assert loaded("wresolve.sweeps") == (
+        {"wresolve", "wresolve.errors"} | {f"wresolve.{layer}" for layer in layers}
+    )
+
+
+# every subcommand loads only the layers it calls (and what they import),
+# and neither dataclasses nor inspect
 @pytest.mark.parametrize(
     "argv, layers",
     [

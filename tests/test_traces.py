@@ -1,9 +1,14 @@
-"""Step rules, chaining, and induction certificates for factorizations."""
+"""Step rules, chaining, and induction certificates for factorizations;
+and the record protocol every library record shares with StepDiagnostic."""
 
+import copy
+import pickle
 import random
+from fractions import Fraction
 
 import pytest
 
+from wresolve import baskets, chains, germs, neighborhoods, riemannroch, sweeps, traces
 from wresolve.errors import RuleViolation
 from wresolve.traces import (
     BLOWDOWN_LCI,
@@ -85,10 +90,79 @@ def test_step_diagnostic_is_an_immutable_row():
     assert row == (0, WEXTRACTION, "dep_after >= dep_before - 1 >= 0", True,
                    "minimal-resolution extraction")
     assert row._asdict()["note"] == "minimal-resolution extraction"
+
+
+def _records():
+    """One instance of every record class, with its field names in order."""
+    g = germs.CARGerm(2, 1, frozenset({(0, 3), (1, 0)}))
+    entry = baskets.BasketEntry(1, 2, 3)
+    case_a = chains.O3CaseA(3, 1, 2, frozenset({(2, 0)}))
+    case_b = chains.O3CaseB(3, 1)
+    e2 = riemannroch.ContractionCase(riemannroch.E2, 6)
+    steps = FactorizationTrace((TraceStep(WEXTRACTION, 3, 2),))
+    return [
+        (baskets.CyclicQuotient(5, (1, 4, 2)), ("r", "weights")),
+        (entry, ("b", "r", "n")),
+        (baskets.Basket((entry,)), ("entries",)),
+        (baskets.TerminalClass.ca_r(g), ("kind", "k", "quotient", "germ")),
+        (g, ("r", "beta", "support")),
+        (germs.blowup_step(g, 1, 1), ("cyclic_points", "residual")),
+        (germs.DepthBound(lower=1, upper=2), ("lower", "upper", "exact")),
+        (case_a, ("a", "d", "alpha", "supp_a", "supp_b")),
+        (case_b, ("a", "d", "supp_a", "supp_b")),
+        (chains.nonnegativity_check(case_a), ("checks", "ok")),
+        (chains.chain_simulate(case_a)[1],
+         ("k", "weights", "lead", "a_exponents", "b_exponents", "y_exponent",
+          "sigma_weight", "discrepancy", "witnesses")),
+        (chains.chain_stages_b(case_b)[1],
+         ("k", "weights", "p_exponents", "q_exponents", "wt_first", "wt_second",
+          "discrepancy")),
+        (chains.depth_identity(case_a, 2), ("dep_q3", "dep_x_upper", "dep_y", "check")),
+        (neighborhoods.ICCase(5), ("r",)),
+        (neighborhoods.IIBCase(3, 2, 1, 1), ("r1", "r2", "r3", "r4")),
+        (neighborhoods.IACase(7, 1, 3), ("r", "a1", "a2")),
+        (neighborhoods.ExceptionalIAIACase(5, 3), ("r", "a2")),
+        (neighborhoods.SemistableIAIACase(5, 2, 3, 2), ("r", "a", "rprime", "aprime")),
+        (neighborhoods.IAIAIIICase(7, 5), ("r", "a2")),
+        (neighborhoods.ENPoint(3, Fraction(1, 3)), ("r", "w0")),
+        (neighborhoods.key_check(neighborhoods.IAIAIIICase(7, 5)),
+         ("ky_cy", "nonpositive", "kx_c", "cf", "r1", "s", "delta")),
+        (e2, ("tag", "rprime")),
+        (riemannroch.case_data(e2),
+         ("a_over_n", "e3", "basket_y", "sufficient_bound", "dep_y")),
+        (riemannroch.case_depth_check(e2, 2), ("aw", "dep_y", "dep_x_upper", "ok")),
+        (steps.steps[0], ("kind", "dep_before", "dep_after")),
+        (steps, ("steps",)),
+        (validate_trace(steps), ("valid", "diagnostics")),
+        (validate_trace(steps).diagnostics[0], ("index", "kind", "rule", "ok", "note")),
+        (sweeps.SweepResult("x", True, 1, 0.5), ("name", "ok", "cases", "elapsed", "detail")),
+    ]
+
+
+RECORDS = _records()
+
+
+def test_every_record_class_is_listed():
+    layers = (baskets, chains, germs, neighborhoods, riemannroch, sweeps, traces)
+    defined = {
+        obj for layer in layers for obj in vars(layer).values()
+        if isinstance(obj, type) and issubclass(obj, tuple)
+    }
+    assert {type(record) for record, _ in RECORDS} == defined
+    assert len(RECORDS) == 29
+
+
+@pytest.mark.parametrize("record, fields", RECORDS,
+                         ids=[type(record).__name__ for record, _ in RECORDS])
+def test_every_record_is_an_immutable_row(record, fields):
+    assert type(record)._fields == fields
     with pytest.raises(AttributeError):
-        row.ok = False
+        setattr(record, fields[0], None)
     with pytest.raises(AttributeError):
-        row.extra = 1  # no instance dict
+        record.extra = 1  # no instance dict
+    for twin in (copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+        assert type(twin) is type(record)
+        assert twin == record
 
 
 def test_verdicts_compare_and_find_their_first_failure():
