@@ -291,8 +291,11 @@ def chain_simulate(case: O3CaseA, k_max: int | None = None) -> tuple[ChainStage,
     witnesses below a, and at stage a the germ data of the endpoint.
 
     The walk weighs monomials in doubled weights, so every stage is
-    integer work; the Fraction stage fields are built once per parity
-    and shared by the stages that hit the threshold.
+    integer work.  Everything that depends only on the parity of k -- the
+    weights, the built-in monomials' weights, the lead and its slot, the
+    witness tuples and the Fraction stage fields -- is built once before
+    the loop and shared by the stages that hit the threshold; each stage
+    is one tuple built straight from its fields.
     """
     check_constraints(case)
     a, d = case.a, case.d
@@ -308,22 +311,36 @@ def chain_simulate(case: O3CaseA, k_max: int | None = None) -> tuple[ChainStage,
     beta, gamma2, delta2_slope = _lines_a(case)
     y_x_deg = 2 * case.alpha - 1  # x-degree of the y-term
     target = 4 * d
-    # the witnesses are the parity lead (first or second built-in monomial)
-    # and the pivot x^(4d) z^0, each at a fixed place in the weight list
-    pivot_slot = 2 + sorted(case.supp_a).index(pivot)
-    witness_slots = (
-        (("y2z", 1), (f"x{4 * d}z0", pivot_slot)),
-        (("u2z", 0), (f"x{4 * d}z0", pivot_slot)),
-    )
-    doubled = [_doubled_weights(case, k) for k in (0, 1)]
-    weights = [tuple(Fraction(w, 2) for w in ws) for ws in doubled]
-    discrepancy = [Fraction(sum(ws) - target - 2, 2) for ws in doubled]
     sigma_weight = Fraction(target, 2)
+    # per parity: the doubled weights, the weights of the two built-in
+    # monomials (z multiplies u^2 at odd k and y^2 at even k), the stage
+    # fields shared by every stage of that parity, and the witnesses.
+    # These are the parity lead (y^2 z at even k, u^2 z at odd k: slot 1
+    # or 0 of the weight list) and the pivot x^(4d) z^0, at a fixed slot
+    # after the built-ins; witnesses[lead hits][pivot hits] names them.
+    pivot_name = f"x{4 * d}z0"
+    pivot_slot = 2 + sorted(case.supp_a).index(pivot)
+    per_parity = []
+    for odd, lead, lead_slot in ((0, "y2z", 1), (1, "u2z", 0)):
+        ws = _doubled_weights(case, odd)
+        wx, wy, wz, wu = ws
+        per_parity.append((
+            ws,
+            (2 * wu + (wz if odd else 0), 2 * wy + (0 if odd else wz)),
+            tuple(Fraction(w, 2) for w in ws),
+            lead,
+            lead_slot,
+            Fraction(sum(ws) - target - 2, 2),
+            (((), (pivot_name,)), ((lead,), (lead, pivot_name))),
+        ))
+    new = tuple.__new__
     stages = []
+    append = stages.append
     for k in range(k_max + 1):
         odd = k % 2
-        wx, wy, wz, wu = doubled[odd]
-        wts = [2 * wu + (wz if odd else 0), 2 * wy + (0 if odd else wz)]
+        (wx, wy, wz, wu), built_in, weights, lead, lead_slot, disc, witnesses = (
+            per_parity[odd])
+        wts = list(built_in)
         a_exps = _rows_at(beta, k, wx, wz, wts)
         b_exps = []
         for ij, base, slope, x_deg in gamma2:
@@ -333,21 +350,12 @@ def chain_simulate(case: O3CaseA, k_max: int | None = None) -> tuple[ChainStage,
         dl = (k * delta2_slope - odd) // 2
         wts.append(wy + y_x_deg * wx + dl * wz)
         low = min(wts)
-        stages.append(
-            ChainStage(
-                k=k,
-                weights=weights[odd],
-                lead=witness_slots[odd][0][0],
-                a_exponents=a_exps,
-                b_exponents=tuple(b_exps),
-                y_exponent=dl,
-                sigma_weight=sigma_weight if low == target else Fraction(low, 2),
-                discrepancy=discrepancy[odd],
-                witnesses=tuple(
-                    name for name, slot in witness_slots[odd] if wts[slot] == low
-                ),
-            )
-        )
+        append(new(ChainStage, (
+            k, weights, lead, a_exps, tuple(b_exps), dl,
+            sigma_weight if low == target else Fraction(low, 2),
+            disc,
+            witnesses[wts[lead_slot] == low][wts[pivot_slot] == low],
+        )))
     return tuple(stages)
 
 
@@ -371,8 +379,9 @@ def chain_stages_b(case: O3CaseB, k_max: int | None = None) -> tuple[ChainStageB
     either equation weighs its threshold plus 2 (base + m slope), twice
     its own exponent at stage m = k + 1, and check_constraints keeps that
     exponent >= 0 through stage a; the other built-in monomials weigh
-    more.  As in chain_simulate the walk does integer work per stage and
-    builds the Fraction stage fields once per parity.
+    more.  As in chain_simulate the walk does integer work per stage,
+    builds the weights, built-in weights and Fraction stage fields once
+    per parity, and builds each stage straight from its fields.
     """
     check_constraints(case)
     a, d = case.a, case.d
@@ -383,34 +392,39 @@ def chain_stages_b(case: O3CaseB, k_max: int | None = None) -> tuple[ChainStageB
     first, second = _lines_b(case)
     t1, t2 = 4 * d + 2, 2 * d + 1
     wt_first, wt_second = Fraction(t1, 2), Fraction(t2, 2)
-    doubled = [_doubled_weights(case, k) for k in (0, 1)]
-    weights = [tuple(Fraction(w, 2) for w in ws) for ws in doubled]
-    discrepancy = [Fraction(sum(ws) - t1 - t2 - 2, 2) for ws in doubled]
+    # per parity: the doubled weights, the stage fields shared by the
+    # stages that reach both thresholds, and the weights of the built-in
+    # monomials u^2, y w (first equation) and y, x^(2d+1), w (second;
+    # z multiplies y at even k and w at odd k)
+    per_parity = []
+    for odd in (0, 1):
+        ws = _doubled_weights(case, odd)
+        wx, wy, wz, wu, ww = ws
+        per_parity.append((
+            ws,
+            tuple(Fraction(w, 2) for w in ws),
+            Fraction(sum(ws) - t1 - t2 - 2, 2),
+            (2 * wu, wy + ww),
+            (wy + (0 if odd else wz), (2 * d + 1) * wx, ww + (wz if odd else 0)),
+        ))
+    new = tuple.__new__
     stages = []
+    append = stages.append
     for k in range(k_max + 1):
-        odd = k % 2
-        wx, wy, wz, wu, ww = doubled[odd]
-        wts1 = [2 * wu, wy + ww]
+        doubled, weights, disc, built_in1, built_in2 = per_parity[k % 2]
+        wx, wz = doubled[0], doubled[2]
+        wts1 = list(built_in1)
         p_exps = _rows_at(first, k, wx, wz, wts1)
-        wts2 = [wy + (0 if odd else wz), (2 * d + 1) * wx, ww + (wz if odd else 0)]
+        wts2 = list(built_in2)
         q_exps = _rows_at(second, k, wx, wz, wts2)
         w1, w2 = min(wts1), min(wts2)
-        if (w1, w2) == (t1, t2):
-            stage_first, stage_second, disc = wt_first, wt_second, discrepancy[odd]
+        if w1 == t1 and w2 == t2:
+            append(new(ChainStageB, (
+                k, weights, p_exps, q_exps, wt_first, wt_second, disc)))
         else:
-            stage_first, stage_second = Fraction(w1, 2), Fraction(w2, 2)
-            disc = Fraction(sum(doubled[odd]) - w1 - w2 - 2, 2)
-        stages.append(
-            ChainStageB(
-                k=k,
-                weights=weights[odd],
-                p_exponents=p_exps,
-                q_exponents=q_exps,
-                wt_first=stage_first,
-                wt_second=stage_second,
-                discrepancy=disc,
-            )
-        )
+            append(new(ChainStageB, (
+                k, weights, p_exps, q_exps, Fraction(w1, 2), Fraction(w2, 2),
+                Fraction(sum(doubled) - w1 - w2 - 2, 2))))
     return tuple(stages)
 
 

@@ -12,6 +12,7 @@ strings so consumers never round.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -441,37 +442,39 @@ def _emit_error(exc: WresolveError):
     print(json.dumps(_encode({"error": body})))
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process: parse_args
+    leaves it as it was, and an in-process caller of ``main`` would
+    otherwise pay for the nine subparsers on every request.  It holds no
+    handler; ``_run`` finds ``_cmd_<command>`` when the request comes."""
     parser = argparse.ArgumentParser(
         prog="wresolve",
         description="Exact depth calculus for terminal threefold singularities",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, handler, help_text):
+    def add(name, help_text):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("input", help="inline JSON, a file path, or - for stdin")
         p.add_argument(
             "--output", "-o", choices=("json", "text"), default="json",
             help="output rendering (default json)",
         )
-        p.set_defaults(handler=handler)
-        return p
 
-    add("basket", _cmd_basket, "basket and aw/sigma/Xi of a terminal class")
-    add("depth", _cmd_depth, "depth of a germ, or depth bounds of a class")
-    add("resolve", _cmd_resolve, "depth search with resolution tree")
-    add("blowup", _cmd_blowup, "apply one admissible weighted blow-up")
-    add("en", _cmd_en, "extremal-neighborhood intersection numbers")
-    add("rr", _cmd_rr, "chi corrections, thresholds, case depth checks")
-    add("o3", _cmd_o3, "alternating blow-up chain bookkeeping")
-    add("trace", _cmd_trace, "validate a factorization trace")
+    add("basket", "basket and aw/sigma/Xi of a terminal class")
+    add("depth", "depth of a germ, or depth bounds of a class")
+    add("resolve", "depth search with resolution tree")
+    add("blowup", "apply one admissible weighted blow-up")
+    add("en", "extremal-neighborhood intersection numbers")
+    add("rr", "chi corrections, thresholds, case depth checks")
+    add("o3", "alternating blow-up chain bookkeeping")
+    add("trace", "validate a factorization trace")
 
     v = sub.add_parser("verify", help="run the cross-check sweeps")
     v.add_argument("--output", "-o", choices=("json", "text"), default="text")
     for name, default in _VERIFY_DEFAULTS.items():
         v.add_argument("--" + name.replace("_", "-"), type=int, default=default)
-    v.set_defaults(handler=None)
     return parser
 
 
@@ -491,7 +494,8 @@ def _run(args) -> int:
     try:
         if args.command == "verify":
             return _cmd_verify(args)
-        _emit(_read_all(args.handler, _load_input(args.input)), args.output)
+        handler = globals()["_cmd_" + args.command]
+        _emit(_read_all(handler, _load_input(args.input)), args.output)
         return 0
     except WresolveError as exc:
         _emit_error(exc)

@@ -510,7 +510,7 @@ def _check_trace(t, accepted: dict) -> str | None:
     if end not in accepted:
         accepted[end] = next(
             (last for last in _violating_steps(t)
-             if all(d.ok for d in traces._check_step(last, len(t.steps), end))),
+             if traces._check_run((last,), end, len(t.steps))[0]),
             None,
         )
     last = accepted[end]

@@ -14,10 +14,12 @@ depth rules:
                   Gorenstein terminus)
 
 plus the chaining condition that consecutive steps agree on the model
-depth.  One per-step transition, ``_check_step``, applies both;
-``validate_trace`` folds it over the steps, and ``induction_certificate``
-folds it once more, requiring every Flip or DivToCurve to act strictly
-below the starting depth, as the recursive step of a depth induction must.
+depth.  One transition, ``_check_run``, applies both to a run of steps
+from a given depth and step index, in one loop.  ``validate_trace`` runs
+it over the whole trace; ``induction_certificate`` runs it too and then
+requires every Flip or DivToCurve to act strictly below the starting
+depth, as the recursive step of a depth induction must; the
+trace-rule sweep runs it on the one step a mutant appends.
 """
 
 from __future__ import annotations
@@ -91,21 +93,35 @@ _RULES = {
 }
 
 
-def _check_step(step: TraceStep, index: int, dep: int | None) -> tuple[StepDiagnostic, ...]:
-    """The diagnostics of step ``index`` of a trace that stands at model
-    depth ``dep`` (None before the first step): a chaining diagnostic when
-    the step does not start at ``dep``, then the step's rule diagnostic."""
-    kind, b, a = step
-    rule, holds = _RULES[kind]
-    ok = holds(b, a)
-    # a WExtraction one depth down extracts from a minimal resolution
-    minimal = ok and kind == WEXTRACTION and a == b - 1
-    note = "minimal-resolution extraction" if minimal else ""
-    checked = StepDiagnostic(index, kind, rule, ok, note)
-    if dep is None or dep == b:
-        return (checked,)
-    note = f"dep_before = {b} does not continue {dep}"
-    return (StepDiagnostic(index, kind, "chaining", False, note), checked)
+def _check_run(steps, dep: int | None, start: int) -> tuple[bool, list]:
+    """Whether a run of steps holds, and its diagnostics in step order.
+
+    The run stands at model depth ``dep`` (None before the first step of
+    a trace) and its first step has index ``start``.  Each step gives a
+    chaining diagnostic when it does not start at the depth the run stands
+    at, then its rule diagnostic.  The rows are built straight from their
+    fields, one tuple each, and the verdict is kept in the same pass.
+    """
+    new, rules, extraction = tuple.__new__, _RULES, WEXTRACTION
+    rows = []
+    append = rows.append
+    valid = True
+    for index, (kind, b, a) in enumerate(steps, start):
+        rule, holds = rules[kind]
+        if dep != b and dep is not None:
+            note = f"dep_before = {b} does not continue {dep}"
+            append(new(StepDiagnostic, (index, kind, "chaining", False, note)))
+            valid = False
+        if holds(b, a):
+            # a WExtraction one depth down extracts from a minimal resolution
+            minimal = kind == extraction and a == b - 1
+            note = "minimal-resolution extraction" if minimal else ""
+            append(new(StepDiagnostic, (index, kind, rule, True, note)))
+        else:
+            append(new(StepDiagnostic, (index, kind, rule, False, "")))
+            valid = False
+        dep = a
+    return valid, rows
 
 
 def validate_trace(trace: FactorizationTrace, raise_on_violation: bool = False) -> TraceVerdict:
@@ -115,12 +131,8 @@ def validate_trace(trace: FactorizationTrace, raise_on_violation: bool = False) 
     chain link); with raise_on_violation the first failure raises
     RuleViolation carrying the step index and rule name.
     """
-    diags = []
-    dep = None
-    for idx, step in enumerate(trace.steps):
-        diags += _check_step(step, idx, dep)
-        dep = step.dep_after
-    verdict = TraceVerdict(valid=all(d.ok for d in diags), diagnostics=tuple(diags))
+    valid, diags = _check_run(trace.steps, None, 0)
+    verdict = TraceVerdict(valid=valid, diagnostics=tuple(diags))
     first = verdict.first_failure() if raise_on_violation else None
     if first is None:
         return verdict
@@ -142,12 +154,10 @@ def induction_certificate(trace: FactorizationTrace) -> bool:
     check of its own: its rule dep_after < dep_before fails there, as
     depths are >= 0.  The empty trace certifies trivially.
     """
+    if not _check_run(trace.steps, None, 0)[0]:
+        return False
     d0 = trace.steps[0].dep_before if trace.steps else None
-    dep = None
-    for idx, step in enumerate(trace.steps):
-        if not all(d.ok for d in _check_step(step, idx, dep)):
-            return False
-        if step.kind in (FLIP, DIV_TO_CURVE) and step.dep_before >= d0:
-            return False
-        dep = step.dep_after
-    return True
+    return not any(
+        step.kind in (FLIP, DIV_TO_CURVE) and step.dep_before >= d0
+        for step in trace.steps
+    )

@@ -498,11 +498,14 @@ def test_walks_match_fraction_walks():
     counts = {"stages": 0, "raised": 0}
     for case, k_max in _chain_cases():
         if isinstance(case, O3CaseA):
-            walk, ref = chain_simulate, _simulate_by_fractions
+            walk, ref, stage = chain_simulate, _simulate_by_fractions, ChainStage
         else:
-            walk, ref = chain_stages_b, _stages_b_by_fractions
+            walk, ref, stage = chain_stages_b, _stages_b_by_fractions, ChainStageB
         want = _walk_outcome(ref, case, k_max)
         assert _walk_outcome(walk, case, k_max) == want, (case, k_max)
+        if not isinstance(want, tuple):
+            # the repr names the class; the stage type must be exact too
+            assert all(type(st) is stage for st in walk(case, k_max)), case
         assert _walk_outcome(nonnegativity_check, case) == _walk_outcome(
             _nonnegativity_by_fractions, case), case
         assert _walk_outcome(check_constraints, case) == _walk_outcome(

@@ -178,6 +178,12 @@ def test_en_errors(capsys):
     code, payload = run_json(capsys, ["en", '{"case":"IC","r":4,"kx":"-1/4"}'])
     assert code == 2
     assert payload["error"]["type"] == "InvalidCaseData"
+    # a missing kx names the case as the request does, not the Python class
+    code, payload = run_json(capsys, ["en", '{"case":"IC","r":5}'])
+    assert code == 2
+    assert payload["error"] == {
+        "type": "InvalidCaseData", "message": "IC needs the caller's K_X . C",
+    }
 
 
 def test_class_and_iib_inputs(capsys):

@@ -67,8 +67,9 @@ def test_key_ic():
     assert v.ky_cy == 0 and v.nonpositive
     v = key_check(ICCase(5), kx=Fraction(-1))
     assert v.ky_cy == Fraction(-4, 5)
-    with pytest.raises(InvalidCaseData):
-        key_check(ICCase(5))  # K_X . C must come from the caller
+    # K_X . C must come from the caller; the message names the en case
+    with pytest.raises(InvalidCaseData, match=r"^IC needs the caller's K_X \. C$"):
+        key_check(ICCase(5))
     with pytest.raises(InvalidCaseData):
         key_check(ICCase(5), kx=Fraction(-1, 10))  # above -1/r
     with pytest.raises(InvalidCaseData, match="IC fixes its weights"):
@@ -81,6 +82,8 @@ def test_key_iib():
     assert v.cf == Fraction(3, 7)
     with pytest.raises(InvalidCaseData):
         key_check(IIBCase(7, 2, 5, 1), kx=Fraction(-1, 8))
+    with pytest.raises(InvalidCaseData, match=r"^IIB needs the caller's K_X \. C$"):
+        key_check(IIBCase(7, 2, 5, 1))
     with pytest.raises(InvalidCaseData, match="IIB fixes its weights"):
         key_check(IIBCase(7, 2, 5, 1), kx=Fraction(-1, 4), r1=3)
 
@@ -91,7 +94,7 @@ def test_key_ia():
     assert v.r1 == 3
     v = key_check(IACase(7, 2, 3), kx=Fraction(-1, 7), r1=10)
     assert v.ky_cy == Fraction(-1, 7) + Fraction(2, 10) / 7
-    with pytest.raises(InvalidCaseData):
+    with pytest.raises(InvalidCaseData, match=r"^IA needs the caller's K_X \. C$"):
         key_check(IACase(7, 2, 3))
     with pytest.raises(InvalidCaseData):
         key_check(IACase(7, 2, 3), kx=Fraction(1, 7))  # positive degree

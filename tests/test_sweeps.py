@@ -32,7 +32,7 @@ def test_random_traces_are_valid():
 def rejected(step, index, dep):
     """Whether appending step at index to a valid trace standing at dep
     (None for the empty trace) gives an invalid trace."""
-    return not all(d.ok for d in traces._check_step(step, index, dep))
+    return not traces._check_run((step,), dep, index)[0]
 
 
 def test_violating_extensions_all_fail():
@@ -128,15 +128,15 @@ def test_trace_sweep_stops_at_first_failure(monkeypatch):
 def test_trace_sweep_catches_an_accepted_mutant(monkeypatch):
     # a Flop that changes the depth passes: the mutant Flop dep -> dep + 1
     # that every generated trace gets must be reported
-    check = traces._check_step
+    check = traces._check_run
 
-    def lenient(step, index, dep):
-        diags = check(step, index, dep)
-        if step.kind == traces.FLOP:
-            return tuple(d._replace(ok=True) if d.rule != "chaining" else d for d in diags)
-        return diags
+    def lenient(steps, dep, start):
+        _, diags = check(steps, dep, start)
+        diags = [d._replace(ok=True) if d.kind == traces.FLOP and d.rule != "chaining" else d
+                 for d in diags]
+        return all(d.ok for d in diags), diags
 
-    monkeypatch.setattr(traces, "_check_step", lenient)
+    monkeypatch.setattr(traces, "_check_run", lenient)
     res = sweeps.sweep_trace_rules(50)
     assert not res.ok
     assert res.cases == 1

@@ -22,7 +22,8 @@ from wresolve.traces import (
     StepDiagnostic,
     TraceStep,
     TraceVerdict,
-    _check_step,
+    _check_run,
+    _RULES,
     induction_certificate,
     validate_trace,
 )
@@ -317,16 +318,41 @@ def violation(st, diag):
     return f"step {diag.index} ({move}) breaks: {diag.rule}", diag.index, diag.rule
 
 
+def check_step(st, index, dep):
+    """The diagnostics of step ``index`` of a trace that stands at model
+    depth ``dep`` (None before the first step), one step at a time and
+    through the StepDiagnostic constructor: a chaining diagnostic when the
+    step does not start at ``dep``, then the step's rule diagnostic."""
+    kind, b, a = st
+    rule, holds = _RULES[kind]
+    ok = holds(b, a)
+    minimal = ok and kind == WEXTRACTION and a == b - 1
+    note = "minimal-resolution extraction" if minimal else ""
+    checked = StepDiagnostic(index, kind, rule, ok, note)
+    if dep is None or dep == b:
+        return (checked,)
+    note = f"dep_before = {b} does not continue {dep}"
+    return (StepDiagnostic(index, kind, "chaining", False, note), checked)
+
+
 def test_validate_trace_is_a_fold_of_check_step():
     for steps in seeded_step_lists(3000, seed=12):
         if not steps:
             continue
         prefix, last = steps[:-1], steps[-1]
         head = validate_trace(FactorizationTrace(prefix))
-        tail = _check_step(last, len(prefix), prefix[-1].dep_after if prefix else None)
+        dep = prefix[-1].dep_after if prefix else None
+        tail = check_step(last, len(prefix), dep)
         diags = head.diagnostics + tail
         want = TraceVerdict(valid=all(d.ok for d in diags), diagnostics=diags)
-        assert validate_trace(FactorizationTrace(steps)) == want
+        got = validate_trace(FactorizationTrace(steps))
+        assert got == want
+        # every row is a whole StepDiagnostic, not a bare or short tuple
+        assert type(got.diagnostics) is tuple
+        assert all(type(d) is StepDiagnostic and len(d) == 5 for d in got.diagnostics)
+        # a run of one step from the prefix's depth and index, as the
+        # trace-rule sweep checks a mutant, gives the last step's rows
+        assert _check_run((last,), dep, len(prefix)) == (all(d.ok for d in tail), list(tail))
         # the error is the prefix's, or else the first failure of the last step
         want_error = raised(FactorizationTrace(prefix))
         failed = [d for d in tail if not d.ok]

@@ -10,7 +10,6 @@ hashes of the current tree.
 """
 
 import contextlib
-import functools
 import hashlib
 import io
 import json
@@ -32,7 +31,7 @@ PINNED = {
     "depth": "4ed1ddecc5437fa03711070b0aa35ebf1b8f4e43e4f12b586b8456d0e07541ad",
     "resolve": "78e4f624ecaf9be90aa5e44e967a6080558c7c0593a14eab015bdc3d3b52e476",
     "blowup": "c948b35c100a9df9f66c3e8924a71da74ea1734e1ae4629ff72d1d74d56490b5",
-    "en": "67dfae8f9fd8399b5bbfe305efce7d4c6d42f11a7253d011be19dfbdd2f9f5fe",
+    "en": "48390d74b49935c8017156b1a8a41f8539328f43eb9e95b31c50d7c44c85dc5d",
     "rr": "ae5c18741bc2ea06d65333ef5956548f40b5a21246b16bf638c38c78f4036bc0",
     "o3": "698abf1733e66cb3998a07a44d36dc8c92c23d2c71e3e16375ec422206873747",
     "trace": "de006ba5dfa1b168377ccae6513eea641eaec791222d1f496e6b08f65a336852",
@@ -352,10 +351,7 @@ def run_corpus():
 
 @pytest.fixture(scope="module")
 def corpus_run():
-    # one parser serves every request: building it costs more than most
-    # requests, and parse_args leaves it as it was
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cli, "build_parser", functools.cache(cli.build_parser))
         mp.delenv("DEPTH_SEARCH_LIMIT", raising=False)
         yield run_corpus()
 
@@ -371,5 +367,4 @@ def test_wire_hash_is_pinned(corpus_run, sub):
 
 
 if __name__ == "__main__":
-    cli.build_parser = functools.cache(cli.build_parser)
     print(json.dumps(run_corpus()[0], indent=4))
