@@ -26,19 +26,12 @@ from .rationals import format_rat, parse_int, parse_rat
 
 MAX_SAFE_INT = 2**53
 
-# the verify flags and their defaults: one --flag-name per run_all
-# parameter, in its order (a test checks this against the signature)
-_VERIFY_DEFAULTS = {
-    "cyclic_max": 25,
-    "germ_r_max": 7,
-    "rr_max": 40,
-    "en_r_max": 99,
-    "semi_max": 30,
-    "iib_max": 51,
-    "o3_cases": 200,
-    "trace_count": 10000,
-    "seed": 20240817,
-}
+# the verify flags: one --flag-name per run_all parameter, in its order (a
+# test checks this against the signature); their defaults are run_all's
+_VERIFY_FLAGS = (
+    "cyclic_max", "germ_r_max", "rr_max", "en_r_max", "semi_max", "iib_max",
+    "o3_cases", "trace_count", "seed",
+)
 
 
 def _encode(value):
@@ -56,11 +49,11 @@ def _encode(value):
         return dict(zip(map(str, value), map(_encode, value.values())))
     if isinstance(value, (set, frozenset)):
         value = sorted(value)
-    # a record (a named tuple): an object over its field table, in field
-    # order; records hold only their wire fields
+    # a record (a named tuple): an object over its field table; iterating
+    # it yields the fields in that order, and records hold only wire fields
     names = getattr(value, "_fields", None)
     if names is not None:
-        return dict(zip(names, map(_encode, map(value.__getattribute__, names))))
+        return dict(zip(names, map(_encode, value)))
     if isinstance(value, (list, tuple)):
         return list(map(_encode, value))
     raise TypeError(f"cannot encode {type(value).__name__}")
@@ -287,10 +280,7 @@ def _cmd_en(obj):
     def fold(name):
         return name.replace("+", "").replace("_", "").lower()
 
-    cases = {
-        cls.__name__.removesuffix("Case").lower(): cls
-        for cls in neighborhoods.ENCase.__args__
-    }
+    cases = {neighborhoods._case_name(c).lower(): c for c in neighborhoods.EN_CASES}
     cls = _field(obj, "case", _name(cases, "unknown neighborhood case {!r}", fold))
     kx = _field(obj, "kx", _rat, default=None)
     case = cls(*(_field(obj, name) for name in cls._fields))
@@ -315,15 +305,16 @@ def _cmd_rr(obj):
         return {"correction": riemannroch.rr_correction(_field(obj, "basket", _basket))}
     tags = {t.lower(): t for t in riemannroch.TAGS}
     tag = _field(obj, "case", _name(tags, "unknown contraction case {!r}"))
+    # ContractionCase takes an r' for exactly the E1/E2 families
     case = riemannroch.ContractionCase(tag, _field(obj, "rprime", default=None))
     out = {"case": tag}
-    if tag in (riemannroch.E1_A4, riemannroch.E1_A2, riemannroch.E2):
+    if case.rprime is not None:
         out["aw_bound"] = riemannroch.aw_upper_bound(case)
         out["sufficient_bound"] = riemannroch.case_data(case).sufficient_bound
     awx = _field(obj, "aw", default=None)
-    # E11 is checked without an aw; case_depth_check refuses an aw for E11, and
-    # O3 with or without one
-    if awx is not None or tag in (riemannroch.E11, riemannroch.O3):
+    # a case without an r' (E11, O3) is checked without an aw;
+    # case_depth_check refuses an aw for E11, and O3 with or without one
+    if awx is not None or case.rprime is None:
         out["check"] = riemannroch.case_depth_check(case, awx)
     return out
 
@@ -403,10 +394,12 @@ def _cmd_trace(obj):
     from . import traces
 
     trace = traces.FactorizationTrace(_field(obj, "steps", _steps))
+    # an invalid trace raises here, so the certificate needs only the
+    # induction rule, not a second pass of the step rules
     verdict = traces.validate_trace(trace, raise_on_violation=True)
     return {
         "valid": verdict.valid,
-        "induction": traces.induction_certificate(trace),
+        "induction": traces._inductive(trace.steps),
         "steps": verdict.diagnostics,
     }
 
@@ -414,7 +407,9 @@ def _cmd_trace(obj):
 def _cmd_verify(args):
     from . import sweeps
 
-    results = sweeps.run_all(**{name: getattr(args, name) for name in _VERIFY_DEFAULTS})
+    # a flag left out is absent from args, so run_all's default applies
+    given = {name: getattr(args, name) for name in _VERIFY_FLAGS if name in args}
+    results = sweeps.run_all(**given)
     if args.output == "json":
         payload = [{**r._asdict(), "elapsed": round(r.elapsed, 3)} for r in results]
         print(json.dumps(payload, indent=2))
@@ -473,8 +468,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run the cross-check sweeps")
     v.add_argument("--output", "-o", choices=("json", "text"), default="text")
-    for name, default in _VERIFY_DEFAULTS.items():
-        v.add_argument("--" + name.replace("_", "-"), type=int, default=default)
+    for name in _VERIFY_FLAGS:
+        flag = "--" + name.replace("_", "-")
+        v.add_argument(flag, type=int, default=argparse.SUPPRESS)
     return parser
 
 

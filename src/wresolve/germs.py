@@ -46,6 +46,7 @@ from .baskets import (
     GORENSTEIN,
     CyclicQuotient,
     TerminalClass,
+    normalize_cyclic,
 )
 from .errors import InvalidParameter, InvalidSplit, SearchLimitExceeded
 
@@ -268,8 +269,11 @@ def depth_bound(tc: TerminalClass) -> DepthBound:
     if tc.kind == GORENSTEIN:
         return DepthBound.exactly(0)
     if tc.kind == CYCLIC:
-        r = tc.quotient.r
-        return DepthBound.exactly(0 if r == 1 else r - 1)
+        if tc.quotient.r == 1:
+            return DepthBound.exactly(0)
+        # refuses a quotient with no terminal normal form, as basket_of does
+        normalize_cyclic(tc.quotient)
+        return DepthBound.exactly(tc.quotient.r - 1)
     if tc.kind == CA_R:
         return DepthBound.exactly(depth_formula(tc.germ))
     if tc.kind == CAX4:

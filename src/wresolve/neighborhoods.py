@@ -153,7 +153,10 @@ def _check_a2(r: int, a2: int) -> None:
         raise InvalidCaseData("a2 must be a unit mod r")
 
 
-ENCase = ICCase | IIBCase | IACase | ExceptionalIAIACase | SemistableIAIACase | IAIAIIICase
+# every case shape, as the ``en`` subcommand offers them
+EN_CASES = (
+    ICCase, IIBCase, IACase, ExceptionalIAIACase, SemistableIAIACase, IAIAIIICase
+)
 
 
 def _minimal_residue(value: int, r: int) -> int:
@@ -183,16 +186,17 @@ def _resolve_r1(case, r1: int | None) -> int:
     return r1
 
 
-def _case_name(case) -> str:
-    """The case as the ``en`` subcommand names it: IC, IIB, IA, ..."""
-    return type(case).__name__.removesuffix("Case")
+def _case_name(cls) -> str:
+    """A case class as the ``en`` subcommand names it: IC, IIB, IA, ..."""
+    return cls.__name__.removesuffix("Case")
 
 
 def _fiber_degree(case, r1: int | None) -> tuple[Fraction, int | None]:
     """C_Y . F and the r1 it used; IC and IIB fix theirs and take no r1."""
     if isinstance(case, (ICCase, IIBCase)):
         if r1 is not None:
-            raise InvalidCaseData(f"{_case_name(case)} fixes its weights; r1 is not free")
+            name = _case_name(type(case))
+            raise InvalidCaseData(f"{name} fixes its weights; r1 is not free")
         if isinstance(case, ICCase):
             return Fraction(1), None
         return min(Fraction(3, case.r1), Fraction(2, case.r2)), None
@@ -266,7 +270,7 @@ def key_check(case, kx=None, r1: int | None = None) -> KeyVerdict:
 
 def _require_kx(case, kx, lo: Fraction, hi: Fraction) -> Fraction:
     if kx is None:
-        raise InvalidCaseData(f"{_case_name(case)} needs the caller's K_X . C")
+        raise InvalidCaseData(f"{_case_name(type(case))} needs the caller's K_X . C")
     kx = Fraction(kx)
     if not (lo <= kx <= hi):
         raise InvalidCaseData(f"K_X . C = {kx} outside [{lo}, {hi}]")

@@ -196,9 +196,3 @@ def case_depth_check(case: ContractionCase, aw: int | None = None) -> CaseDepthR
         dep_x_upper=dep_x_upper,
         ok=data.dep_y[0] >= dep_x_upper - 1,
     )
-
-
-def _check_aw_consistency(case: ContractionCase, awx: int) -> Fraction:
-    """delta_chi for the case at axial weight awx (helper for sweeps)."""
-    data = case_data(case)
-    return delta_chi(data.a_over_n, data.e3, data.basket_y, cd2_basket(awx))

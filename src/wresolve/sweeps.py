@@ -90,7 +90,7 @@ def _check_cyclic_germ(r: int, beta: int) -> str | None:
     return None
 
 
-def sweep_cyclic_depth(r_max: int = 25) -> SweepResult:
+def sweep_cyclic_depth(r_max: int) -> SweepResult:
     """Exhaustive-search depth of cyclic points vs the closed form r - 1,
     which depth_search prices them by; one table serves every index."""
     def outcomes():
@@ -155,7 +155,7 @@ def _check_germ_depth(g: CARGerm) -> str | None:
     return None
 
 
-def sweep_germ_depth(r_max: int = 7) -> SweepResult:
+def sweep_germ_depth(r_max: int) -> SweepResult:
     """Search depth == formula depth lam*r - t, inside the basket window."""
     return _run(
         "germ-depth-dual-route",
@@ -178,7 +178,7 @@ def _check_residual(g: CARGerm, lam: int, n1: int) -> str | None:
     return None
 
 
-def sweep_residual_recursion(r_max: int = 7) -> SweepResult:
+def sweep_residual_recursion(r_max: int) -> SweepResult:
     """After one blow-up: lam drops by nu_1, t drops by 1, nu reindexes."""
     def outcomes():
         for g in iter_germ_family(r_max):
@@ -195,17 +195,22 @@ def _check_rr_bounds(case: riemannroch.ContractionCase, data) -> str | None:
     bound = riemannroch.aw_upper_bound(case)
     if bound > data.sufficient_bound:
         return f"{tag} r'={rp}: bound {bound} too large"
-    # independent route: linear scan of the chi threshold
+    # independent route: linear scan of the chi threshold over the cD/2
+    # point of axial weight awx
+    def jump(awx):
+        basket_x = riemannroch.cd2_basket(awx)
+        return riemannroch.delta_chi(data.a_over_n, data.e3, data.basket_y, basket_x)
+
     scan = 0
     awx = 1
-    while riemannroch._check_aw_consistency(case, awx) >= 1:
+    while jump(awx) >= 1:
         scan = awx
         awx += 1
     if scan != bound:
         return f"{tag} r'={rp}: scan {scan} != bound {bound}"
-    if bound >= 1 and riemannroch._check_aw_consistency(case, bound) < 1:
+    if bound >= 1 and jump(bound) < 1:
         return f"{tag} r'={rp}: threshold fails at the bound"
-    if riemannroch._check_aw_consistency(case, bound + 1) >= 1:
+    if jump(bound + 1) >= 1:
         return f"{tag} r'={rp}: threshold holds above the bound"
     for awx in range(1, data.sufficient_bound + 1):
         if not riemannroch.case_depth_check(case, awx).ok:
@@ -217,22 +222,17 @@ def _check_rr_bounds(case: riemannroch.ContractionCase, data) -> str | None:
     return None
 
 
-def sweep_rr_bounds(rp_max: int = 40) -> SweepResult:
-    """Axial-weight bounds from the chi threshold, plus case depth checks."""
-    plans = [
-        (riemannroch.E1_A4, range(5, rp_max + 1)),
-        (riemannroch.E1_A2, range(3, rp_max + 1)),
-        (riemannroch.E2, range(2, rp_max + 1)),
-    ]
-
+def sweep_rr_bounds(rp_max: int) -> SweepResult:
+    """Axial-weight bounds from the chi threshold, plus case depth checks,
+    over every r' <= rp_max that case_data takes."""
     def outcomes():
-        for tag, rps in plans:
-            for rp in rps:
+        for tag in (riemannroch.E1_A4, riemannroch.E1_A2, riemannroch.E2):
+            for rp in range(1, rp_max + 1):
                 case = riemannroch.ContractionCase(tag, rp)
                 try:
                     data = riemannroch.case_data(case)
                 except InvalidParameter:
-                    continue  # non-terminal basket for this parity of r'
+                    continue  # r' too small, or a non-terminal basket of Y
                 yield _check_rr_bounds(case, data)
 
     return _run("chi-threshold-bounds", outcomes())
@@ -269,7 +269,7 @@ def _check_en_exceptional(
     return None
 
 
-def sweep_en_exceptional(r_max: int = 99) -> SweepResult:
+def sweep_en_exceptional(r_max: int) -> SweepResult:
     """Exceptional IA+IA: s*r1 = 2 mod r, s*r1 >= 2 and K_Y.C_Y <= 0 for
     the minimal admissible r1 and the two r and 2r above it."""
     def outcomes():
@@ -297,7 +297,7 @@ def _check_en_semistable(case: neighborhoods.SemistableIAIACase) -> str | None:
     return None
 
 
-def sweep_en_semistable(r_max: int = 30) -> SweepResult:
+def sweep_en_semistable(r_max: int) -> SweepResult:
     """Semistable IA+IA: r1*delta = r' mod r, r1*delta >= r' and
     K_Y.C_Y <= 0 over all shapes."""
     cases = (
@@ -317,7 +317,7 @@ def _check_en_iib(case: neighborhoods.IIBCase) -> str | None:
     return None
 
 
-def sweep_en_iib(entry_max: int = 51) -> SweepResult:
+def sweep_en_iib(entry_max: int) -> SweepResult:
     """IIB: fiber degree min(3/r1, 2/r2) <= 1 over the congruence grid."""
     r1s = range(3, entry_max + 1, 4)
     r2s = range(2, entry_max + 1, 4)
@@ -441,7 +441,7 @@ def _check_case_b(case: chains.O3CaseB, rng: random.Random) -> str | None:
     return _check_depth_identity(case, rng, tag)
 
 
-def sweep_o3_chains(cases_per_shape: int = 200, seed: int = 20240817) -> SweepResult:
+def sweep_o3_chains(cases_per_shape: int, seed: int) -> SweepResult:
     """Randomized chain data for both shapes: recurrences, nonnegativity,
     stage weights, top-stage exponents, and the depth identity."""
     rng = random.Random(seed)
@@ -517,7 +517,7 @@ def _check_trace(t, accepted: dict) -> str | None:
     return None if last is None else f"mutant accepted: {last}"
 
 
-def sweep_trace_rules(n_traces: int = 10000, seed: int = 20240818) -> SweepResult:
+def sweep_trace_rules(n_traces: int, seed: int) -> SweepResult:
     """Metamorphic check: generated traces pass, every mutation fails.
 
     A trace is validated once; a mutant only appends a step to it, so only

@@ -16,10 +16,12 @@ depth rules:
 plus the chaining condition that consecutive steps agree on the model
 depth.  One transition, ``_check_run``, applies both to a run of steps
 from a given depth and step index, in one loop.  ``validate_trace`` runs
-it over the whole trace; ``induction_certificate`` runs it too and then
-requires every Flip or DivToCurve to act strictly below the starting
-depth, as the recursive step of a depth induction must; the
-trace-rule sweep runs it on the one step a mutant appends.
+it over the whole trace, and the trace-rule sweep runs it on the one step
+a mutant appends.  The induction rule, ``_inductive``, is separate: every
+Flip or DivToCurve must act strictly below the starting depth, as the
+recursive step of a depth induction must.  ``induction_certificate``
+asks for both; ``wresolve trace``, whose trace ``validate_trace`` has
+already passed, asks only for the induction rule.
 """
 
 from __future__ import annotations
@@ -133,9 +135,9 @@ def validate_trace(trace: FactorizationTrace, raise_on_violation: bool = False) 
     """
     valid, diags = _check_run(trace.steps, None, 0)
     verdict = TraceVerdict(valid=valid, diagnostics=tuple(diags))
-    first = verdict.first_failure() if raise_on_violation else None
-    if first is None:
+    if valid or not raise_on_violation:
         return verdict
+    first = verdict.first_failure()
     if first.rule == "chaining":
         message = f"step {first.index} breaks the chaining rule"
     else:
@@ -145,19 +147,21 @@ def validate_trace(trace: FactorizationTrace, raise_on_violation: bool = False) 
     raise RuleViolation(message, index=first.index, rule=first.rule)
 
 
+def _inductive(steps) -> bool:
+    """Whether every Flip and DivToCurve step starts strictly below the
+    first step's depth (they must land in models the induction hypothesis
+    already covers); an empty run passes."""
+    d0 = steps[0].dep_before if steps else None
+    return not any(kind in (FLIP, DIV_TO_CURVE) and b >= d0 for kind, b, _ in steps)
+
+
 def induction_certificate(trace: FactorizationTrace) -> bool:
     """True when the trace can serve as the step of a depth induction.
 
-    Requires a valid trace whose Flip and DivToCurve steps all start
-    strictly below the trace's initial depth (they must land in models
-    the induction hypothesis already covers).  A Flip at depth 0 needs no
-    check of its own: its rule dep_after < dep_before fails there, as
-    depths are >= 0.  The empty trace certifies trivially.
+    Requires a valid trace that passes the induction rule: its Flip and
+    DivToCurve steps all start strictly below the trace's initial depth.
+    A Flip at depth 0 needs no check of its own: its rule dep_after <
+    dep_before fails there, as depths are >= 0.  The empty trace
+    certifies trivially.
     """
-    if not _check_run(trace.steps, None, 0)[0]:
-        return False
-    d0 = trace.steps[0].dep_before if trace.steps else None
-    return not any(
-        step.kind in (FLIP, DIV_TO_CURVE) and step.dep_before >= d0
-        for step in trace.steps
-    )
+    return _check_run(trace.steps, None, 0)[0] and _inductive(trace.steps)

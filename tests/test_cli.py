@@ -41,6 +41,12 @@ def test_depth_class(capsys):
     code, payload = run_json(capsys, ["depth", '{"class":"cD/3"}'])
     assert code == 0
     assert payload == {"lower": None, "upper": 6, "exact": False}
+    # a non-terminal cyclic quotient: depth refuses it as basket does
+    cyclic = '{"class":"cyclic","r":5,"weights":[1,1,1]}'
+    refused = run(capsys, ["basket", cyclic])
+    assert refused[0] == 2
+    assert json.loads(refused[1])["error"]["type"] == "NotTerminalForm"
+    assert run(capsys, ["depth", cyclic]) == refused
 
 
 def test_basket_pinned(capsys):
@@ -391,6 +397,25 @@ def test_trace_wire_matches_a_dict_per_row_rendering(capsys):
     assert {0, 2, "chaining", "minimal-resolution extraction"} <= seen
 
 
+def test_accepted_trace_checks_its_steps_once(capsys, monkeypatch):
+    # validate_trace applies the step rules; the certificate adds only the
+    # induction rule, so the rules run once per request
+    runs = []
+    check = traces._check_run
+
+    def counted(steps, dep, start):
+        runs.append(len(steps))
+        return check(steps, dep, start)
+
+    monkeypatch.setattr(traces, "_check_run", counted)
+    steps = [{"kind": "WExtraction", "before": 3, "after": 2},
+             {"kind": "Flip", "before": 2, "after": 1}]
+    code, payload = run_json(capsys, ["trace", json.dumps({"steps": steps})])
+    assert code == 0
+    assert (payload["valid"], payload["induction"]) == (True, True)
+    assert runs == [2]
+
+
 def test_trace_schema_errors(capsys):
     code, payload = run_json(capsys, ["trace", '{"steps":[{"kind":"Nope","before":1,"after":1}]}'])
     assert code == 1
@@ -496,10 +521,22 @@ def test_verify_json(capsys):
     assert all(entry["ok"] for entry in payload)
 
 
-def test_verify_defaults_are_run_all_defaults():
-    params = inspect.signature(sweeps.run_all).parameters
-    assert list(cli._VERIFY_DEFAULTS.items()) == [
-        (name, p.default) for name, p in params.items()
+def test_verify_defaults_are_run_all_defaults(capsys, monkeypatch):
+    # one flag per run_all parameter, in its order; a flag left out is not
+    # passed, so run_all's own default applies, and a given one arrives as given
+    params = list(inspect.signature(sweeps.run_all).parameters)
+    assert list(cli._VERIFY_FLAGS) == params
+    calls = []
+    monkeypatch.setattr(sweeps, "run_all", lambda **kw: calls.append(kw) or [])
+    assert main(["verify"]) == 0
+    for value, name in enumerate(params, 3):
+        assert main(["verify", "--" + name.replace("_", "-"), str(value)]) == 0
+    argv = ["verify", "--seed", "11", "--rr-max", "-4", "--semi-max", "6"]
+    assert main(argv) == 0
+    assert calls == [
+        {},
+        *({name: value} for value, name in enumerate(params, 3)),
+        {"seed": 11, "rr_max": -4, "semi_max": 6},
     ]
 
 

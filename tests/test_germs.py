@@ -10,7 +10,12 @@ import pytest
 from wresolve import germs
 from wresolve.baskets import CyclicQuotient, TerminalClass, basket_of, xi
 from wresolve.baskets import aw as basket_aw
-from wresolve.errors import InvalidParameter, InvalidSplit, SearchLimitExceeded
+from wresolve.errors import (
+    InvalidParameter,
+    InvalidSplit,
+    NotTerminalForm,
+    SearchLimitExceeded,
+)
 from wresolve.germs import (
     CARGerm,
     DepthBound,
@@ -325,6 +330,11 @@ def test_depth_bound_by_class():
     assert depth_bound(TerminalClass.gorenstein()) == DepthBound.exactly(0)
     b = depth_bound(TerminalClass.cyclic(CyclicQuotient(5, (2, 3, 1))))
     assert b == DepthBound.exactly(4)
+    b = depth_bound(TerminalClass.cyclic(CyclicQuotient(1, (0, 0, 0))))
+    assert b == DepthBound.exactly(0)
+    # a quotient with no terminal normal form is refused, as basket_of does
+    with pytest.raises(NotTerminalForm, match=r"1/5\(1, 1, 1\) has no"):
+        depth_bound(TerminalClass.cyclic(CyclicQuotient(5, (1, 1, 1))))
     b = depth_bound(TerminalClass.ca_r(G3))
     assert b == DepthBound.exactly(9)
     # non-cA classes carry only a hard ceiling, read off the elephant

@@ -137,7 +137,7 @@ def test_trace_sweep_catches_an_accepted_mutant(monkeypatch):
         return all(d.ok for d in diags), diags
 
     monkeypatch.setattr(traces, "_check_run", lenient)
-    res = sweeps.sweep_trace_rules(50)
+    res = sweeps.sweep_trace_rules(50, seed=20240818)
     assert not res.ok
     assert res.cases == 1
     assert res.detail.startswith("first failure: mutant accepted: TraceStep(kind='Flop'")

@@ -28,7 +28,7 @@ QUICK = [
 ]
 PINNED = {
     "basket": "646a10dd221ff89a6d7d4e44fe2415b66874074f2d726adeabebd488a65a8547",
-    "depth": "4ed1ddecc5437fa03711070b0aa35ebf1b8f4e43e4f12b586b8456d0e07541ad",
+    "depth": "8faa219c8e6609444f7700b554704072b2d22aec02de14c8e15996979be5cc1d",
     "resolve": "78e4f624ecaf9be90aa5e44e967a6080558c7c0593a14eab015bdc3d3b52e476",
     "blowup": "c948b35c100a9df9f66c3e8924a71da74ea1734e1ae4629ff72d1d74d56490b5",
     "en": "48390d74b49935c8017156b1a8a41f8539328f43eb9e95b31c50d7c44c85dc5d",
