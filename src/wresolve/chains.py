@@ -27,6 +27,11 @@ doubled weights (x -> 1, z -> 2, y, u, w -> 2d-1, 2d+1 or 2d+3) and do
 integer work per stage; Fractions appear only in the stage fields.
 beta_k, gamma_k, delta_k, beta_k_b and gamma_k_b keep the exact rational
 closed forms the walks are checked against.
+
+Both walks return one stage row per stage, up to a + 1 of them, and run
+with the cyclic collector paused (``errors.paused_gc``): the rows hold no
+cycles, so the pause loses nothing, and the state of the collector is
+restored when a walk returns or raises.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .errors import ConstraintViolation
+from .errors import ConstraintViolation, paused_gc
 
 
 def _clean_support(raw) -> frozenset:
@@ -266,6 +271,7 @@ def _rows_at(lines, k: int, wx: int, wz: int, wts: list) -> tuple:
     return tuple(exps)
 
 
+@paused_gc
 def chain_simulate(case: O3CaseA, k_max: int | None = None) -> tuple[ChainStage, ...]:
     """Walk the shape-A chain and report the measured stage weights.
 
@@ -370,6 +376,7 @@ class ChainStageB(
     __slots__ = ()
 
 
+@paused_gc
 def chain_stages_b(case: O3CaseB, k_max: int | None = None) -> tuple[ChainStageB, ...]:
     """Walk the shape-B chain and report the two measured equation weights.
 

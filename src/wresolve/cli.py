@@ -21,7 +21,7 @@ from pathlib import Path
 
 # each handler imports the layers it calls, so a one-shot command loads
 # only those; errors and rationals serve every subcommand
-from .errors import InvalidParameter, SchemaError, WresolveError
+from .errors import InvalidParameter, SchemaError, WresolveError, paused_gc
 from .rationals import format_rat, parse_int, parse_rat
 
 MAX_SAFE_INT = 2**53
@@ -490,8 +490,7 @@ def _run(args) -> int:
     try:
         if args.command == "verify":
             return _cmd_verify(args)
-        handler = globals()["_cmd_" + args.command]
-        _emit(_read_all(handler, _load_input(args.input)), args.output)
+        _answer(args)
         return 0
     except WresolveError as exc:
         _emit_error(exc)
@@ -504,6 +503,17 @@ def _run(args) -> int:
         # the input is too deep or too large for this interpreter
         _emit_error(InvalidParameter(f"input too large ({type(exc).__name__})"))
         return 2
+
+
+@paused_gc
+def _answer(args) -> None:
+    """Load the input, read all of it with the subcommand's handler and
+    print the answer.  A request builds its input, records and output
+    once and frees them by reference counting, so it runs with the cyclic
+    collector paused (a cycle an error path leaves waits for the next
+    collection); ``verify``, whose sweeps run for seconds, does not."""
+    handler = globals()["_cmd_" + args.command]
+    _emit(_read_all(handler, _load_input(args.input)), args.output)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -1,8 +1,50 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the collector pause of
+its long walks.
 
 Everything raised on bad mathematical input derives from WresolveError so
 callers (and the CLI) can separate domain errors from programming errors.
+Every layer imports this module, so ``paused_gc``, the decorator that keeps
+the cyclic garbage collector off while a walk builds its rows, lives here
+too and costs no layer an import.
 """
+
+import functools
+import gc
+
+
+def paused_gc(walk):
+    """Run ``walk`` with the process-wide cyclic garbage collector paused.
+
+    The trace and chain walks build one tuple-subclass row per step or
+    stage, and CPython leaves a tuple subclass tracked, so a long walk
+    would set off young collections that promote its rows, and full
+    collections that rescan every one of them.  The rows hold no reference
+    cycles, so the pause loses nothing: whatever the walk frees goes by
+    reference counting.  The walks only build immutable tuples, so no user
+    code runs while the collector is off.
+
+    The collector is turned off only if it was on when the walk started,
+    and turned back on when the walk returns or raises; a caller that
+    turned it off finds it off.  The one sharp edge: another thread that
+    calls ``gc.disable()`` while a walk runs finds the collector on again
+    when the walk ends.
+
+    A plain function wrapper, not a context manager: the walks serve many
+    small calls, such as one ``validate_trace`` per trace of a sweep.
+    ``functools.wraps`` keeps the walk's name, docstring and module.
+    """
+
+    @functools.wraps(walk)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return walk(*args, **kwargs)
+        gc.disable()
+        try:
+            return walk(*args, **kwargs)
+        finally:
+            gc.enable()
+
+    return paused
 
 
 class WresolveError(Exception):

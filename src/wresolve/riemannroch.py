@@ -30,7 +30,9 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .baskets import Basket, CyclicQuotient, aw as basket_aw, normalize_cyclic
+from .baskets import (
+    Basket, BasketEntry, CyclicQuotient, aw as basket_aw, normalize_cyclic,
+)
 from .errors import InvalidParameter
 
 E1_A4 = "E1_a4"
@@ -94,44 +96,45 @@ class _CaseData(
     __slots__ = ()
 
 
-def case_data(case: ContractionCase) -> _CaseData:
-    """Exceptional data for the E1/E2 families; raises InvalidParameter
-    when r' puts the Y-basket outside the terminal range."""
+def _closed_forms(case: ContractionCase) -> tuple:
+    """The numbers of one E1/E2 case that need no basket: a/n, the
+    numerator e of E^3 = e/r', the Y-basket entry, the classical sufficient
+    bound and the dep(Y) range.  Raises InvalidParameter when r' puts the
+    entry outside the terminal range; the entry is checked as one
+    BasketEntry, and no Basket is built."""
     rp = case.rprime
     try:
         if case.tag == E1_A4:
             if rp <= 4:
                 raise ValueError("E1_a4 needs r' > 4")
-            return _CaseData(
-                a_over_n=Fraction(2),
-                e3=Fraction(1, rp),
-                basket_y=Basket.of((rp - 4, 2 * rp)),
-                sufficient_bound=rp - 1,
-                dep_y=(2 * rp - 1, 2 * rp - 1),
-            )
-        if case.tag == E1_A2:
+            forms = 2, 1, (rp - 4, 2 * rp), rp - 1, (2 * rp - 1, 2 * rp - 1)
+        elif case.tag == E1_A2:
             if rp <= 2:
                 raise ValueError("E1_a2 needs r' > 2")
-            return _CaseData(
-                a_over_n=Fraction(1),
-                e3=Fraction(2, rp),
-                basket_y=Basket.of((rp - 2, 2 * rp)),
-                sufficient_bound=rp - 1,
-                dep_y=(2 * rp - 1, 2 * rp - 1),
-            )
-        if case.tag == E2:
+            forms = 1, 2, (rp - 2, 2 * rp), rp - 1, (2 * rp - 1, 2 * rp - 1)
+        elif case.tag == E2:
             if rp <= 1:
                 raise ValueError("E2 needs r' > 1")
-            return _CaseData(
-                a_over_n=Fraction(1),
-                e3=Fraction(1, rp),
-                basket_y=Basket.of((rp - 1, 2 * rp, 2)),
-                sufficient_bound=2 * rp - 1,
-                dep_y=(4 * rp - 2, 4 * rp - 1),
-            )
+            forms = 1, 1, (rp - 1, 2 * rp, 2), 2 * rp - 1, (4 * rp - 2, 4 * rp - 1)
+        else:
+            raise InvalidParameter(f"{case.tag} has no tabulated E1/E2 data")
+        a, e, entry, bound, dep_y = forms
+        return a, e, BasketEntry(*entry), bound, dep_y
     except ValueError as exc:
         raise InvalidParameter(str(exc)) from exc
-    raise InvalidParameter(f"{case.tag} has no tabulated E1/E2 data")
+
+
+def case_data(case: ContractionCase) -> _CaseData:
+    """Exceptional data for the E1/E2 families; raises InvalidParameter
+    when r' puts the Y-basket outside the terminal range."""
+    a, e, entry, bound, dep_y = _closed_forms(case)
+    return _CaseData(
+        a_over_n=Fraction(a),
+        e3=Fraction(e, case.rprime),
+        basket_y=Basket.of(entry),
+        sufficient_bound=bound,
+        dep_y=dep_y,
+    )
 
 
 def aw_upper_bound(case: ContractionCase) -> int:
@@ -182,17 +185,15 @@ def case_depth_check(case: ContractionCase, aw: int | None = None) -> CaseDepthR
         )
     if case.tag == O3:
         raise InvalidParameter("the O3 case is handled by the chain module")
-    data = case_data(case)
+    *_, bound, dep_y = _closed_forms(case)
     if aw is None or aw < 1:
         raise InvalidParameter(f"{case.tag} needs the axial weight aw >= 1")
-    if aw > data.sufficient_bound:
-        raise InvalidParameter(
-            f"aw = {aw} exceeds the admissible bound {data.sufficient_bound}"
-        )
+    if aw > bound:
+        raise InvalidParameter(f"aw = {aw} exceeds the admissible bound {bound}")
     dep_x_upper = 2 * aw  # cD/2 depth bound, Xi = 2 aw
     return CaseDepthReport(
         aw=aw,
-        dep_y=data.dep_y,
+        dep_y=dep_y,
         dep_x_upper=dep_x_upper,
-        ok=data.dep_y[0] >= dep_x_upper - 1,
+        ok=dep_y[0] >= dep_x_upper - 1,
     )

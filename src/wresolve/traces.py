@@ -22,13 +22,19 @@ Flip or DivToCurve must act strictly below the starting depth, as the
 recursive step of a depth induction must.  ``induction_certificate``
 asks for both; ``wresolve trace``, whose trace ``validate_trace`` has
 already passed, asks only for the induction rule.
+
+``_check_run`` builds at least one StepDiagnostic row per step, so a
+10^5-step trace means 10^5 rows.  It runs with the cyclic collector paused
+(``errors.paused_gc``): the rows hold no cycles, so the pause loses
+nothing, and the state of the collector is restored when the walk returns
+or raises.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 
-from .errors import RuleViolation
+from .errors import RuleViolation, paused_gc
 
 WEXTRACTION = "WExtraction"
 FLIP = "Flip"
@@ -95,6 +101,7 @@ _RULES = {
 }
 
 
+@paused_gc
 def _check_run(steps, dep: int | None, start: int) -> tuple[bool, list]:
     """Whether a run of steps holds, and its diagnostics in step order.
 
