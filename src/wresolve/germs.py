@@ -15,6 +15,9 @@ Gorenstein model is exactly lam * r - t.  ``depth_search`` recovers the
 same number without that formula: it walks the blow-up stages down the
 one residual every split of a stage shares and adds up the stage prices.
 It exists so the closed form can be checked against an independent route.
+The walk builds each residual through ``_residual``, the one home of the
+residual rule, and never calls ``blowup_step``: a split it chose itself
+needs no re-check, and it drops the cyclic points a step would build.
 
 A blow-up with weights 1/r(r1, r2, 1, r), r1 + r2 = r nu_1, leaves two
 cyclic quotient points of indices r1 and r2 (type 1/ri(r, -r, -1), stored
@@ -143,13 +146,25 @@ def blowup_step(g: CARGerm, r1: int, r2: int) -> BlowupResult:
             f"split ({r1}, {r2}) breaks the congruence r1 = {g.beta} mod {g.r}"
         )
     points = (_quotient_point(r1, g.r), _quotient_point(r2, g.r))
-    lam = axial_weight(g)
-    residual = None
-    if n1 < lam:
-        residual = CARGerm(
-            g.r, g.beta, frozenset((i, i + j - n1) for i, j in g.support)
-        )
+    residual = _residual(g, n1) if n1 < axial_weight(g) else None
     return BlowupResult(cyclic_points=points, residual=residual)
+
+
+def _residual(g: CARGerm, n1: int) -> CARGerm:
+    """Residual germ of a stage with nu_1 = n1 < lam: same r and beta,
+    support { (i, i + j - n1) }.
+
+    Built positionally, past CARGerm's checks, because it passes them by
+    construction.  r and beta are g's own, beta already reduced mod r and
+    coprime to it.  Each entry has i >= 0, and i + j - n1 >= 0 because
+    n1 = min(i + j).  The axial entry (0, lam) becomes (0, lam - n1) with
+    lam - n1 >= 1, so the support is nonempty, has an axial monomial and
+    keeps the axial weight finite.  (0, 0) cannot appear: it would come
+    from an axial (0, j) with j = n1, but every axial j satisfies
+    j >= lam > n1.
+    """
+    support = frozenset([(i, i + j - n1) for i, j in g.support])
+    return tuple.__new__(CARGerm, (g.r, g.beta, support))
 
 
 def _cyclic_depth_table(r_max: int) -> list[int]:
@@ -184,7 +199,8 @@ def depth_search(g: CARGerm, limit: int | None = None) -> int:
     n - a costs 1 + (a - 1) + (n - a - 1)), so 1 + (r1 - 1) + (r2 - 1) =
     r nu_1 - 1.  The search adds these stage prices while it walks down
     the residuals, along the first split of each stage, keeping only the
-    current stage.
+    current stage; each residual comes from ``_residual``, and no
+    ``blowup_step`` is made.
     limit caps the step count of any single resolution path (default
     lam * r, which no path can legally reach since the depth is
     lam * r - t); exceeding it raises SearchLimitExceeded.
@@ -216,11 +232,17 @@ def resolution_tree(g: CARGerm, limit: int | None = None) -> dict:
 
 def _walk(g: CARGerm, limit: int | None):
     """Yield (germ, nu_1, r1, r2, cost) per stage down the residual chain,
-    charging each cost to the path budget; a Gorenstein germ has no stage."""
+    charging each cost to the path budget; a Gorenstein germ has no stage.
+
+    The next germ is ``_residual(g, nu_1)``, without ``blowup_step``: the
+    split (beta, r nu_1 - beta) is admissible by construction.  The axial
+    weight drops by nu_1 per stage, so the walk tracks it instead of
+    rereading it, and it ends at the stage where nu_1 = lam."""
     if g.r == 1:
         return
-    budget = axial_weight(g) * g.r if limit is None else limit
-    while g is not None:
+    lam = axial_weight(g)
+    budget = lam * g.r if limit is None else limit
+    while True:
         n1 = nu(g, 1)
         cost = g.r * n1 - 1
         if cost > budget:
@@ -228,9 +250,11 @@ def _walk(g: CARGerm, limit: int | None):
                 f"path cost {cost} exceeds the ceiling {budget}"
             )
         budget -= cost
-        r1, r2 = g.beta, g.r * n1 - g.beta
-        yield g, n1, r1, r2, cost
-        g = blowup_step(g, r1, r2).residual
+        yield g, n1, g.beta, g.r * n1 - g.beta, cost
+        if n1 == lam:
+            return
+        g = _residual(g, n1)
+        lam -= n1
 
 
 class DepthBound(namedtuple("DepthBound", "lower upper exact")):

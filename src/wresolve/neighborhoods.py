@@ -199,7 +199,10 @@ def _fiber_degree(case, r1: int | None) -> tuple[Fraction, int | None]:
             raise InvalidCaseData(f"{name} fixes its weights; r1 is not free")
         if isinstance(case, ICCase):
             return Fraction(1), None
-        return min(Fraction(3, case.r1), Fraction(2, case.r2)), None
+        # 3/r1 <= 2/r2 exactly when 3 r2 <= 2 r1; only the smaller is built
+        if 3 * case.r2 <= 2 * case.r1:
+            return Fraction(3, case.r1), None
+        return Fraction(2, case.r2), None
     if isinstance(case, IACase):
         use = _resolve_r1(case, r1)
         return Fraction(case.a1, use), use
@@ -244,6 +247,10 @@ def key_check(case, kx=None, r1: int | None = None) -> KeyVerdict:
       mod r, and r1 delta > 0 with 2 <= r' <= r, so r1 delta >= r'.
 
     The ``verify`` sweeps check both congruences and both inequalities.
+
+    K_Y . C_Y is formed in one reduction: kx = p/q and cf = c/d give
+    (p d index + c q) / (q d index), one Fraction built from integers,
+    the same value as kx + cf / index.
     """
     s = delta = None
     if isinstance(case, ICCase):
@@ -264,7 +271,10 @@ def key_check(case, kx=None, r1: int | None = None) -> KeyVerdict:
     else:
         raise InvalidCaseData(f"no key rule for {type(case).__name__}")
     cf, use = _fiber_degree(case, r1)
-    ky = kx + cf / (4 if isinstance(case, IIBCase) else case.r)
+    index = 4 if isinstance(case, IIBCase) else case.r
+    q = cf.denominator * index
+    ky = Fraction(kx.numerator * q + cf.numerator * kx.denominator,
+                  kx.denominator * q)
     return KeyVerdict(ky, ky <= 0, kx, cf, use, s, delta)
 
 

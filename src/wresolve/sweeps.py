@@ -20,7 +20,9 @@ from fractions import Fraction
 from math import gcd
 
 from . import chains, germs, neighborhoods, riemannroch, traces
-from .baskets import TerminalClass, aw as basket_aw, basket_of, xi as basket_xi
+from .baskets import (
+    Basket, TerminalClass, aw as basket_aw, basket_of, xi as basket_xi,
+)
 from .errors import InvalidParameter
 from .germs import CARGerm
 
@@ -196,10 +198,15 @@ def _check_rr_bounds(case: riemannroch.ContractionCase, data) -> str | None:
     if bound > data.sufficient_bound:
         return f"{tag} r'={rp}: bound {bound} too large"
     # independent route: linear scan of the chi threshold over the cD/2
-    # point of axial weight awx
+    # point of axial weight awx.  The Y side (1/2 (a/n)^3 E^3 + corr(Y)) is
+    # fixed per case; corr(X) is summed over the actual cD/2 basket at
+    # every step, never read off the aw/4 slope that the bound assumes.
+    base = riemannroch.delta_chi(
+        data.a_over_n, data.e3, data.basket_y, Basket()
+    )
+
     def jump(awx):
-        basket_x = riemannroch.cd2_basket(awx)
-        return riemannroch.delta_chi(data.a_over_n, data.e3, data.basket_y, basket_x)
+        return base - riemannroch.rr_correction(riemannroch.cd2_basket(awx))
 
     scan = 0
     awx = 1

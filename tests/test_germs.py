@@ -137,6 +137,22 @@ def test_residual_recursion_identities():
         assert depth_formula(res) == depth_formula(g) - (g.r * nu(g, 1) - 1)
 
 
+def test_positional_residual_matches_the_validating_constructor():
+    # _residual skips CARGerm's checks; down every chain of the family it
+    # must build exactly the germ the checks accept
+    stages = 0
+    for g in iter_germ_family(7):
+        while nu(g, 1) < axial_weight(g):
+            n1 = nu(g, 1)
+            got = germs._residual(g, n1)
+            want = CARGerm(g.r, g.beta, {(i, i + j - n1) for i, j in g.support})
+            assert got == want, g
+            assert type(got) is CARGerm
+            g = got
+            stages += 1
+    assert stages == 2091
+
+
 def test_cyclic_depth_search_frozen():
     assert cyclic_depth_search(1) == 0
     assert cyclic_depth_search(2) == 1

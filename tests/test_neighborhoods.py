@@ -51,6 +51,20 @@ def test_cf_ic_iib():
         cf_intersection(ICCase(5), r1=3)
 
 
+def test_iib_fiber_degree_over_the_sweep_grid():
+    # the integer comparison picks the smaller of 3/r1 and 2/r2 on the full
+    # default verify grid, the tie r1 = 3, r2 = 2 included
+    weights = product(range(3, 52, 4), range(2, 52, 4), range(1, 52, 4), range(1, 52, 4))
+    seen = 0
+    for r1, r2, r3, r4 in weights:
+        got = cf_intersection(IIBCase(r1, r2, r3, r4))
+        assert got == min(Fraction(3, r1), Fraction(2, r2)), (r1, r2, r3, r4)
+        assert type(got) is Fraction
+        seen += 1
+    assert seen == 28_561
+    assert cf_intersection(IIBCase(3, 2, 1, 1)) == Fraction(3, 3) == Fraction(2, 2)
+
+
 def test_cf_ia_congruence():
     case = IACase(7, 2, 3)
     assert minimal_r1(case) == 3  # 2 * 3^(-1) = 10 = 3 mod 7

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from wresolve import chains, germs, sweeps, traces
+from wresolve import chains, germs, riemannroch, sweeps, traces
 
 
 def test_result_line_format():
@@ -112,6 +112,25 @@ def test_runner_counts_every_case_after_a_failure(monkeypatch):
     assert not res.ok
     assert res.cases == 1242
     assert res.detail.startswith("first failure: (r=2")
+
+
+# the chi-threshold scan is a second route to aw_upper_bound: it must catch
+# a wrong bound, and it must sum corr(X) over the cD/2 basket itself
+def test_rr_sweep_catches_a_wrong_bound(monkeypatch):
+    bound = riemannroch.aw_upper_bound
+    monkeypatch.setattr(riemannroch, "aw_upper_bound", lambda case: bound(case) + 1)
+    res = sweeps.sweep_rr_bounds(40)
+    assert res.ok is False
+    assert res.detail == "first failure: E1_a4 r'=5: scan 1 != bound 2"
+
+
+def test_rr_sweep_reads_the_cd2_basket_at_every_step(monkeypatch):
+    monkeypatch.setattr(
+        riemannroch, "cd2_basket", lambda aw: riemannroch.Basket.of((1, 2, aw + 1))
+    )
+    res = sweeps.sweep_rr_bounds(40)
+    assert res.ok is False
+    assert res.detail == "first failure: E1_a4 r'=5: scan 0 != bound 1"
 
 
 def test_trace_sweep_stops_at_first_failure(monkeypatch):
