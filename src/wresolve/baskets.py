@@ -17,6 +17,11 @@ classical table, with its general elephant column, is
     cD/3     E_6         2     2 x (1, 3)                  2       6
     cE/2     E_7         3     3 x (1, 2)                  2       6
 
+In code this is ``_KINDS``, the one table of the terminal classes: per
+kind, the datum ``TerminalClass`` takes, the basket entries and the depth
+bound.  ``TerminalClass``, ``basket_of``, ``germs.depth_bound`` and the
+``basket`` and ``depth`` subcommands all read it.
+
 The invariants are always computed from the definitions
 
     aw = sum n_i,   sigma = sum n_i b_i,   Xi = sum n_i r_i.
@@ -160,37 +165,96 @@ CD2 = "cD/2"
 CD3 = "cD/3"
 CE2 = "cE/2"
 
-KINDS = (GORENSTEIN, CYCLIC, CA_R, CAX2, CAX4, CD2, CD3, CE2)
 
-# classes whose basket is k copies of a fixed point, parametrized by k >= 1
-_K_PARAM = (CAX4, CD2)
+def _point(q: CyclicQuotient) -> tuple:
+    """The basket entries of q: its normal form, none when q is smooth."""
+    return () if q.smooth else (BasketEntry(*normalize_cyclic(q)),)
+
+
+def _ca_r_entry(g: "CARGerm") -> BasketEntry:
+    """The basket of a cA/r germ of index r >= 2: aw copies of its
+    transverse quotient section 1/r(beta, -beta, 1)."""
+    from .germs import axial_weight  # germs imports this module
+
+    b, r = normalize_cyclic(CyclicQuotient(g.r, (g.beta, -g.beta, 1)))
+    return BasketEntry(b, r, axial_weight(g))
+
+
+def _ca_r_depth(g: "CARGerm") -> tuple[int, bool]:
+    from . import germs  # germs imports this module
+
+    return germs.depth_formula(g), True
+
+
+def _cax2_depth(k: int | None) -> tuple[int, bool]:
+    if k is None:
+        raise InvalidParameter("cAx/2 depth bound needs the parameter k")
+    return k + 2, False
+
+
+# The class table: the classical table of the module docstring plus the
+# cyclic and cA/r classes.  Each kind's row is (datum, required, entries,
+# depth): the TerminalClass field of its datum (None when it takes none)
+# and whether the datum must be given, then its basket entries (BasketEntry
+# values or (b, r, n) tuples) and its depth bound (upper, exact), each a
+# function of the datum.  Depth is exact where a formula exists: 0 for
+# Gorenstein points, r - 1 for an index-r cyclic point, lam*r - t for a
+# cA/r germ.  The other classes only get the upper bound read off the
+# vertex count of the minimal resolution of the general elephant; cAx/2
+# needs its optional k for it.
+_KINDS = {
+    GORENSTEIN: (None, False, lambda _: (), lambda _: (0, True)),
+    CYCLIC: ("quotient", True, _point,
+             lambda q: (sum(e.r - 1 for e in _point(q)), True)),
+    CA_R: ("germ", True, lambda g: () if g.r == 1 else (_ca_r_entry(g),),
+           _ca_r_depth),
+    CAX2: ("k", False, lambda _: ((1, 2, 2),), _cax2_depth),
+    CAX4: ("k", True,
+           lambda k: ((1, 4, 1), (1, 2, k - 1)) if k > 1 else ((1, 4, 1),),
+           lambda k: (2 * k + 1, False)),
+    CD2: ("k", True, lambda k: ((1, 2, k),), lambda k: (2 * k, False)),
+    CD3: (None, False, lambda _: ((1, 3, 2),), lambda _: (6, False)),
+    CE2: (None, False, lambda _: ((1, 2, 3),), lambda _: (7, False)),
+}
+
+KINDS = tuple(_KINDS)
 
 
 class TerminalClass(namedtuple("TerminalClass", "kind k quotient germ")):
     """A terminal point labelled by its class in the classification.
 
-    k is the axial-weight parameter where the class has one (cAx/4 and
-    cD/2 require it; for cAx/2 it is optional and only feeds the depth
-    bound, since the cAx/2 basket does not depend on it).  quotient (a
-    CyclicQuotient) and germ (a CARGerm) carry the cyclic and cA/r data.
+    Each kind takes exactly the datum its row of the class table names:
+    k, the axial-weight parameter (an int >= 1; cAx/4 and cD/2 require it,
+    and for cAx/2 it is optional and only feeds the depth bound, since the
+    cAx/2 basket does not depend on it), quotient (a CyclicQuotient) for
+    the cyclic class, germ (a CARGerm) for cA/r, or nothing.
     """
 
     __slots__ = ()
 
     def __new__(cls, kind, k=None, quotient=None, germ=None):
-        if kind not in KINDS:
+        if kind not in _KINDS:
             raise ValueError(f"unknown class kind {kind!r}")
-        if kind == CYCLIC and quotient is None:
-            raise ValueError("cyclic class needs its quotient data")
-        if kind == CA_R and germ is None:
-            raise ValueError("cA/r class needs its germ data")
-        if kind in _K_PARAM and (k is None or k < 1):
-            raise ValueError(f"{kind} needs an axial parameter k >= 1")
-        if kind == CAX2 and k is not None and k < 1:
-            raise ValueError("cAx/2 axial parameter must be >= 1 when given")
-        if kind in (GORENSTEIN, CD3, CE2) and k is not None:
-            raise ValueError(f"{kind} takes no parameter")
+        datum, required, *_ = _KINDS[kind]
+        given = {"k": k, "quotient": quotient, "germ": germ}
+        value = given.pop(datum, None)
+        for name, other in given.items():
+            if other is not None:
+                raise ValueError(f"{kind} takes no {name}")
+        bad_k = k is not None and (type(k) is not int or k < 1)
+        if bad_k or (required and value is None):
+            if datum != "k":
+                raise ValueError(f"{kind} class needs its {datum} data")
+            if required:
+                raise ValueError(f"{kind} needs an axial parameter k >= 1")
+            raise ValueError(f"{kind} axial parameter must be >= 1 when given")
         return super().__new__(cls, kind, k, quotient, germ)
+
+    def _rules(self):
+        """(entries, depth, datum): the two rules of this class's row of
+        the class table, and the datum they apply to."""
+        datum, _, entries, depth = _KINDS[self.kind]
+        return entries, depth, datum and getattr(self, datum)
 
     @classmethod
     def gorenstein(cls):
@@ -226,31 +290,6 @@ class TerminalClass(namedtuple("TerminalClass", "kind k quotient germ")):
 
 
 def basket_of(tc: TerminalClass) -> Basket:
-    """Basket of cyclic points the class degenerates to (table above)."""
-    if tc.kind == GORENSTEIN:
-        return Basket()
-    if tc.kind == CYCLIC:
-        if tc.quotient.r == 1:
-            return Basket()
-        return Basket.of(normalize_cyclic(tc.quotient))
-    if tc.kind == CA_R:
-        from .germs import axial_weight  # germs imports this module
-
-        g = tc.germ
-        if g.r == 1:
-            return Basket()
-        b, r = normalize_cyclic(CyclicQuotient(g.r, (g.beta, -g.beta, 1)))
-        return Basket.of((b, r, axial_weight(g)))
-    if tc.kind == CAX2:
-        return Basket.of((1, 2, 2))
-    if tc.kind == CAX4:
-        if tc.k == 1:
-            return Basket.of((1, 4))
-        return Basket.of((1, 4), (1, 2, tc.k - 1))
-    if tc.kind == CD2:
-        return Basket.of((1, 2, tc.k))
-    if tc.kind == CD3:
-        return Basket.of((1, 3, 2))
-    if tc.kind == CE2:
-        return Basket.of((1, 2, 3))
-    raise InvalidParameter(f"no basket rule for {tc.kind!r}")
+    """Basket of cyclic points the class degenerates to (class table)."""
+    entries, _, datum = tc._rules()
+    return Basket.of(*entries(datum))

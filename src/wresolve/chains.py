@@ -28,6 +28,11 @@ integer work per stage; Fractions appear only in the stage fields.
 beta_k, gamma_k, delta_k, beta_k_b and gamma_k_b keep the exact rational
 closed forms the walks are checked against.
 
+Each shape's rules are attributes of its record class (O3CaseA lists
+them): its weight offsets, its certified y-term count, its depth terms,
+its walls and its walk.  The shared entry points read those and branch on
+no shape; ``O3_SHAPES`` lists both shapes for the ``o3`` subcommand.
+
 Both walks return one stage row per stage, up to a + 1 of them, and run
 with the cyclic collector paused (``errors.paused_gc``): the rows hold no
 cycles, so the pause loses nothing, and the state of the collector is
@@ -50,9 +55,20 @@ def _clean_support(raw) -> frozenset:
 
 
 class O3CaseA(namedtuple("O3CaseA", "a d alpha supp_a supp_b")):
-    """Shape-A chain data; r = 2ad - 1."""
+    """Shape-A chain data; r = 2ad - 1.
+
+    The shape's rules are its attributes, and the shared entry points read
+    nothing else of it: _offsets puts the doubled weights of y and u at 2d
+    plus an odd offset, per parity of the stage; _y_terms counts the y-term
+    exponents certified per stage (delta); _depth_terms gives the chain's
+    share of dep(X) and dep(Y) - dep(Q3); _check_walls and _walk are the
+    shape's part of check_constraints and its stage walk.
+    """
 
     __slots__ = ()
+    _offsets = ((-1, 1), (1, -1))
+    _y_terms = 1
+    _depth_terms = property(lambda self: (self.a * (4 * self.d - 2), 2 * self.r))
 
     def __new__(cls, a, d, alpha, supp_a=frozenset(), supp_b=frozenset()):
         if a < 3 or a % 2 == 0:
@@ -69,11 +85,37 @@ class O3CaseA(namedtuple("O3CaseA", "a d alpha supp_a supp_b")):
     def r(self) -> int:
         return 2 * self.a * self.d - 1
 
+    def _check_walls(self) -> None:
+        a, d, alpha = self.a, self.d, self.alpha
+        for i, j in sorted(self.supp_a):
+            if a * i + j < 2 * a * d:
+                raise ConstraintViolation(
+                    f"first-support ({i}, {j}) below the a*i + j >= {2 * a * d} wall",
+                    i=i, j=j,
+                )
+        for i, j in sorted(self.supp_b):
+            if (2 * i + 1) * a + 2 * j < 2 * a * d - 1:
+                raise ConstraintViolation(
+                    f"second-support ({i}, {j}) below the (2i+1)a + 2j >= {2 * a * d - 1} wall",
+                    i=i, j=j,
+                )
+        if (2 * alpha - 1) * a < 2 * a * d + 1:
+            raise ConstraintViolation(
+                f"alpha = {alpha} below the (2 alpha - 1) a >= {2 * a * d + 1} wall"
+            )
+
+    def _walk(self, k_max):
+        return chain_simulate(self, k_max)
+
 
 class O3CaseB(namedtuple("O3CaseB", "a d supp_a supp_b")):
-    """Shape-B chain data; r = (2d+1)a - 2."""
+    """Shape-B chain data; r = (2d+1)a - 2.  Its rules are the attributes
+    that O3CaseA describes; y, u and w sit at 2d plus the offsets."""
 
     __slots__ = ()
+    _offsets = ((-1, 1, 3), (3, 1, -1))
+    _y_terms = 0
+    _depth_terms = property(lambda self: (4 * self.a * self.d, 2 * self.r + 2))
 
     def __new__(cls, a, d, supp_a=frozenset(), supp_b=frozenset()):
         if a < 3 or a % 2 == 0:
@@ -87,6 +129,29 @@ class O3CaseB(namedtuple("O3CaseB", "a d supp_a supp_b")):
     @property
     def r(self) -> int:
         return (2 * self.d + 1) * self.a - 2
+
+    def _check_walls(self) -> None:
+        first, second = _lines_b(self)
+        witness = None
+        for equation, lines in (("first", first), ("second", second)):
+            for (i, j), base, slope, _ in lines:
+                if slope < 0:
+                    k = base // -slope + 1
+                    if k <= self.a and (witness is None or k < witness[0]):
+                        witness = (k, equation, i, j)
+        if witness is not None:
+            k, equation, i, j = witness
+            raise ConstraintViolation(
+                f"{equation}-equation exponent negative at stage {k} on ({i}, {j})",
+                i=i, j=j, k=k,
+            )
+
+    def _walk(self, k_max):
+        return chain_stages_b(self, k_max)
+
+
+# both chain shapes, as the ``o3`` subcommand offers them
+O3_SHAPES = (O3CaseA, O3CaseB)
 
 
 def _half(k: int) -> Fraction:
@@ -151,44 +216,9 @@ def check_constraints(case) -> None:
     base + k * slope with base >= 0, so a falling one first goes negative
     at k = base // -slope + 1; the witness is the one with the smallest
     such k <= a, earliest in support order on ties, as a stage-by-stage
-    walk would meet it.
+    walk would meet it.  Each shape's walls are its record's _check_walls.
     """
-    a, d = case.a, case.d
-    if isinstance(case, O3CaseA):
-        for i, j in sorted(case.supp_a):
-            if a * i + j < 2 * a * d:
-                raise ConstraintViolation(
-                    f"first-support ({i}, {j}) below the a*i + j >= {2 * a * d} wall",
-                    i=i, j=j,
-                )
-        for i, j in sorted(case.supp_b):
-            if (2 * i + 1) * a + 2 * j < 2 * a * d - 1:
-                raise ConstraintViolation(
-                    f"second-support ({i}, {j}) below the (2i+1)a + 2j >= {2 * a * d - 1} wall",
-                    i=i, j=j,
-                )
-        if (2 * case.alpha - 1) * a < 2 * a * d + 1:
-            raise ConstraintViolation(
-                f"alpha = {case.alpha} below the (2 alpha - 1) a >= {2 * a * d + 1} wall"
-            )
-        return
-    if isinstance(case, O3CaseB):
-        first, second = _lines_b(case)
-        witness = None
-        for equation, lines in (("first", first), ("second", second)):
-            for (i, j), base, slope, _ in lines:
-                if slope < 0:
-                    k = base // -slope + 1
-                    if k <= a and (witness is None or k < witness[0]):
-                        witness = (k, equation, i, j)
-        if witness is not None:
-            k, equation, i, j = witness
-            raise ConstraintViolation(
-                f"{equation}-equation exponent negative at stage {k} on ({i}, {j})",
-                i=i, j=j, k=k,
-            )
-        return
-    raise TypeError(f"unsupported case {type(case).__name__}")
+    case._check_walls()
 
 
 class NonnegativityReport(
@@ -221,20 +251,15 @@ def nonnegativity_check(case) -> NonnegativityReport:
     shape A's delta.
     """
     check_constraints(case)
-    per_stage = len(case.supp_a) + len(case.supp_b)
-    if isinstance(case, O3CaseA):
-        per_stage += 1  # delta
+    per_stage = len(case.supp_a) + len(case.supp_b) + case._y_terms
     return NonnegativityReport(checks=case.a * per_stage, ok=True)
 
 
 def _doubled_weights(case, k: int) -> tuple[int, ...]:
-    """Twice the stage-k blow-up weights: x -> 1, z -> 2, the rest odd."""
-    d = case.d
-    lo, hi = 2 * d - 1, 2 * d + 1
-    if isinstance(case, O3CaseA):
-        return (1, lo, 2, hi) if k % 2 == 0 else (1, hi, 2, lo)
-    top = 2 * d + 3
-    return (1, lo, 2, hi, top) if k % 2 == 0 else (1, top, 2, hi, lo)
+    """Twice the stage-k blow-up weights: x -> 1, z -> 2, and the rest at
+    2d plus the shape's odd offsets for the parity of k."""
+    y, *rest = (2 * case.d + o for o in case._offsets[k % 2])
+    return (1, y, 2, *rest)
 
 
 def chain_weights(case, k: int) -> tuple[Fraction, ...]:
@@ -451,15 +476,10 @@ def depth_identity(case, dep_q3: int) -> DepthIdentity:
     """
     if dep_q3 < 0:
         raise ValueError("endpoint depth must be >= 0")
-    a, d, r = case.a, case.d, case.r
-    if isinstance(case, O3CaseA):
-        upper = a + dep_q3 + a * (4 * d - 2)
-        dep_y = dep_q3 + 2 * r
-    elif isinstance(case, O3CaseB):
-        upper = a + dep_q3 + 4 * a * d
-        dep_y = dep_q3 + 2 * r + 2
-    else:
-        raise TypeError(f"unsupported case {type(case).__name__}")
+    a = case.a
+    chain, rise = case._depth_terms
+    upper = a + dep_q3 + chain
+    dep_y = dep_q3 + rise
     return DepthIdentity(
         dep_q3=dep_q3, dep_x_upper=upper, dep_y=dep_y, check=dep_y >= upper + a - 2
     )

@@ -188,27 +188,26 @@ def _weights(value, name):
 
 
 def _parse_class(obj):
-    from .baskets import CA_R, CAX2, CAX4, CD2, CYCLIC, GORENSTEIN, KINDS
-    from .baskets import CyclicQuotient, TerminalClass
+    from .baskets import _KINDS, GORENSTEIN, CyclicQuotient, TerminalClass
 
     # every class name, lower-cased, with and without its "/"
     aliases = {
         alias: kind
-        for kind in KINDS
+        for kind in _KINDS
         for alias in (kind.lower(), kind.lower().replace("/", ""))
     } | {"smooth": GORENSTEIN}
     kind = _field(obj, "class", _name(aliases, "unknown class {!r}"))
-    if kind == CYCLIC:
-        r = _field(obj, "r")
-        weights = _field(obj, "weights", _weights)
-        return TerminalClass(kind, quotient=CyclicQuotient(r, weights))
-    if kind == CA_R:
-        return TerminalClass(kind, germ=_parse_germ(obj))
-    if kind in (CAX4, CD2):
-        return TerminalClass(kind, k=_field(obj, "k"))
-    if kind == CAX2:
-        return TerminalClass(kind, k=_field(obj, "k", default=None))
-    return TerminalClass(kind)
+    datum, required, *_ = _KINDS[kind]
+    if datum is None:
+        return TerminalClass(kind)
+    # one reader per datum the class table names
+    read = {
+        "k": lambda: _field(obj, "k", default=_REQUIRED if required else None),
+        "quotient": lambda: CyclicQuotient(
+            _field(obj, "r"), _field(obj, "weights", _weights)),
+        "germ": lambda: _parse_germ(obj),
+    }
+    return TerminalClass(kind, **{datum: read[datum]()})
 
 
 def _cmd_basket(obj):
@@ -347,27 +346,25 @@ def _stage_payload_b(st):
 def _cmd_o3(obj):
     from . import chains
 
-    shapes = _name({"A": "A", "B": "B"}, "key 'case' must be \"A\" or \"B\"", str)
-    shape = _field(obj, "case", shapes)
+    shapes = {c.__name__.removeprefix("O3Case"): c for c in chains.O3_SHAPES}
+    unknown = "key 'case' must be \"A\" or \"B\""
+    shape = _field(obj, "case", _name(dict(zip(shapes, shapes)), unknown, str))
     a = _field(obj, "a")
     d = _field(obj, "d")
     supp_a = frozenset(_field(obj, "suppA", _pairs, default=()))
     supp_b = frozenset(_field(obj, "suppB", _pairs, default=()))
     k_max = _field(obj, "kMax", default=None, minimum=0)
     dep_q3 = _field(obj, "depQ3", default=0, minimum=0)
-    if shape == "A":
-        case = chains.O3CaseA(
-            a=a, d=d, alpha=_field(obj, "alpha"), supp_a=supp_a, supp_b=supp_b
-        )
-        walk, stage_payload = chains.chain_simulate, _stage_payload_a
-    else:
-        case = chains.O3CaseB(a=a, d=d, supp_a=supp_a, supp_b=supp_b)
-        walk, stage_payload = chains.chain_stages_b, _stage_payload_b
+    # the record's fields between d and the supports (shape A's alpha) are
+    # read last; each shape's stages have their own payload
+    cls = shapes[shape]
+    case = cls(a, d, *(_field(obj, name) for name in cls._fields[2:-2]), supp_a, supp_b)
+    stage_payload = globals()["_stage_payload_" + shape.lower()]
     return {
         "case": shape,
         "r": case.r,
         "nonnegativity": chains.nonnegativity_check(case),
-        "stages": [stage_payload(s) for s in walk(case, k_max)],
+        "stages": [stage_payload(s) for s in case._walk(k_max)],
         "identity": chains.depth_identity(case, dep_q3),
     }
 

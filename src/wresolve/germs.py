@@ -38,20 +38,8 @@ from __future__ import annotations
 from collections import namedtuple
 from math import gcd
 
-from .baskets import (
-    CA_R,
-    CAX2,
-    CAX4,
-    CD2,
-    CD3,
-    CE2,
-    CYCLIC,
-    GORENSTEIN,
-    CyclicQuotient,
-    TerminalClass,
-    normalize_cyclic,
-)
-from .errors import InvalidParameter, InvalidSplit, SearchLimitExceeded
+from .baskets import CyclicQuotient, TerminalClass
+from .errors import InvalidSplit, SearchLimitExceeded
 
 
 class CARGerm(namedtuple("CARGerm", "r beta support")):
@@ -282,34 +270,9 @@ class DepthBound(namedtuple("DepthBound", "lower upper exact")):
 
 
 def depth_bound(tc: TerminalClass) -> DepthBound:
-    """Depth of a terminal point, exact where a formula exists.
-
-    Gorenstein points have depth 0, index-r cyclic points r - 1, cA/r
-    germs lam*r - t.  The non-cA classes only get upper bounds, read off
-    the vertex count of the minimal resolution of the general elephant:
-    2k+1 for cAx/4, k+2 for cAx/2 (needs the optional parameter k), 2k
-    for cD/2, 6 for cD/3 and 7 for cE/2.
-    """
-    if tc.kind == GORENSTEIN:
-        return DepthBound.exactly(0)
-    if tc.kind == CYCLIC:
-        if tc.quotient.r == 1:
-            return DepthBound.exactly(0)
-        # refuses a quotient with no terminal normal form, as basket_of does
-        normalize_cyclic(tc.quotient)
-        return DepthBound.exactly(tc.quotient.r - 1)
-    if tc.kind == CA_R:
-        return DepthBound.exactly(depth_formula(tc.germ))
-    if tc.kind == CAX4:
-        return DepthBound(upper=2 * tc.k + 1)
-    if tc.kind == CAX2:
-        if tc.k is None:
-            raise InvalidParameter("cAx/2 depth bound needs the parameter k")
-        return DepthBound(upper=tc.k + 2)
-    if tc.kind == CD2:
-        return DepthBound(upper=2 * tc.k)
-    if tc.kind == CD3:
-        return DepthBound(upper=6)
-    if tc.kind == CE2:
-        return DepthBound(upper=7)
-    raise InvalidParameter(f"no depth rule for {tc.kind!r}")
+    """Depth of a terminal point: the depth rule of its row in the class
+    table (``baskets._KINDS``), exact where a formula exists and an upper
+    bound otherwise."""
+    _, depth, datum = tc._rules()
+    upper, exact = depth(datum)
+    return DepthBound(lower=upper if exact else None, upper=upper, exact=exact)

@@ -27,6 +27,11 @@ since w_P(0) comes from an external classification):
     IAIAIII           same numbers as ExceptionalIAIA, with a type III
                       companion point
 
+Each shape's rules (its K_X . C ceiling or its own K_X . C, its fixed
+C_Y . F or its r1 congruence, its index) are attributes of its class, set
+over the defaults of ``_Shape``; ``minimal_r1``, ``cf_intersection`` and
+``key_check`` read them and branch on no shape.
+
 No attempt is made to verify that a case shape is geometrically
 realizable; only the stated congruences and bounds are enforced.
 """
@@ -61,8 +66,26 @@ def canonical_degree(points) -> Fraction:
     return Fraction(-1) + sum((Fraction(p.w0) for p in points), Fraction(0))
 
 
-class ICCase(namedtuple("ICCase", "r")):
+class _Shape:
+    """The rules of an en case shape, as attributes its class sets; the
+    ``key_check`` entry points read nothing else of the shape.
+
+    _kx_max: the ceiling of the caller's K_X . C (its floor is -1); None
+    when the shape computes K_X . C itself, and _own_kx gives it with s
+    and delta.  _cf: the fixed fiber degree C_Y . F, which leaves no r1
+    free; None when C_Y . F = c / r1 for the r1 = c u^(-1) mod r of
+    _congruence = (c, u).  _index: the index that divides C_Y . F.
+    """
+
     __slots__ = ()
+    _kx_max = _own_kx = _cf = _congruence = None
+    _index = property(lambda self: self.r)
+
+
+class ICCase(_Shape, namedtuple("ICCase", "r")):
+    __slots__ = ()
+    _kx_max = property(lambda self: Fraction(-1, self.r))
+    _cf = Fraction(1)
 
     def __new__(cls, r):
         if r < 5 or r % 2 == 0:
@@ -70,8 +93,11 @@ class ICCase(namedtuple("ICCase", "r")):
         return super().__new__(cls, r)
 
 
-class IIBCase(namedtuple("IIBCase", "r1 r2 r3 r4")):
+class IIBCase(_Shape, namedtuple("IIBCase", "r1 r2 r3 r4")):
+    """A cAx/4 point: index 4, C_Y . F = min(3/r1, 2/r2)."""
+
     __slots__ = ()
+    _kx_max, _index = Fraction(-1, 4), 4
 
     def __new__(cls, r1, r2, r3, r4):
         residues = (3, 2, 1, 1)
@@ -83,11 +109,20 @@ class IIBCase(namedtuple("IIBCase", "r1 r2 r3 r4")):
                 )
         return super().__new__(cls, *values)
 
+    @property
+    def _cf(self):
+        # 3/r1 <= 2/r2 exactly when 3 r2 <= 2 r1; only the smaller is built
+        if 3 * self.r2 <= 2 * self.r1:
+            return Fraction(3, self.r1)
+        return Fraction(2, self.r2)
 
-class IACase(namedtuple("IACase", "r a1 a2")):
-    """Ordinary point of type (r; a1, a2)."""
+
+class IACase(_Shape, namedtuple("IACase", "r a1 a2")):
+    """Ordinary point of type (r; a1, a2); r1 = a1 a2^(-1) mod r."""
 
     __slots__ = ()
+    _kx_max = Fraction(0)
+    _congruence = property(lambda self: (self.a1, self.a2))
 
     def __new__(cls, r, a1, a2):
         if r < 2:
@@ -100,7 +135,28 @@ class IACase(namedtuple("IACase", "r a1 a2")):
         return super().__new__(cls, r, a1, a2)
 
 
-class ExceptionalIAIACase(namedtuple("ExceptionalIAIACase", "r a2")):
+class _A2Shape(_Shape):
+    """(r; 1, a2) with r/2 < a2 < r and a companion point: s = 2 a2 - r,
+    K_X . C = -s / 2r and r1 = a2^(-1) mod r.  A subclass checks its r
+    before the a2 checks here."""
+
+    __slots__ = ()
+    _congruence = property(lambda self: (1, self.a2))
+
+    def __new__(cls, r, a2):
+        if not (2 * a2 > r and a2 < r):
+            raise InvalidCaseData("need r/2 < a2 < r")
+        if gcd(a2, r) != 1:
+            raise InvalidCaseData("a2 must be a unit mod r")
+        return super().__new__(cls, r, a2)
+
+    @property
+    def _own_kx(self):
+        s = 2 * self.a2 - self.r
+        return Fraction(-s, 2 * self.r), s, None
+
+
+class ExceptionalIAIACase(_A2Shape, namedtuple("ExceptionalIAIACase", "r a2")):
     """(r; 1, a2) with a2 > r/2 plus the index-2 companion point."""
 
     __slots__ = ()
@@ -108,14 +164,19 @@ class ExceptionalIAIACase(namedtuple("ExceptionalIAIACase", "r a2")):
     def __new__(cls, r, a2):
         if r < 3 or r % 2 == 0:
             raise InvalidCaseData("exceptional IA+IA needs odd r >= 3")
-        _check_a2(r, a2)
         return super().__new__(cls, r, a2)
 
 
-class SemistableIAIACase(namedtuple("SemistableIAIACase", "r a rprime aprime")):
-    """Points (r; 1, a) and (r'; 1, a') with delta = ar' + a'r - rr' > 0."""
+class SemistableIAIACase(
+    _Shape, namedtuple("SemistableIAIACase", "r a rprime aprime")
+):
+    """Points (r; 1, a) and (r'; 1, a') with delta = ar' + a'r - rr' > 0;
+    K_X . C = -delta / rr' and r1 = a^(-1) mod r."""
 
     __slots__ = ()
+    _congruence = property(lambda self: (1, self.a))
+    _own_kx = property(lambda self: (Fraction(-self.delta, self.r * self.rprime),
+                                     None, self.delta))
 
     def __new__(cls, r, a, rprime, aprime):
         if not (r >= rprime >= 2):
@@ -134,7 +195,7 @@ class SemistableIAIACase(namedtuple("SemistableIAIACase", "r a rprime aprime")):
         return self.a * self.rprime + self.aprime * self.r - self.r * self.rprime
 
 
-class IAIAIIICase(namedtuple("IAIAIIICase", "r a2")):
+class IAIAIIICase(_A2Shape, namedtuple("IAIAIIICase", "r a2")):
     """Same numerics as ExceptionalIAIA, with a type III companion."""
 
     __slots__ = ()
@@ -142,15 +203,7 @@ class IAIAIIICase(namedtuple("IAIAIIICase", "r a2")):
     def __new__(cls, r, a2):
         if r < 3:
             raise InvalidCaseData("IA+IA+III needs r >= 3")
-        _check_a2(r, a2)
         return super().__new__(cls, r, a2)
-
-
-def _check_a2(r: int, a2: int) -> None:
-    if not (2 * a2 > r and a2 < r):
-        raise InvalidCaseData("need r/2 < a2 < r")
-    if gcd(a2, r) != 1:
-        raise InvalidCaseData("a2 must be a unit mod r")
 
 
 # every case shape, as the ``en`` subcommand offers them
@@ -159,20 +212,12 @@ EN_CASES = (
 )
 
 
-def _minimal_residue(value: int, r: int) -> int:
-    res = value % r
-    return res if res else r
-
-
 def minimal_r1(case) -> int:
     """Least positive r1 in the admissible congruence class of the case."""
-    if isinstance(case, IACase):
-        return _minimal_residue(case.a1 * pow(case.a2, -1, case.r), case.r)
-    if isinstance(case, (ExceptionalIAIACase, IAIAIIICase)):
-        return _minimal_residue(pow(case.a2, -1, case.r), case.r)
-    if isinstance(case, SemistableIAIACase):
-        return _minimal_residue(pow(case.a, -1, case.r), case.r)
-    raise InvalidCaseData(f"{type(case).__name__} has no r1 congruence")
+    if case._congruence is None:
+        raise InvalidCaseData(f"{type(case).__name__} has no r1 congruence")
+    c, u = case._congruence
+    return (c * pow(u, -1, case.r) - 1) % case.r + 1  # least positive member
 
 
 def _resolve_r1(case, r1: int | None) -> int:
@@ -193,23 +238,14 @@ def _case_name(cls) -> str:
 
 def _fiber_degree(case, r1: int | None) -> tuple[Fraction, int | None]:
     """C_Y . F and the r1 it used; IC and IIB fix theirs and take no r1."""
-    if isinstance(case, (ICCase, IIBCase)):
-        if r1 is not None:
-            name = _case_name(type(case))
-            raise InvalidCaseData(f"{name} fixes its weights; r1 is not free")
-        if isinstance(case, ICCase):
-            return Fraction(1), None
-        # 3/r1 <= 2/r2 exactly when 3 r2 <= 2 r1; only the smaller is built
-        if 3 * case.r2 <= 2 * case.r1:
-            return Fraction(3, case.r1), None
-        return Fraction(2, case.r2), None
-    if isinstance(case, IACase):
+    cf = case._cf
+    if cf is None:
         use = _resolve_r1(case, r1)
-        return Fraction(case.a1, use), use
-    if isinstance(case, (ExceptionalIAIACase, IAIAIIICase, SemistableIAIACase)):
-        use = _resolve_r1(case, r1)
-        return Fraction(1, use), use
-    raise InvalidCaseData(f"no fiber degree rule for {type(case).__name__}")
+        return Fraction(case._congruence[0], use), use
+    if r1 is not None:
+        name = _case_name(type(case))
+        raise InvalidCaseData(f"{name} fixes its weights; r1 is not free")
+    return cf, None
 
 
 def cf_intersection(case, r1: int | None = None) -> Fraction:
@@ -253,26 +289,14 @@ def key_check(case, kx=None, r1: int | None = None) -> KeyVerdict:
     the same value as kx + cf / index.
     """
     s = delta = None
-    if isinstance(case, ICCase):
-        kx = _require_kx(case, kx, Fraction(-1), Fraction(-1, case.r))
-    elif isinstance(case, IIBCase):
-        kx = _require_kx(case, kx, Fraction(-1), Fraction(-1, 4))
-    elif isinstance(case, IACase):
-        kx = _require_kx(case, kx, Fraction(-1), Fraction(0))
-    elif isinstance(case, (ExceptionalIAIACase, IAIAIIICase, SemistableIAIACase)):
-        if kx is not None:
-            raise InvalidCaseData("this case computes K_X . C itself")
-        if isinstance(case, SemistableIAIACase):
-            delta = case.delta
-            kx = Fraction(-delta, case.r * case.rprime)
-        else:
-            s = 2 * case.a2 - case.r
-            kx = Fraction(-s, 2 * case.r)
+    if case._kx_max is not None:
+        kx = _require_kx(case, kx, Fraction(-1), case._kx_max)
+    elif kx is not None:
+        raise InvalidCaseData("this case computes K_X . C itself")
     else:
-        raise InvalidCaseData(f"no key rule for {type(case).__name__}")
+        kx, s, delta = case._own_kx
     cf, use = _fiber_degree(case, r1)
-    index = 4 if isinstance(case, IIBCase) else case.r
-    q = cf.denominator * index
+    q = cf.denominator * case._index
     ky = Fraction(kx.numerator * q + cf.numerator * kx.denominator,
                   kx.denominator * q)
     return KeyVerdict(ky, ky <= 0, kx, cf, use, s, delta)

@@ -23,6 +23,10 @@ Case data (r' >= 1, X of type cD/2):
 The exact threshold bound (largest aw with delta_chi >= 1) is sharper
 than the classical sufficient bounds r' - 1 (E1) and 2r' - 1 (E2), which
 only need delta_chi > 0; both are reported.
+
+In code the table is ``_TAGS``, one row per tag: the E1/E2 closed forms
+and each tag's depth check.  ``ContractionCase``, ``case_data``,
+``case_depth_check`` and the ``rr`` subcommand read it.
 """
 
 from __future__ import annotations
@@ -30,9 +34,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .baskets import (
-    Basket, BasketEntry, CyclicQuotient, aw as basket_aw, normalize_cyclic,
-)
+from .baskets import Basket, BasketEntry, CyclicQuotient, normalize_cyclic
 from .errors import InvalidParameter
 
 E1_A4 = "E1_a4"
@@ -41,8 +43,6 @@ E2 = "E2"
 E11 = "E11"
 O3 = "O3"
 
-TAGS = (E1_A4, E1_A2, E2, E11, O3)
-
 
 class ContractionCase(namedtuple("ContractionCase", "tag rprime")):
     """One classified contraction case; r' parametrizes the E1/E2 families."""
@@ -50,9 +50,9 @@ class ContractionCase(namedtuple("ContractionCase", "tag rprime")):
     __slots__ = ()
 
     def __new__(cls, tag, rprime=None):
-        if tag not in TAGS:
+        if tag not in _TAGS:
             raise ValueError(f"unknown case tag {tag!r}")
-        if tag in (E1_A4, E1_A2, E2):
+        if _TAGS[tag][0] is not None:  # an E1/E2 family
             if rprime is None or rprime < 1:
                 raise ValueError(f"{tag} needs a positive r'")
         elif rprime is not None:
@@ -102,23 +102,13 @@ def _closed_forms(case: ContractionCase) -> tuple:
     bound and the dep(Y) range.  Raises InvalidParameter when r' puts the
     entry outside the terminal range; the entry is checked as one
     BasketEntry, and no Basket is built."""
-    rp = case.rprime
+    over, forms, _ = _TAGS[case.tag]
+    if forms is None:
+        raise InvalidParameter(f"{case.tag} has no tabulated E1/E2 data")
+    if case.rprime <= over:
+        raise InvalidParameter(f"{case.tag} needs r' > {over}")
+    a, e, entry, bound, dep_y = forms(case.rprime)
     try:
-        if case.tag == E1_A4:
-            if rp <= 4:
-                raise ValueError("E1_a4 needs r' > 4")
-            forms = 2, 1, (rp - 4, 2 * rp), rp - 1, (2 * rp - 1, 2 * rp - 1)
-        elif case.tag == E1_A2:
-            if rp <= 2:
-                raise ValueError("E1_a2 needs r' > 2")
-            forms = 1, 2, (rp - 2, 2 * rp), rp - 1, (2 * rp - 1, 2 * rp - 1)
-        elif case.tag == E2:
-            if rp <= 1:
-                raise ValueError("E2 needs r' > 1")
-            forms = 1, 1, (rp - 1, 2 * rp, 2), 2 * rp - 1, (4 * rp - 2, 4 * rp - 1)
-        else:
-            raise InvalidParameter(f"{case.tag} has no tabulated E1/E2 data")
-        a, e, entry, bound, dep_y = forms
         return a, e, BasketEntry(*entry), bound, dep_y
     except ValueError as exc:
         raise InvalidParameter(str(exc)) from exc
@@ -163,37 +153,58 @@ class CaseDepthReport(namedtuple("CaseDepthReport", "aw dep_y dep_x_upper ok")):
 def case_depth_check(case: ContractionCase, aw: int | None = None) -> CaseDepthReport:
     """Check dep(Y) >= dep(X) - 1 with the tabulated case depths.
 
-    E1/E2 need the axial weight aw of the contracted cD/2 point (within
-    the classical sufficient bound); dep(X) <= 2 aw by the cD/2 depth
-    bound.  E11 contracts over a cE/2 point: dep(Y) is recomputed from
-    the basket indices 2 and 6 and dep(X) <= 7; it takes no aw.
+    E1/E2 need the axial weight aw of the contracted cD/2 point; E11 takes
+    no aw, and O3 is refused (the chain module handles it).  Each tag is
+    checked by the depth check of its row in the case table.
     """
-    if case.tag == E11:
-        if aw is not None:
-            raise InvalidParameter("E11 takes no aw")
-        points = (CyclicQuotient(2, (1, 1, 1)), CyclicQuotient(6, (1, -1, -1)))
-        dep_y = 0
-        for pt in points:
-            _, idx = normalize_cyclic(pt)
-            dep_y += idx - 1  # an index-n cyclic point has depth n - 1
-        dep_x_upper = 7  # cE/2 upper bound
-        return CaseDepthReport(
-            aw=None,
-            dep_y=(dep_y, dep_y),
-            dep_x_upper=dep_x_upper,
-            ok=dep_y >= dep_x_upper - 1,
-        )
-    if case.tag == O3:
-        raise InvalidParameter("the O3 case is handled by the chain module")
+    *_, check = _TAGS[case.tag]
+    return check(case, aw)
+
+
+def _family_check(case: ContractionCase, aw: int | None) -> CaseDepthReport:
+    """E1/E2: aw lies within the classical sufficient bound, and dep(X) <=
+    2 aw by the cD/2 depth bound."""
     *_, bound, dep_y = _closed_forms(case)
     if aw is None or aw < 1:
         raise InvalidParameter(f"{case.tag} needs the axial weight aw >= 1")
     if aw > bound:
         raise InvalidParameter(f"aw = {aw} exceeds the admissible bound {bound}")
     dep_x_upper = 2 * aw  # cD/2 depth bound, Xi = 2 aw
-    return CaseDepthReport(
-        aw=aw,
-        dep_y=dep_y,
-        dep_x_upper=dep_x_upper,
-        ok=dep_y[0] >= dep_x_upper - 1,
-    )
+    return CaseDepthReport(aw, dep_y, dep_x_upper, ok=dep_y[0] >= dep_x_upper - 1)
+
+
+def _e11_check(case: ContractionCase, aw: int | None) -> CaseDepthReport:
+    """E11 contracts over a cE/2 point: dep(Y) is recomputed from the
+    basket indices 2 and 6 and dep(X) <= 7; it takes no aw."""
+    if aw is not None:
+        raise InvalidParameter("E11 takes no aw")
+    points = (CyclicQuotient(2, (1, 1, 1)), CyclicQuotient(6, (1, -1, -1)))
+    # an index-n cyclic point has depth n - 1
+    dep_y = sum(normalize_cyclic(pt)[1] - 1 for pt in points)
+    # dep(X) <= 7, the cE/2 upper bound
+    return CaseDepthReport(None, (dep_y, dep_y), 7, ok=dep_y >= 7 - 1)
+
+
+def _o3_check(case: ContractionCase, aw: int | None) -> CaseDepthReport:
+    raise InvalidParameter("the O3 case is handled by the chain module")
+
+
+# The case table, one row (over, forms, check) per tag.  An E1/E2 family
+# row holds the r' that every member of the family is over and, as a
+# function of r', the closed forms of the module docstring's table: a/n,
+# the numerator e of E^3 = e/r', the Y-basket entry (b, r) or (b, r, n),
+# the classical sufficient bound and the dep(Y) range.  E11 and O3 take no
+# r' and have no forms.  Every row ends with its depth check.
+_TAGS = {
+    E1_A4: (4, lambda rp: (2, 1, (rp - 4, 2 * rp), rp - 1, (2 * rp - 1, 2 * rp - 1)),
+            _family_check),
+    E1_A2: (2, lambda rp: (1, 2, (rp - 2, 2 * rp), rp - 1, (2 * rp - 1, 2 * rp - 1)),
+            _family_check),
+    E2: (1, lambda rp: (1, 1, (rp - 1, 2 * rp, 2), 2 * rp - 1,
+                        (4 * rp - 2, 4 * rp - 1)),
+         _family_check),
+    E11: (None, None, _e11_check),
+    O3: (None, None, _o3_check),
+}
+
+TAGS = tuple(_TAGS)

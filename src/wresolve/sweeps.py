@@ -20,9 +20,7 @@ from fractions import Fraction
 from math import gcd
 
 from . import chains, germs, neighborhoods, riemannroch, traces
-from .baskets import (
-    Basket, TerminalClass, aw as basket_aw, basket_of, xi as basket_xi,
-)
+from .baskets import Basket, _ca_r_entry
 from .errors import InvalidParameter
 from .germs import CARGerm
 
@@ -147,9 +145,11 @@ def _germ_tag(g: CARGerm) -> str:
 def _check_germ_depth(g: CARGerm) -> str | None:
     searched = germs.depth_search(g)
     formula = germs.depth_formula(g)
-    bk = basket_of(TerminalClass.ca_r(g))
-    lo = basket_xi(bk) - basket_aw(bk)
-    hi = basket_xi(bk) - 1
+    # the window [Xi - aw, Xi - 1] of the germ's basket, whose one entry
+    # is aw = n copies of an index-r point, so Xi = n r
+    entry = _ca_r_entry(g)
+    xi, aw = entry.n * entry.r, entry.n
+    lo, hi = xi - aw, xi - 1
     if searched != formula:
         return f"{_germ_tag(g)}: search {searched}, formula {formula}"
     if not (lo <= searched <= hi):

@@ -160,6 +160,29 @@ def test_class_validation():
         TerminalClass(kind="cyclic")
 
 
+_Q = CyclicQuotient(5, (2, 3, 1))
+_G = CARGerm(5, 2, frozenset({(0, 3), (1, 1)}))
+
+
+@pytest.mark.parametrize("kind, data, message", [
+    ("cyclic", {"quotient": _Q, "k": 3}, "cyclic takes no k"),
+    ("cA/r", {"germ": _G, "k": 0}, "cA/r takes no k"),
+    ("cD/2", {"k": 2, "germ": _G}, "cD/2 takes no germ"),
+    ("gorenstein", {"quotient": _Q}, "gorenstein takes no quotient"),
+    ("cD/3", {"germ": _G}, "cD/3 takes no germ"),
+    ("cD/2", {"k": 2.5}, "cD/2 needs an axial parameter k >= 1"),
+    ("cAx/4", {"k": True}, "cAx/4 needs an axial parameter k >= 1"),
+    ("cAx/2", {"k": 2.0}, "cAx/2 axial parameter must be >= 1 when given"),
+    ("cA/r", {}, "cA/r class needs its germ data"),
+], ids=lambda v: v if isinstance(v, str) else None)
+def test_class_takes_exactly_its_datum(kind, data, message):
+    # each kind reads one datum: another one, or a k that is not an int
+    # (a float would put floats into aw, xi and the depth bound), is refused
+    with pytest.raises(ValueError) as exc:
+        TerminalClass(kind, **data)
+    assert str(exc.value) == message
+
+
 def test_quotient_weight_reduction():
     q = CyclicQuotient(5, (7, -1, 12))
     assert q.weights == (2, 4, 2)
