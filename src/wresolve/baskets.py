@@ -59,7 +59,8 @@ class CyclicQuotient(namedtuple("CyclicQuotient", "r weights")):
         weights = tuple(weights)
         if len(weights) != 3:
             raise ValueError("need exactly three weights")
-        return super().__new__(cls, r, tuple(int(w) % r for w in weights))
+        w0, w1, w2 = weights
+        return tuple.__new__(cls, (r, (int(w0) % r, int(w1) % r, int(w2) % r)))
 
     @property
     def smooth(self) -> bool:
@@ -107,7 +108,7 @@ class BasketEntry(namedtuple("BasketEntry", "b r n")):
             raise ValueError(f"entry ({b}, {r}) has gcd > 1")
         if n < 1:
             raise ValueError("multiplicity must be >= 1")
-        return super().__new__(cls, b, r, n)
+        return tuple.__new__(cls, (b, r, n))
 
 
 class Basket(namedtuple("Basket", "entries")):
@@ -227,7 +228,8 @@ class TerminalClass(namedtuple("TerminalClass", "kind k quotient germ")):
     k, the axial-weight parameter (an int >= 1; cAx/4 and cD/2 require it,
     and for cAx/2 it is optional and only feeds the depth bound, since the
     cAx/2 basket does not depend on it), quotient (a CyclicQuotient) for
-    the cyclic class, germ (a CARGerm) for cA/r, or nothing.
+    the cyclic class, germ (a CARGerm) for cA/r, or nothing.  A datum of
+    any other type is refused with ValueError.
     """
 
     __slots__ = ()
@@ -248,6 +250,15 @@ class TerminalClass(namedtuple("TerminalClass", "kind k quotient germ")):
             if required:
                 raise ValueError(f"{kind} needs an axial parameter k >= 1")
             raise ValueError(f"{kind} axial parameter must be >= 1 when given")
+        if datum == "quotient" or datum == "germ":
+            from .germs import CARGerm  # germs imports this module
+
+            want = CyclicQuotient if datum == "quotient" else CARGerm
+            if not isinstance(value, want):
+                raise ValueError(
+                    f"{kind} {datum} must be a {want.__name__}, "
+                    f"not {type(value).__name__}"
+                )
         return super().__new__(cls, kind, k, quotient, germ)
 
     def _rules(self):

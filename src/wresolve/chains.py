@@ -154,23 +154,21 @@ class O3CaseB(namedtuple("O3CaseB", "a d supp_a supp_b")):
 O3_SHAPES = (O3CaseA, O3CaseB)
 
 
-def _half(k: int) -> Fraction:
-    return Fraction(1, 2) if k % 2 else Fraction(0)
-
-
 def beta_k(i: int, j: int, k: int, d: int) -> int:
     """Stage-k z-exponent on the shape-A term x^(2i) z^j."""
     return k * (i - 2 * d) + j
 
 
 def gamma_k(i: int, j: int, k: int, d: int) -> Fraction:
-    """Stage-k z-exponent on the shape-A term u x^(2i+1) z^j."""
-    return Fraction(k * (2 * i + 1), 2) - k * d + j + _half(k)
+    """Stage-k z-exponent on the shape-A term u x^(2i+1) z^j:
+    k (2i + 1) / 2 - k d + j + (k mod 2) / 2, over the denominator 2."""
+    return Fraction(k * (2 * i + 1) - 2 * k * d + 2 * j + k % 2, 2)
 
 
 def delta_k(k: int, alpha: int, d: int) -> Fraction:
-    """Stage-k z-exponent on the shape-A term y x^(2 alpha - 1)."""
-    return Fraction(k * (2 * alpha - 1), 2) - k * d - _half(k)
+    """Stage-k z-exponent on the shape-A term y x^(2 alpha - 1):
+    k (2 alpha - 1) / 2 - k d - (k mod 2) / 2, over the denominator 2."""
+    return Fraction(k * (2 * alpha - 1) - 2 * k * d - k % 2, 2)
 
 
 def beta_k_b(i: int, j: int, k: int, d: int) -> int:

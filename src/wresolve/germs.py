@@ -63,7 +63,7 @@ class CARGerm(namedtuple("CARGerm", "r beta support")):
             raise ValueError("constant term: germ not singular at the origin")
         if not any(i == 0 for i, _ in support):
             raise ValueError("no axial monomial: axial weight would be infinite")
-        return super().__new__(cls, r, residue, support)
+        return tuple.__new__(cls, (r, residue, support))
 
 
 def axial_weight(g: CARGerm) -> int:

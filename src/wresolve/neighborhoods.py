@@ -100,14 +100,12 @@ class IIBCase(_Shape, namedtuple("IIBCase", "r1 r2 r3 r4")):
     _kx_max, _index = Fraction(-1, 4), 4
 
     def __new__(cls, r1, r2, r3, r4):
-        residues = (3, 2, 1, 1)
-        values = (r1, r2, r3, r4)
-        for v, m in zip(values, residues):
-            if v < 1 or v % 4 != m:
-                raise InvalidCaseData(
-                    f"IIB weights must be = (3, 2, 1, 1) mod 4, got {values}"
-                )
-        return super().__new__(cls, *values)
+        if (r1 < 1 or r1 % 4 != 3 or r2 < 1 or r2 % 4 != 2
+                or r3 < 1 or r3 % 4 != 1 or r4 < 1 or r4 % 4 != 1):
+            raise InvalidCaseData(
+                f"IIB weights must be = (3, 2, 1, 1) mod 4, got {(r1, r2, r3, r4)}"
+            )
+        return tuple.__new__(cls, (r1, r2, r3, r4))
 
     @property
     def _cf(self):
@@ -175,8 +173,6 @@ class SemistableIAIACase(
 
     __slots__ = ()
     _congruence = property(lambda self: (1, self.a))
-    _own_kx = property(lambda self: (Fraction(-self.delta, self.r * self.rprime),
-                                     None, self.delta))
 
     def __new__(cls, r, a, rprime, aprime):
         if not (r >= rprime >= 2):
@@ -185,14 +181,18 @@ class SemistableIAIACase(
             raise InvalidCaseData("a must be a unit mod r")
         if not (0 < aprime < rprime) or gcd(aprime, rprime) != 1:
             raise InvalidCaseData("a' must be a unit mod r'")
-        case = super().__new__(cls, r, a, rprime, aprime)
-        if case.delta <= 0:
+        if a * rprime + aprime * r - r * rprime <= 0:  # delta
             raise InvalidCaseData("semistable shape needs ar' + a'r - rr' > 0")
-        return case
+        return tuple.__new__(cls, (r, a, rprime, aprime))
 
     @property
     def delta(self) -> int:
         return self.a * self.rprime + self.aprime * self.r - self.r * self.rprime
+
+    @property
+    def _own_kx(self):
+        delta = self.delta
+        return Fraction(-delta, self.r * self.rprime), None, delta
 
 
 class IAIAIIICase(_A2Shape, namedtuple("IAIAIIICase", "r a2")):
@@ -286,7 +286,8 @@ def key_check(case, kx=None, r1: int | None = None) -> KeyVerdict:
 
     K_Y . C_Y is formed in one reduction: kx = p/q and cf = c/d give
     (p d index + c q) / (q d index), one Fraction built from integers,
-    the same value as kx + cf / index.
+    the same value as kx + cf / index.  Its denominator is positive, so
+    its sign is the sign of that integer numerator.
     """
     s = delta = None
     if case._kx_max is not None:
@@ -297,9 +298,9 @@ def key_check(case, kx=None, r1: int | None = None) -> KeyVerdict:
         kx, s, delta = case._own_kx
     cf, use = _fiber_degree(case, r1)
     q = cf.denominator * case._index
-    ky = Fraction(kx.numerator * q + cf.numerator * kx.denominator,
-                  kx.denominator * q)
-    return KeyVerdict(ky, ky <= 0, kx, cf, use, s, delta)
+    num = kx.numerator * q + cf.numerator * kx.denominator
+    ky = Fraction(num, kx.denominator * q)
+    return tuple.__new__(KeyVerdict, (ky, num <= 0, kx, cf, use, s, delta))
 
 
 def _require_kx(case, kx, lo: Fraction, hi: Fraction) -> Fraction:

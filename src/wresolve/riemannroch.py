@@ -53,6 +53,8 @@ class ContractionCase(namedtuple("ContractionCase", "tag rprime")):
         if tag not in _TAGS:
             raise ValueError(f"unknown case tag {tag!r}")
         if _TAGS[tag][0] is not None:  # an E1/E2 family
+            if rprime is not None and type(rprime) is not int:
+                raise ValueError(f"{tag} needs an int r', not {rprime!r}")
             if rprime is None or rprime < 1:
                 raise ValueError(f"{tag} needs a positive r'")
         elif rprime is not None:

@@ -77,6 +77,22 @@ def _units(r):
     return [b for b in range(1, r) if gcd(b, r) == 1]
 
 
+def _below(rng: random.Random, n: int) -> int:
+    """A uniform draw from range(n), n >= 1, in one frame.
+
+    This is the rejection loop of ``Random._randbelow``, so it takes the
+    same bits from rng's stream, and returns the same value, as
+    ``rng.randrange(n)``; ``a + _below(rng, b - a + 1)`` is
+    ``rng.randint(a, b)`` and ``seq[_below(rng, len(seq))]`` is
+    ``rng.choice(seq)``.  The randomized sweeps draw through it and see
+    the streams those calls would give."""
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
+
+
 def _check_cyclic_search(r: int, found: int) -> str | None:
     if found != r - 1:
         return f"index {r}: search {found} != {r - 1}"
@@ -307,19 +323,21 @@ def _check_en_semistable(case: neighborhoods.SemistableIAIACase) -> str | None:
 def sweep_en_semistable(r_max: int) -> SweepResult:
     """Semistable IA+IA: r1*delta = r' mod r, r1*delta >= r' and
     K_Y.C_Y <= 0 over all shapes."""
+    units = [_units(r) for r in range(r_max + 1)]  # one list per index
     cases = (
         neighborhoods.SemistableIAIACase(r, a, rp, ap)
         for rp in range(2, r_max + 1)
         for r in range(rp, r_max + 1)
-        for a in _units(r)
-        for ap in _units(rp)
+        for a in units[r]
+        for ap in units[rp]
         if a * rp + ap * r - r * rp > 0
     )
     return _run("en-semistable-iaia", map(_check_en_semistable, cases))
 
 
 def _check_en_iib(case: neighborhoods.IIBCase) -> str | None:
-    if neighborhoods.cf_intersection(case) > 1:
+    cf = neighborhoods.cf_intersection(case)
+    if cf.numerator > cf.denominator:  # cf > 1, compared in integers
         return f"{(case.r1, case.r2, case.r3, case.r4)}: fiber degree above 1"
     return None
 
@@ -341,16 +359,16 @@ def _ceil_div(p: int, q: int) -> int:
 
 def random_case_a(rng: random.Random, a: int, d: int) -> chains.O3CaseA:
     supp_a = {(2 * d, 0)}
-    for _ in range(rng.randint(0, 4)):
-        i = rng.randint(0, 3 * d + 2)
-        j = max(0, 2 * a * d - a * i) + rng.randint(0, 6)
+    for _ in range(_below(rng, 5)):
+        i = _below(rng, 3 * d + 3)
+        j = max(0, 2 * a * d - a * i) + _below(rng, 7)
         supp_a.add((i, j))
     supp_b = set()
-    for _ in range(rng.randint(0, 4)):
-        i = rng.randint(0, 2 * d + 2)
-        j = max(0, _ceil_div(2 * a * d - 1 - (2 * i + 1) * a, 2)) + rng.randint(0, 6)
+    for _ in range(_below(rng, 5)):
+        i = _below(rng, 2 * d + 3)
+        j = max(0, _ceil_div(2 * a * d - 1 - (2 * i + 1) * a, 2)) + _below(rng, 7)
         supp_b.add((i, j))
-    alpha = d + 1 + rng.randint(0, 3)
+    alpha = d + 1 + _below(rng, 4)
     return chains.O3CaseA(
         a=a, d=d, alpha=alpha,
         supp_a=frozenset(supp_a), supp_b=frozenset(supp_b),
@@ -359,14 +377,14 @@ def random_case_a(rng: random.Random, a: int, d: int) -> chains.O3CaseA:
 
 def random_case_b(rng: random.Random, a: int, d: int) -> chains.O3CaseB:
     supp_a = set()
-    for _ in range(rng.randint(0, 4)):
-        i = rng.randint(0, 2 * d + 3)
-        j = max(0, (2 * d + 1) * a - a * i) + rng.randint(0, 6)
+    for _ in range(_below(rng, 5)):
+        i = _below(rng, 2 * d + 4)
+        j = max(0, (2 * d + 1) * a - a * i) + _below(rng, 7)
         supp_a.add((i, j))
     supp_b = set()
-    for _ in range(rng.randint(0, 4)):
-        i = rng.randint(0, d + 2)
-        j = max(0, a * (d - i) - 1) + rng.randint(0, 6)
+    for _ in range(_below(rng, 5)):
+        i = _below(rng, d + 3)
+        j = max(0, a * (d - i) - 1) + _below(rng, 7)
         supp_b.add((i, j))
     return chains.O3CaseB(
         a=a, d=d, supp_a=frozenset(supp_a), supp_b=frozenset(supp_b)
@@ -374,7 +392,7 @@ def random_case_b(rng: random.Random, a: int, d: int) -> chains.O3CaseB:
 
 
 def _check_depth_identity(case, rng: random.Random, tag: str) -> str | None:
-    ident = chains.depth_identity(case, rng.randint(0, 12))
+    ident = chains.depth_identity(case, _below(rng, 13))
     if not ident.check or ident.dep_y != ident.dep_x_upper + case.a - 2:
         return f"{tag}: depth identity broke"
     return None
@@ -463,27 +481,31 @@ def sweep_o3_chains(cases_per_shape: int, seed: int) -> SweepResult:
     return _run("o3-chain-calculus", _through_first_failure(pairs))
 
 
+# the kinds a generated step picks from, at depth 0 and above it
+_KINDS_AT_ZERO = (traces.FLOP, traces.DIV_TO_POINT, traces.DIV_TO_CURVE,
+                  traces.BLOWDOWN_LCI)
+_KINDS_ABOVE_ZERO = (traces.FLOP, traces.DIV_TO_POINT, traces.DIV_TO_CURVE,
+                     traces.FLIP, traces.WEXTRACTION)
+
+
 def random_trace(rng: random.Random):
     """A valid trace of 1 to 12 steps from a depth of at most 10."""
-    dep = rng.randint(0, 10)
+    dep = _below(rng, 11)
     steps = []
-    for _ in range(rng.randint(1, 12)):
-        kinds = [traces.FLOP, traces.DIV_TO_POINT, traces.DIV_TO_CURVE]
-        if dep == 0:
-            kinds.append(traces.BLOWDOWN_LCI)
-        else:
-            kinds += [traces.FLIP, traces.WEXTRACTION]
-        kind = rng.choice(kinds)
+    for _ in range(1 + _below(rng, 12)):
+        kinds = _KINDS_ABOVE_ZERO if dep else _KINDS_AT_ZERO
+        kind = kinds[_below(rng, len(kinds))]
         if kind == traces.FLOP:
             after = dep
         elif kind == traces.FLIP:
-            after = rng.randint(0, dep - 1)
+            after = _below(rng, dep)
         elif kind == traces.WEXTRACTION:
-            after = rng.randint(dep - 1, dep + 2)
+            after = dep - 1 + _below(rng, 4)
         elif kind == traces.DIV_TO_POINT:
-            after = rng.randint(max(0, dep - 1), dep + 2)
+            low = max(0, dep - 1)
+            after = low + _below(rng, dep + 3 - low)
         elif kind == traces.DIV_TO_CURVE:
-            after = rng.randint(0, dep)
+            after = _below(rng, dep + 1)
         else:  # BLOWDOWN_LCI keeps the Gorenstein terminus
             after = 0
         steps.append(traces.TraceStep(kind, dep, after))

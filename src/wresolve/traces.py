@@ -44,19 +44,25 @@ DIV_TO_CURVE = "DivToCurve"
 BLOWDOWN_LCI = "BlowDownLCI"
 
 KINDS = (WEXTRACTION, FLIP, FLOP, DIV_TO_POINT, DIV_TO_CURVE, BLOWDOWN_LCI)
+_KIND_SET = frozenset(KINDS)
 
 
 class TraceStep(namedtuple("TraceStep", "kind dep_before dep_after")):
-    """One step: operation kind and depth on either side."""
+    """One step: operation kind and depth on either side.  Checked, then
+    built as one tuple."""
 
     __slots__ = ()
 
     def __new__(cls, kind, dep_before, dep_after):
-        if kind not in KINDS:
+        try:
+            known = kind in _KIND_SET
+        except TypeError:  # an unhashable kind is no kind
+            known = False
+        if not known:
             raise ValueError(f"unknown step kind {kind!r}")
         if dep_before < 0 or dep_after < 0:
             raise ValueError("depths must be >= 0")
-        return super().__new__(cls, kind, dep_before, dep_after)
+        return tuple.__new__(cls, (kind, dep_before, dep_after))
 
 
 class FactorizationTrace(namedtuple("FactorizationTrace", "steps")):

@@ -174,6 +174,10 @@ _G = CARGerm(5, 2, frozenset({(0, 3), (1, 1)}))
     ("cAx/4", {"k": True}, "cAx/4 needs an axial parameter k >= 1"),
     ("cAx/2", {"k": 2.0}, "cAx/2 axial parameter must be >= 1 when given"),
     ("cA/r", {}, "cA/r class needs its germ data"),
+    ("cyclic", {"quotient": 5}, "cyclic quotient must be a CyclicQuotient, not int"),
+    ("cyclic", {"quotient": _G}, "cyclic quotient must be a CyclicQuotient, not CARGerm"),
+    ("cA/r", {"germ": (7, 2, {(0, 3)})}, "cA/r germ must be a CARGerm, not tuple"),
+    ("cA/r", {"germ": _Q}, "cA/r germ must be a CARGerm, not CyclicQuotient"),
 ], ids=lambda v: v if isinstance(v, str) else None)
 def test_class_takes_exactly_its_datum(kind, data, message):
     # each kind reads one datum: another one, or a k that is not an int
@@ -181,6 +185,14 @@ def test_class_takes_exactly_its_datum(kind, data, message):
     with pytest.raises(ValueError) as exc:
         TerminalClass(kind, **data)
     assert str(exc.value) == message
+
+
+def test_class_constructors_refuse_a_datum_of_another_type():
+    # refused when built, not later in basket_of or depth_bound
+    with pytest.raises(ValueError, match="must be a CyclicQuotient"):
+        TerminalClass.cyclic(5)
+    with pytest.raises(ValueError, match="must be a CARGerm"):
+        TerminalClass.ca_r((7, 2, {(0, 3)}))
 
 
 def test_quotient_weight_reduction():

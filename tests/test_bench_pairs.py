@@ -1,0 +1,102 @@
+"""tools/bench_pairs.py: alternating parent/change runs and their summary."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+_spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+SPEC = [
+    {"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25},
+    {"name": "score", "unit": "count", "better": "higher", "bound": 0.1},
+]
+
+
+def pair(parent_wall, change_wall, parent_score=5, change_score=5):
+    return {"parent": {"wall_s": parent_wall, "score": parent_score},
+            "change": {"wall_s": change_wall, "score": change_score}}
+
+
+def test_summary_of_canned_pairs():
+    pairs = [pair(1.0 + i / 100, 0.8 + i / 100) for i in range(9)]
+    pairs.append(pair(0.9, 0.95, 4, 6))  # the change loses wall_s once
+    s = bench_pairs.summarize(pairs, SPEC)
+    wall = s["wall_s"]
+    assert (wall["wins"], wall["losses"], wall["pairs"]) == (9, 1, 10)
+    assert wall["parent"]["median"] == pytest.approx(1.035)
+    assert wall["change"]["median"] == pytest.approx(0.845)
+    assert wall["parent"]["q1"] < wall["parent"]["median"] < wall["parent"]["q3"]
+    assert wall["median_gain"] == pytest.approx(0.19)
+    assert wall["parent_iqr"] == pytest.approx(wall["parent"]["q3"] - wall["parent"]["q1"])
+    assert wall["claimable"]  # 9 of 10 and a gain wider than the parent's IQR
+    score = s["score"]  # higher is better; nine ties count for neither side
+    assert (score["wins"], score["losses"]) == (1, 0)
+    assert score["median_gain"] == 0 and not score["claimable"]
+    lines = bench_pairs.format_summary(s)
+    assert lines[0] == "wall_s (s, lower is better)"
+    assert lines[1].startswith("  parent  median 1.035  q1 ")
+    assert lines[3].startswith("  change wins 9 of 10 pairs (1 lost, 0 tied)")
+    assert lines[3].endswith("a gain may be claimed")
+    assert lines[7].startswith("  change wins 1 of 10 pairs (0 lost, 9 tied)")
+    assert lines[7].endswith("no gain to claim")
+
+
+def test_no_claim_inside_the_parents_spread():
+    # the change wins every pair, but by less than the parent's own IQR
+    pairs = [pair(1.0 + i / 10, 0.99 + i / 10) for i in range(10)]
+    wall = bench_pairs.summarize(pairs, SPEC)["wall_s"]
+    assert wall["wins"] == 10 and not wall["claimable"]
+
+
+def test_one_run_is_its_own_quartiles():
+    wall = bench_pairs.summarize([pair(2.0, 1.0)], SPEC)["wall_s"]
+    assert wall["parent"] == {"q1": 2.0, "median": 2.0, "q3": 2.0}
+    assert wall["claimable"]
+
+
+FAKE_RUN = '''
+import json, sys
+from pathlib import Path
+here = Path(__file__).resolve().parents[1]
+with open(here.parent / "order.log", "a") as log:
+    log.write(here.name + "\\n")
+wall = {"parent": 1.0}.get(here.name, 0.5)
+print("noise line")
+print(json.dumps({"correct": here.name != "broken", "attempted": 1, "failed": 0,
+                  "metrics": {"wall_s": {"value": wall, "unit": "s"},
+                              "score": {"value": 5, "unit": "count"}}}))
+'''
+
+
+def checkout(tmp_path, name):
+    root = tmp_path / name
+    (root / "perfbench").mkdir(parents=True)
+    (root / "perfbench" / "run.py").write_text(FAKE_RUN)
+    (root / "BENCHMARK.json").write_text(json.dumps({"end_to_end": SPEC}))
+    return root
+
+
+def test_runs_alternate_and_an_incorrect_run_fails(tmp_path, capsys):
+    parent, change = checkout(tmp_path, "parent"), checkout(tmp_path, "change")
+    args = ["--workload", "verify", "--pairs", "3", "--seed", "1", "--seconds", "1"]
+    assert bench_pairs.main(["--parent", str(parent), "--change", str(change)] + args) == 0
+    order = (tmp_path / "order.log").read_text().split()
+    assert order == ["parent", "change", "change", "parent", "parent", "change"]
+    out = capsys.readouterr().out
+    assert "pair 2 (change first)" in out
+    assert "change wins 3 of 3 pairs" in out
+    broken = checkout(tmp_path, "broken")
+    assert bench_pairs.main(["--parent", str(parent), "--change", str(broken)] + args) == 1
+    assert "change FAILED" in capsys.readouterr().out
+
+
+def test_needs_a_pair(tmp_path):
+    with pytest.raises(SystemExit):
+        bench_pairs.main(["--parent", str(tmp_path), "--change", str(tmp_path),
+                          "--workload", "verify", "--pairs", "0", "--seed", "1",
+                          "--seconds", "1"])

@@ -618,3 +618,20 @@ def test_constraints_certify_the_walks():
         assert min(exps, default=0) >= 0, case
         walked += 1
     assert walked > 150, walked
+
+
+def test_closed_forms_equal_the_paper_terms():
+    # gamma_k and delta_k build one Fraction over the denominator 2; the
+    # paper writes them term by term
+    half = Fraction(1, 2)
+    for k in range(13):
+        odd = half if k % 2 else Fraction(0)
+        for d in range(5):
+            for i in range(9):
+                for j in range(9):
+                    paper = Fraction(k * (2 * i + 1), 2) - k * d + j + odd
+                    assert gamma_k(i, j, k, d) == paper
+            for alpha in range(9):
+                paper = Fraction(k * (2 * alpha - 1), 2) - k * d - odd
+                assert delta_k(k, alpha, d) == paper
+                assert type(delta_k(k, alpha, d)) is Fraction

@@ -1,0 +1,81 @@
+"""Every check of the validating records that end in ``tuple.__new__``:
+one input per message, and the message each one raises."""
+
+import pytest
+
+from wresolve.baskets import BasketEntry, CyclicQuotient
+from wresolve.errors import InvalidCaseData
+from wresolve.germs import CARGerm
+from wresolve.neighborhoods import IIBCase, SemistableIAIACase
+from wresolve.traces import FLOP, TraceStep
+
+CASES = [
+    (TraceStep, ("Flap", 1, 1), ValueError, "unknown step kind 'Flap'"),
+    (TraceStep, (["Flop"], 1, 1), ValueError, "unknown step kind ['Flop']"),
+    (TraceStep, (FLOP, -1, 0), ValueError, "depths must be >= 0"),
+    (TraceStep, (FLOP, 0, -1), ValueError, "depths must be >= 0"),
+    (IIBCase, (5, 6, 5, 5), InvalidCaseData,
+     "IIB weights must be = (3, 2, 1, 1) mod 4, got (5, 6, 5, 5)"),
+    (IIBCase, (4, 6, 5, 5), InvalidCaseData,
+     "IIB weights must be = (3, 2, 1, 1) mod 4, got (4, 6, 5, 5)"),
+    (IIBCase, (-1, 6, 5, 5), InvalidCaseData,
+     "IIB weights must be = (3, 2, 1, 1) mod 4, got (-1, 6, 5, 5)"),
+    (IIBCase, (3, 3, 5, 5), InvalidCaseData,
+     "IIB weights must be = (3, 2, 1, 1) mod 4, got (3, 3, 5, 5)"),
+    (IIBCase, (3, -2, 5, 5), InvalidCaseData,
+     "IIB weights must be = (3, 2, 1, 1) mod 4, got (3, -2, 5, 5)"),
+    (IIBCase, (3, 2, 3, 5), InvalidCaseData,
+     "IIB weights must be = (3, 2, 1, 1) mod 4, got (3, 2, 3, 5)"),
+    (IIBCase, (3, 2, -3, 5), InvalidCaseData,
+     "IIB weights must be = (3, 2, 1, 1) mod 4, got (3, 2, -3, 5)"),
+    (IIBCase, (3, 2, 1, 2), InvalidCaseData,
+     "IIB weights must be = (3, 2, 1, 1) mod 4, got (3, 2, 1, 2)"),
+    (IIBCase, (3, 2, 1, -3), InvalidCaseData,
+     "IIB weights must be = (3, 2, 1, 1) mod 4, got (3, 2, 1, -3)"),
+    (SemistableIAIACase, (3, 1, 5, 2), InvalidCaseData, "need r >= r' >= 2"),
+    (SemistableIAIACase, (5, 1, 1, 1), InvalidCaseData, "need r >= r' >= 2"),
+    (SemistableIAIACase, (6, 2, 5, 2), InvalidCaseData, "a must be a unit mod r"),
+    (SemistableIAIACase, (6, 5, 4, 2), InvalidCaseData, "a' must be a unit mod r'"),
+    (SemistableIAIACase, (5, 1, 3, 1), InvalidCaseData,
+     "semistable shape needs ar' + a'r - rr' > 0"),
+    (SemistableIAIACase, (2, 1, 2, 1), InvalidCaseData,
+     "semistable shape needs ar' + a'r - rr' > 0"),  # delta = 0
+    (CARGerm, (0, 1, {(0, 1)}), ValueError, "germ index must be >= 1"),
+    (CARGerm, (6, 4, {(0, 1)}), ValueError, "beta = 4 not coprime to r = 6"),
+    (CARGerm, (5, 2, ()), ValueError, "support must be nonempty"),
+    (CARGerm, (5, 2, {(0, 1), (1, -1)}), ValueError,
+     "support exponents must be nonnegative"),
+    (CARGerm, (5, 2, {(0, 2), (0, 0)}), ValueError,
+     "constant term: germ not singular at the origin"),
+    (CARGerm, (5, 2, {(1, 1)}), ValueError,
+     "no axial monomial: axial weight would be infinite"),
+    (CyclicQuotient, (0, (1, -1, 1)), ValueError, "quotient index must be >= 1"),
+    (CyclicQuotient, (5, (1, 4)), ValueError, "need exactly three weights"),
+    (BasketEntry, (3, 5), ValueError, "entry (3, 5) outside 0 < b <= r/2"),
+    (BasketEntry, (0, 5), ValueError, "entry (0, 5) outside 0 < b <= r/2"),
+    (BasketEntry, (2, 4), ValueError, "entry (2, 4) has gcd > 1"),
+    (BasketEntry, (1, 3, 0), ValueError, "multiplicity must be >= 1"),
+]
+
+
+@pytest.mark.parametrize("cls, args, error, message", CASES,
+                         ids=[f"{c[0].__name__}-{c[1]}" for c in CASES])
+def test_each_check_raises_its_message(cls, args, error, message):
+    with pytest.raises(error) as exc:
+        cls(*args)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("record, fields", [
+    (TraceStep(FLOP, 2, 2), (FLOP, 2, 2)),
+    (IIBCase(3, 2, 1, 5), (3, 2, 1, 5)),
+    (SemistableIAIACase(5, 2, 3, 2), (5, 2, 3, 2)),
+    (CARGerm(5, 7, [(0, 3), (1, 1)]), (5, 2, frozenset({(0, 3), (1, 1)}))),
+    (CyclicQuotient(5, (7, -1, 12)), (5, (2, 4, 2))),
+    (BasketEntry(2, 5), (2, 5, 1)),
+], ids=lambda v: type(v).__name__)
+def test_a_record_that_passes_is_its_type_and_fields(record, fields):
+    cls = type(record)
+    assert tuple(record) == fields
+    assert record == cls._make(fields) and type(cls._make(fields)) is cls
+    assert dict(zip(cls._fields, fields)) == record._asdict()

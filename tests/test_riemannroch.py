@@ -110,6 +110,19 @@ def test_case_tag_validation():
         ContractionCase(E11, 5)  # the sporadic ones take none
 
 
+@pytest.mark.parametrize("tag, rprime, message", [
+    (E1_A4, 7.0, "E1_a4 needs an int r', not 7.0"),
+    (E2, True, "E2 needs an int r', not True"),
+    (E1_A2, "5", "E1_a2 needs an int r', not '5'"),
+    (E2, 0, "E2 needs a positive r'"),
+], ids=repr)
+def test_case_needs_an_int_rprime(tag, rprime, message):
+    # a float or a bool r' would reach gcd in case_data, or pass as r' = 1
+    with pytest.raises(ValueError) as exc:
+        ContractionCase(tag, rprime)
+    assert str(exc.value) == message
+
+
 def test_cd2_basket():
     b = cd2_basket(3)
     assert [(e.b, e.r, e.n) for e in b.entries] == [(1, 2, 3)]

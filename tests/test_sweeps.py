@@ -160,3 +160,83 @@ def test_trace_sweep_catches_an_accepted_mutant(monkeypatch):
     assert not res.ok
     assert res.cases == 1
     assert res.detail.startswith("first failure: mutant accepted: TraceStep(kind='Flop'")
+
+
+# The generators as they were written with Random.randint and choice; the
+# sweeps draw through sweeps._below and must see the same streams.
+
+
+def _randint_trace(rng):
+    dep = rng.randint(0, 10)
+    steps = []
+    for _ in range(rng.randint(1, 12)):
+        kinds = [traces.FLOP, traces.DIV_TO_POINT, traces.DIV_TO_CURVE]
+        if dep == 0:
+            kinds.append(traces.BLOWDOWN_LCI)
+        else:
+            kinds += [traces.FLIP, traces.WEXTRACTION]
+        kind = rng.choice(kinds)
+        if kind == traces.FLOP:
+            after = dep
+        elif kind == traces.FLIP:
+            after = rng.randint(0, dep - 1)
+        elif kind == traces.WEXTRACTION:
+            after = rng.randint(dep - 1, dep + 2)
+        elif kind == traces.DIV_TO_POINT:
+            after = rng.randint(max(0, dep - 1), dep + 2)
+        elif kind == traces.DIV_TO_CURVE:
+            after = rng.randint(0, dep)
+        else:
+            after = 0
+        steps.append(traces.TraceStep(kind, dep, after))
+        dep = after
+    return traces.FactorizationTrace(tuple(steps))
+
+
+def _randint_case_a(rng, a, d):
+    supp_a = {(2 * d, 0)}
+    for _ in range(rng.randint(0, 4)):
+        i = rng.randint(0, 3 * d + 2)
+        supp_a.add((i, max(0, 2 * a * d - a * i) + rng.randint(0, 6)))
+    supp_b = set()
+    for _ in range(rng.randint(0, 4)):
+        i = rng.randint(0, 2 * d + 2)
+        low = max(0, -(-(2 * a * d - 1 - (2 * i + 1) * a) // 2))
+        supp_b.add((i, low + rng.randint(0, 6)))
+    alpha = d + 1 + rng.randint(0, 3)
+    return chains.O3CaseA(a, d, alpha, frozenset(supp_a), frozenset(supp_b))
+
+
+def _randint_case_b(rng, a, d):
+    supp_a = set()
+    for _ in range(rng.randint(0, 4)):
+        i = rng.randint(0, 2 * d + 3)
+        supp_a.add((i, max(0, (2 * d + 1) * a - a * i) + rng.randint(0, 6)))
+    supp_b = set()
+    for _ in range(rng.randint(0, 4)):
+        i = rng.randint(0, d + 2)
+        supp_b.add((i, max(0, a * (d - i) - 1) + rng.randint(0, 6)))
+    return chains.O3CaseB(a, d, frozenset(supp_a), frozenset(supp_b))
+
+
+@pytest.mark.parametrize("seed", [1, 20240818, 987654321])
+def test_generators_draw_the_randint_streams(seed):
+    ours, ref = random.Random(seed), random.Random(seed)
+    for _ in range(2000):
+        assert sweeps.random_trace(ours) == _randint_trace(ref)
+    for a in (3, 5, 7, 9):
+        for d in (1, 2, 3):
+            for _ in range(20):
+                assert sweeps.random_case_a(ours, a, d) == _randint_case_a(ref, a, d)
+                assert sweeps.random_case_b(ours, a, d) == _randint_case_b(ref, a, d)
+                # the depth identity's endpoint depth
+                assert sweeps._below(ours, 13) == ref.randint(0, 12)
+    assert ours.getstate() == ref.getstate()
+
+
+def test_below_is_randrange():
+    ours, ref = random.Random(5), random.Random(5)
+    for n in [1, 2, 3, 4, 5, 7, 8, 9, 13, 64, 65, 1000, 2**40 + 3]:
+        for _ in range(50):
+            assert sweeps._below(ours, n) == ref.randrange(n)
+    assert ours.getstate() == ref.getstate()

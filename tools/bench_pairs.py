@@ -1,0 +1,147 @@
+"""Benchmark two checkouts in alternating pairs and sum the pairs up.
+
+    python3 tools/bench_pairs.py --parent DIR --change DIR --workload verify \\
+        --pairs 10 --seed 7 --seconds 30
+
+Each pair runs ``perfbench/run.py --trace 0`` once in each checkout, each
+checkout with its own copy of the benchmark, with the same workload, seed
+and seconds.  Which side runs first alternates from pair to pair (the
+parent first in pair 1), so drift in the machine's speed falls on both
+sides alike.
+
+For every end-to-end metric of the change's ``BENCHMARK.json`` it prints
+each side's median and quartiles over its runs, and the pairs the change
+wins: those where the change's value is better in the metric's direction.
+A tie counts for neither side.  It also prints whether the medians differ,
+in the change's favour, by more than the distance between the quartiles
+of the parent's runs.  A gain in a metric may be claimed when the change
+wins at least nine tenths of the pairs and that holds too.
+
+The exit status is 1 when a run is not ``correct`` or gives no result, and
+0 otherwise.  Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+SIDES = ("parent", "change")
+CLAIM_SHARE = 0.9
+
+
+def _quartiles(values: list[float]) -> tuple[float, float, float]:
+    """First quartile, median and third quartile; one value is all three."""
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, median, q3 = statistics.quantiles(values, n=4)
+    return q1, statistics.median(values), q3
+
+
+def summarize(pairs: list[dict], spec: list[dict]) -> dict:
+    """Per end-to-end metric of spec (BENCHMARK.json's ``end_to_end``), the
+    quartiles of each side and the change's wins over the pairs; each pair
+    maps a side to the metrics of its run (name -> value)."""
+    out = {}
+    for metric in spec:
+        name, lower = metric["name"], metric["better"] == "lower"
+        values = {side: [p[side][name] for p in pairs] for side in SIDES}
+        sign = 1 if lower else -1
+        # gain > 0: the change's value is the better one
+        gains = [sign * (p["parent"][name] - p["change"][name]) for p in pairs]
+        stats = {side: dict(zip(("q1", "median", "q3"), _quartiles(values[side])))
+                 for side in SIDES}
+        iqr = stats["parent"]["q3"] - stats["parent"]["q1"]
+        gain = sign * (stats["parent"]["median"] - stats["change"]["median"])
+        wins = sum(g > 0 for g in gains)
+        out[name] = {
+            **stats,
+            "unit": metric["unit"],
+            "better": metric["better"],
+            "pairs": len(pairs),
+            "wins": wins,
+            "losses": sum(g < 0 for g in gains),
+            "median_gain": gain,
+            "parent_iqr": iqr,
+            "claimable": wins >= CLAIM_SHARE * len(pairs) and gain > iqr,
+        }
+    return out
+
+
+def format_summary(summary: dict) -> list[str]:
+    lines = []
+    for name, s in summary.items():
+        lines.append(f"{name} ({s['unit']}, {s['better']} is better)")
+        for side in SIDES:
+            q = s[side]
+            lines.append(f"  {side:<6}  median {q['median']:.6g}  "
+                         f"q1 {q['q1']:.6g}  q3 {q['q3']:.6g}")
+        ties = s["pairs"] - s["wins"] - s["losses"]
+        verdict = "a gain may be claimed" if s["claimable"] else "no gain to claim"
+        lines.append(f"  change wins {s['wins']} of {s['pairs']} pairs "
+                     f"({s['losses']} lost, {ties} tied); median gain "
+                     f"{s['median_gain']:.6g} against parent IQR "
+                     f"{s['parent_iqr']:.6g}: {verdict}")
+    return lines
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One benchmark run in a checkout: its last stdout line, parsed, or
+    an ``error`` entry when it gives none."""
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload,
+            "--seed", str(seed), "--seconds", str(seconds)]
+    proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    try:
+        return json.loads(lines[-1])
+    except (IndexError, ValueError):
+        return {"error": f"exit {proc.returncode}: {proc.stderr.strip()[-500:]}"}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--parent", type=Path, required=True)
+    parser.add_argument("--change", type=Path, required=True)
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, required=True)
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--seconds", type=float, required=True)
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be >= 1")
+    spec = json.loads((args.change / "BENCHMARK.json").read_text())["end_to_end"]
+    dirs = {"parent": args.parent, "change": args.change}
+
+    pairs, sound = [], True
+    for i in range(args.pairs):
+        order = SIDES if i % 2 == 0 else SIDES[::-1]
+        runs = {side: run_once(dirs[side], args.workload, args.seed, args.seconds)
+                for side in order}
+        shown = []
+        for side in SIDES:
+            run = runs[side]
+            if "error" in run or not run.get("correct"):
+                sound = False
+                shown.append(f"{side} FAILED {run.get('error', run)}")
+            else:
+                shown.append(f"{side} " + " ".join(
+                    f"{m['name']}={run['metrics'][m['name']]['value']:.6g}"
+                    for m in spec))
+        print(f"pair {i + 1} ({order[0]} first): " + "; ".join(shown), flush=True)
+        if all("metrics" in runs[side] for side in SIDES):
+            pairs.append({side: {k: v["value"] for k, v in runs[side]["metrics"].items()}
+                          for side in SIDES})
+    if pairs:
+        print("\n".join(format_summary(summarize(pairs, spec))))
+    if not sound:
+        print("a run was not correct", file=sys.stderr)
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
