@@ -45,6 +45,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 class CyclicQuotient(namedtuple("CyclicQuotient", "r weights")):
     """Cyclic quotient germ 1/r(w1, w2, w3); weights are stored mod r.
+    The index and the weights are ints; a float or a bool is refused.
 
     r = 1 is allowed and encodes a smooth point, so blow-up results can
     list their quotient points uniformly.  Normal-form extraction and
@@ -54,13 +55,17 @@ class CyclicQuotient(namedtuple("CyclicQuotient", "r weights")):
     __slots__ = ()
 
     def __new__(cls, r, weights):
+        if type(r) is not int:
+            raise ValueError(f"quotient index must be an int, not {r!r}")
         if r < 1:
             raise ValueError("quotient index must be >= 1")
         weights = tuple(weights)
         if len(weights) != 3:
             raise ValueError("need exactly three weights")
         w0, w1, w2 = weights
-        return tuple.__new__(cls, (r, (int(w0) % r, int(w1) % r, int(w2) % r)))
+        if type(w0) is not int or type(w1) is not int or type(w2) is not int:
+            raise ValueError(f"weights must be ints, not {weights!r}")
+        return tuple.__new__(cls, (r, (w0 % r, w1 % r, w2 % r)))
 
     @property
     def smooth(self) -> bool:

@@ -48,10 +48,13 @@ from .errors import ConstraintViolation, paused_gc
 
 
 def _clean_support(raw) -> frozenset:
-    out = frozenset((int(i), int(j)) for i, j in raw)
-    if any(i < 0 or j < 0 for i, j in out):
-        raise ValueError("support exponents must be nonnegative")
-    return out
+    pairs = [(i, j) for i, j in raw]
+    for i, j in pairs:
+        if type(i) is not int or type(j) is not int:
+            raise ValueError(f"support exponents must be ints, not ({i!r}, {j!r})")
+        if i < 0 or j < 0:
+            raise ValueError("support exponents must be nonnegative")
+    return frozenset(pairs)
 
 
 class O3CaseA(namedtuple("O3CaseA", "a d alpha supp_a supp_b")):

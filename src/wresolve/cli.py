@@ -79,9 +79,12 @@ def _load_input(arg: str):
         text = arg
     else:
         path = Path(arg)
-        if not path.is_file():
+        try:
+            text = path.read_bytes() if path.is_file() else None
+        except OSError as exc:  # a name the OS refuses, or an unreadable file
+            raise SchemaError(f"cannot read input file: {exc.strerror or exc}") from exc
+        if text is None:
             raise SchemaError(f"no such input file: {arg}")
-        text = path.read_bytes()
     try:
         obj = json.loads(text, object_pairs_hook=_object)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:

@@ -44,17 +44,28 @@ from .errors import InvalidSplit, SearchLimitExceeded
 
 class CARGerm(namedtuple("CARGerm", "r beta support")):
     """Monomial data of a cA/r germ: index r, axis weight beta (stored mod
-    r), support (a frozenset of (i, j) pairs)."""
+    r), support (a frozenset of (i, j) pairs); every number an int, and a
+    float or a bool is refused, not truncated."""
 
     __slots__ = ()
 
     def __new__(cls, r, beta, support):
+        if type(r) is not int:
+            raise ValueError(f"germ index must be an int, not {r!r}")
         if r < 1:
             raise ValueError("germ index must be >= 1")
-        residue = int(beta) % r
+        if type(beta) is not int:
+            raise ValueError(f"beta must be an int, not {beta!r}")
+        residue = beta % r
         if gcd(residue, r) != 1:
             raise ValueError(f"beta = {beta} not coprime to r = {r}")
-        support = frozenset((int(i), int(j)) for i, j in support)
+        pairs = [(i, j) for i, j in support]
+        for i, j in pairs:
+            if type(i) is not int or type(j) is not int:
+                raise ValueError(
+                    f"support exponents must be ints, not ({i!r}, {j!r})"
+                )
+        support = frozenset(pairs)
         if not support:
             raise ValueError("support must be nonempty")
         if any(i < 0 or j < 0 for i, j in support):

@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import gcd
 
 from . import chains, germs, neighborhoods, riemannroch, traces
-from .baskets import Basket, _ca_r_entry
+from .baskets import Basket, CyclicQuotient, normalize_cyclic
 from .errors import InvalidParameter
 from .germs import CARGerm
 
@@ -147,25 +147,54 @@ def iter_germ_supports():
         yield frozenset(combo)
 
 
+def _germ_indices(r_max: int) -> list[tuple[int, int]]:
+    """Every (r, beta) of the germ family: r in range(2, r_max + 1) and
+    beta a unit mod r, which are CARGerm's index and coprimality checks."""
+    return [(r, beta) for r in range(2, r_max + 1) for beta in _units(r)]
+
+
 def iter_germ_family(r_max=7):
+    """Every support of ``iter_germ_supports`` at every (r, beta) of
+    ``_germ_indices``, support by support.
+
+    Each support goes through CARGerm's checks once: its support checks do
+    not depend on (r, beta).  Its germs are then built positionally, past
+    the checks, like ``germs._residual`` builds residuals: every (r, beta)
+    passes the index and coprimality checks by construction, with beta
+    already reduced mod r.  A generator: the family is never held in
+    memory."""
+    indices = _germ_indices(r_max)
     for support in iter_germ_supports():
-        for r in range(2, r_max + 1):
-            for beta in _units(r):
-                yield CARGerm(r, beta, support)
+        support = CARGerm(2, 1, support).support
+        for r, beta in indices:
+            yield tuple.__new__(CARGerm, (r, beta, support))
 
 
 def _germ_tag(g: CARGerm) -> str:
     return f"(r={g.r}, beta={g.beta}, supp={sorted(g.support)})"
 
 
-def _check_germ_depth(g: CARGerm) -> str | None:
+def _transverse_indices(r_max: int) -> dict[tuple[int, int], int]:
+    """Per (r, beta) of the germ family, the index of the normal form of
+    the transverse quotient 1/r(beta, -beta, 1): the one basket entry of
+    a germ at (r, beta) is aw copies of that point (``_ca_r_entry``)."""
+    return {
+        (r, beta): normalize_cyclic(CyclicQuotient(r, (beta, -beta, 1)))[1]
+        for r, beta in _germ_indices(r_max)
+    }
+
+
+def _basket_window(g: CARGerm, index: int) -> tuple[int, int]:
+    """The window [Xi - aw, Xi - 1] of the germ's basket, n = aw copies of
+    a point of the given index, so Xi = n * index."""
+    n = germs.axial_weight(g)
+    return n * index - n, n * index - 1
+
+
+def _check_germ_depth(g: CARGerm, index: int) -> str | None:
     searched = germs.depth_search(g)
     formula = germs.depth_formula(g)
-    # the window [Xi - aw, Xi - 1] of the germ's basket, whose one entry
-    # is aw = n copies of an index-r point, so Xi = n r
-    entry = _ca_r_entry(g)
-    xi, aw = entry.n * entry.r, entry.n
-    lo, hi = xi - aw, xi - 1
+    lo, hi = _basket_window(g, index)
     if searched != formula:
         return f"{_germ_tag(g)}: search {searched}, formula {formula}"
     if not (lo <= searched <= hi):
@@ -174,11 +203,14 @@ def _check_germ_depth(g: CARGerm) -> str | None:
 
 
 def sweep_germ_depth(r_max: int) -> SweepResult:
-    """Search depth == formula depth lam*r - t, inside the basket window."""
-    return _run(
-        "germ-depth-dual-route",
-        map(_check_germ_depth, iter_germ_family(r_max)),
-    )
+    """Search depth == formula depth lam*r - t, inside the basket window;
+    the transverse quotient of each (r, beta) is normalized once."""
+    def outcomes():
+        indices = _transverse_indices(r_max)
+        for g in iter_germ_family(r_max):
+            yield _check_germ_depth(g, indices[g.r, g.beta])
+
+    return _run("germ-depth-dual-route", outcomes())
 
 
 def _check_residual(g: CARGerm, lam: int, n1: int) -> str | None:
@@ -208,21 +240,35 @@ def sweep_residual_recursion(r_max: int) -> SweepResult:
     return _run("residual-recursion", outcomes())
 
 
-def _check_rr_bounds(case: riemannroch.ContractionCase, data) -> str | None:
+class _CorrX(dict):
+    """corr(X) of the cD/2 point of each axial weight awx, summed over its
+    basket ``cd2_basket(awx)`` the first time it is asked for; one table
+    serves every case of the chi-threshold scan."""
+
+    __slots__ = ()
+
+    def __missing__(self, awx: int) -> Fraction:
+        corr = self[awx] = riemannroch.rr_correction(riemannroch.cd2_basket(awx))
+        return corr
+
+
+def _check_rr_bounds(
+    case: riemannroch.ContractionCase, data, corr_x: _CorrX
+) -> str | None:
     tag, rp = case.tag, case.rprime
     bound = riemannroch.aw_upper_bound(case)
     if bound > data.sufficient_bound:
         return f"{tag} r'={rp}: bound {bound} too large"
     # independent route: linear scan of the chi threshold over the cD/2
     # point of axial weight awx.  The Y side (1/2 (a/n)^3 E^3 + corr(Y)) is
-    # fixed per case; corr(X) is summed over the actual cD/2 basket at
-    # every step, never read off the aw/4 slope that the bound assumes.
+    # fixed per case; corr(X) is summed over the actual cD/2 basket, never
+    # read off the aw/4 slope that the bound assumes.
     base = riemannroch.delta_chi(
         data.a_over_n, data.e3, data.basket_y, Basket()
     )
 
     def jump(awx):
-        return base - riemannroch.rr_correction(riemannroch.cd2_basket(awx))
+        return base - corr_x[awx]
 
     scan = 0
     awx = 1
@@ -249,6 +295,7 @@ def sweep_rr_bounds(rp_max: int) -> SweepResult:
     """Axial-weight bounds from the chi threshold, plus case depth checks,
     over every r' <= rp_max that case_data takes."""
     def outcomes():
+        corr_x = _CorrX()
         for tag in (riemannroch.E1_A4, riemannroch.E1_A2, riemannroch.E2):
             for rp in range(1, rp_max + 1):
                 case = riemannroch.ContractionCase(tag, rp)
@@ -256,7 +303,7 @@ def sweep_rr_bounds(rp_max: int) -> SweepResult:
                     data = riemannroch.case_data(case)
                 except InvalidParameter:
                     continue  # r' too small, or a non-terminal basket of Y
-                yield _check_rr_bounds(case, data)
+                yield _check_rr_bounds(case, data, corr_x)
 
     return _run("chi-threshold-bounds", outcomes())
 

@@ -95,6 +95,26 @@ def test_runs_alternate_and_an_incorrect_run_fails(tmp_path, capsys):
     assert "change FAILED" in capsys.readouterr().out
 
 
+def test_summary_states_the_bytecode_setting(tmp_path, capsys, monkeypatch):
+    parent, change = checkout(tmp_path, "parent"), checkout(tmp_path, "change")
+    argv = ["--parent", str(parent), "--change", str(change), "--workload",
+            "verify", "--pairs", "1", "--seed", "1", "--seconds", "1"]
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    assert bench_pairs.main(argv) == 0
+    out = capsys.readouterr().out
+    assert "PYTHONDONTWRITEBYTECODE set\n" in out
+    assert "  parent  src/wresolve/__pycache__ absent\n" in out
+    assert "  change  src/wresolve/__pycache__ absent\n" in out
+    assert "warning" not in out
+    (change / "src" / "wresolve" / "__pycache__").mkdir(parents=True)
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE")
+    assert bench_pairs.main(argv) == 0
+    out = capsys.readouterr().out
+    assert "PYTHONDONTWRITEBYTECODE not set\n" in out
+    assert "  change  src/wresolve/__pycache__ present\n" in out
+    assert "warning: the checkouts differ in src/wresolve/__pycache__" in out
+
+
 def test_needs_a_pair(tmp_path):
     with pytest.raises(SystemExit):
         bench_pairs.main(["--parent", str(tmp_path), "--change", str(tmp_path),

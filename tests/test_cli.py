@@ -460,6 +460,18 @@ def test_missing_file(capsys):
     assert code == 1
 
 
+def test_name_too_long_for_the_os(capsys):
+    # the OS refuses the name itself (ENAMETOOLONG) when the path is probed
+    code = main(["basket", "x" * 5000])
+    captured = capsys.readouterr()
+    assert code == 1
+    lines = captured.out.splitlines()
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    assert payload["error"]["type"] == "SchemaError"
+    assert "Traceback" not in captured.out + captured.err
+
+
 def test_text_output(capsys):
     code, out = run(capsys, ["depth", GERM, "--output", "text"])
     assert code == 0

@@ -1,9 +1,11 @@
-"""Every check of the validating records that end in ``tuple.__new__``:
-one input per message, and the message each one raises."""
+"""Every check of the validating records that end in ``tuple.__new__``,
+and the int checks of the chain cases' supports: one input per message,
+and the message each one raises."""
 
 import pytest
 
 from wresolve.baskets import BasketEntry, CyclicQuotient
+from wresolve.chains import O3CaseA, O3CaseB
 from wresolve.errors import InvalidCaseData
 from wresolve.germs import CARGerm
 from wresolve.neighborhoods import IIBCase, SemistableIAIACase
@@ -55,6 +57,29 @@ CASES = [
     (BasketEntry, (0, 5), ValueError, "entry (0, 5) outside 0 < b <= r/2"),
     (BasketEntry, (2, 4), ValueError, "entry (2, 4) has gcd > 1"),
     (BasketEntry, (1, 3, 0), ValueError, "multiplicity must be >= 1"),
+    # a value that is not an int, bools included, is refused, not truncated
+    (CARGerm, (3, 1.5, {(0, 1)}), ValueError, "beta must be an int, not 1.5"),
+    (CARGerm, (3, False, {(0, 1)}), ValueError, "beta must be an int, not False"),
+    (CARGerm, (3, 1, {(0, 1.7)}), ValueError,
+     "support exponents must be ints, not (0, 1.7)"),
+    (CARGerm, (3, 1, [(0, 1), (True, 2)]), ValueError,
+     "support exponents must be ints, not (True, 2)"),
+    (CARGerm, (True, 1, {(0, 1)}), ValueError, "germ index must be an int, not True"),
+    (CARGerm, (3.0, 1, {(0, 1)}), ValueError, "germ index must be an int, not 3.0"),
+    (CyclicQuotient, (5, (1, -1, 2.9)), ValueError,
+     "weights must be ints, not (1, -1, 2.9)"),
+    (CyclicQuotient, (5, (True, 4, 2)), ValueError,
+     "weights must be ints, not (True, 4, 2)"),
+    (CyclicQuotient, (True, (0, 0, 0)), ValueError,
+     "quotient index must be an int, not True"),
+    (CyclicQuotient, (5.0, (1, 4, 2)), ValueError,
+     "quotient index must be an int, not 5.0"),
+    (O3CaseA, (3, 1, 2, {(2.0, 0)}), ValueError,
+     "support exponents must be ints, not (2.0, 0)"),
+    (O3CaseA, (3, 1, 2, {(2, 0)}, {(0, -1)}), ValueError,
+     "support exponents must be nonnegative"),
+    (O3CaseB, (3, 1, (), [(0, True)]), ValueError,
+     "support exponents must be ints, not (0, True)"),
 ]
 
 

@@ -1,10 +1,13 @@
 """Plumbing of the verification sweeps: reporting, generators, mutants."""
 
 import random
+from math import gcd
 
 import pytest
 
 from wresolve import chains, germs, riemannroch, sweeps, traces
+from wresolve.baskets import _ca_r_entry
+from wresolve.errors import InvalidParameter
 
 
 def test_result_line_format():
@@ -20,6 +23,57 @@ def test_germ_family_is_substantial():
     family = list(sweeps.iter_germ_family(r_max=4))
     assert len(family) > 300
     assert len({(g.r, g.beta, g.support) for g in family}) == len(family)
+
+
+# each support is checked once and its germs are built positionally; the
+# family must be the one the public constructor builds, in the same order
+@pytest.mark.parametrize("r_max", range(2, 8))
+def test_positional_family_is_the_constructor_family(r_max):
+    built = [germs.CARGerm(r, beta, support)
+             for support in sweeps.iter_germ_supports()
+             for r in range(2, r_max + 1)
+             for beta in range(1, r) if gcd(beta, r) == 1]
+    family = list(sweeps.iter_germ_family(r_max))
+    assert family == built
+    assert all(type(g) is germs.CARGerm and type(g.support) is frozenset
+               for g in family)
+
+
+def test_one_window_per_index_pair_is_the_basket_entry_window():
+    indices = sweeps._transverse_indices(7)
+    assert len(indices) == 17
+    for g in sweeps.iter_germ_family(7):
+        entry = _ca_r_entry(g)
+        xi = entry.n * entry.r
+        assert sweeps._basket_window(g, indices[g.r, g.beta]) == (xi - entry.n, xi - 1)
+
+
+def test_germ_sweep_normalizes_once_per_index_pair(monkeypatch):
+    seen = []
+    normalize = sweeps.normalize_cyclic
+    monkeypatch.setattr(sweeps, "normalize_cyclic",
+                        lambda q: seen.append(q) or normalize(q))
+    res = sweeps.sweep_germ_depth(7)
+    assert (res.ok, res.cases, len(seen)) == (True, 7038, 17)
+
+
+def test_one_corr_x_per_axial_weight_is_the_cd2_correction():
+    corr_x = sweeps._CorrX()
+    bounds = []
+    for tag in (riemannroch.E1_A4, riemannroch.E1_A2, riemannroch.E2):
+        for rp in range(1, 41):
+            case = riemannroch.ContractionCase(tag, rp)
+            try:
+                data = riemannroch.case_data(case)
+            except InvalidParameter:
+                continue
+            assert sweeps._check_rr_bounds(case, data, corr_x) is None
+            bounds.append(riemannroch.aw_upper_bound(case))
+    assert len(bounds) == 57
+    # each case's scan runs to one past its bound
+    assert sorted(corr_x) == list(range(1, max(bounds) + 2))
+    for awx, corr in corr_x.items():
+        assert corr == riemannroch.rr_correction(riemannroch.cd2_basket(awx))
 
 
 def test_random_traces_are_valid():

@@ -17,6 +17,12 @@ in the change's favour, by more than the distance between the quartiles
 of the parent's runs.  A gain in a metric may be claimed when the change
 wins at least nine tenths of the pairs and that holds too.
 
+Bytecode moves the numbers: where ``PYTHONDONTWRITEBYTECODE`` is set, a
+checkout without ``src/wresolve/__pycache__`` compiles its sources in every
+pass.  So the summary also states whether that variable is set and, after
+the last pair, whether each checkout holds that directory, with a warning
+when one checkout holds it and the other does not.
+
 The exit status is 1 when a run is not ``correct`` or gives no result, and
 0 otherwise.  Standard library only.
 """
@@ -25,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -89,6 +96,22 @@ def format_summary(summary: dict) -> list[str]:
     return lines
 
 
+def bytecode_lines(dirs: dict[str, Path]) -> list[str]:
+    """The bytecode setting of the runs: whether PYTHONDONTWRITEBYTECODE is
+    set and whether each checkout holds src/wresolve/__pycache__, plus a
+    warning when the two checkouts differ in the latter."""
+    setting = "set" if os.environ.get("PYTHONDONTWRITEBYTECODE") else "not set"
+    held = {side: (dirs[side] / "src" / "wresolve" / "__pycache__").is_dir()
+            for side in SIDES}
+    lines = [f"PYTHONDONTWRITEBYTECODE {setting}"]
+    lines += [f"  {side:<6}  src/wresolve/__pycache__ "
+              f"{'present' if held[side] else 'absent'}" for side in SIDES]
+    if held["parent"] != held["change"]:
+        lines.append("warning: the checkouts differ in src/wresolve/__pycache__, "
+                     "so one of them may compile its sources in every pass")
+    return lines
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     """One benchmark run in a checkout: its last stdout line, parsed, or
     an ``error`` entry when it gives none."""
@@ -137,6 +160,7 @@ def main(argv=None) -> int:
                           for side in SIDES})
     if pairs:
         print("\n".join(format_summary(summarize(pairs, spec))))
+    print("\n".join(bytecode_lines(dirs)))
     if not sound:
         print("a run was not correct", file=sys.stderr)
         return 1
