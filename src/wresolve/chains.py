@@ -44,17 +44,15 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .errors import ConstraintViolation, paused_gc
+from .errors import ConstraintViolation, _support, paused_gc
 
 
-def _clean_support(raw) -> frozenset:
-    pairs = [(i, j) for i, j in raw]
-    for i, j in pairs:
-        if type(i) is not int or type(j) is not int:
-            raise ValueError(f"support exponents must be ints, not ({i!r}, {j!r})")
-        if i < 0 or j < 0:
-            raise ValueError("support exponents must be nonnegative")
-    return frozenset(pairs)
+def _check_a_d(a, d) -> None:
+    """The checks both shapes make of a and d: a odd >= 3, d >= 1."""
+    if a < 3 or a % 2 == 0:
+        raise ValueError("need odd a >= 3")
+    if d < 1:
+        raise ValueError("need d >= 1")
 
 
 class O3CaseA(namedtuple("O3CaseA", "a d alpha supp_a supp_b")):
@@ -74,15 +72,10 @@ class O3CaseA(namedtuple("O3CaseA", "a d alpha supp_a supp_b")):
     _depth_terms = property(lambda self: (self.a * (4 * self.d - 2), 2 * self.r))
 
     def __new__(cls, a, d, alpha, supp_a=frozenset(), supp_b=frozenset()):
-        if a < 3 or a % 2 == 0:
-            raise ValueError("need odd a >= 3")
-        if d < 1:
-            raise ValueError("need d >= 1")
+        _check_a_d(a, d)
         if alpha < 1:
             raise ValueError("need alpha >= 1")
-        return super().__new__(
-            cls, a, d, alpha, _clean_support(supp_a), _clean_support(supp_b)
-        )
+        return super().__new__(cls, a, d, alpha, _support(supp_a), _support(supp_b))
 
     @property
     def r(self) -> int:
@@ -121,13 +114,8 @@ class O3CaseB(namedtuple("O3CaseB", "a d supp_a supp_b")):
     _depth_terms = property(lambda self: (4 * self.a * self.d, 2 * self.r + 2))
 
     def __new__(cls, a, d, supp_a=frozenset(), supp_b=frozenset()):
-        if a < 3 or a % 2 == 0:
-            raise ValueError("need odd a >= 3")
-        if d < 1:
-            raise ValueError("need d >= 1")
-        return super().__new__(
-            cls, a, d, _clean_support(supp_a), _clean_support(supp_b)
-        )
+        _check_a_d(a, d)
+        return super().__new__(cls, a, d, _support(supp_a), _support(supp_b))
 
     @property
     def r(self) -> int:
@@ -284,6 +272,23 @@ class ChainStage(
     __slots__ = ()
 
 
+def _stage_range(case, k_max: int | None, pivot=None) -> int:
+    """The prologue of both walks, and the last stage they walk to.
+
+    check_constraints first, then (shape A) the pivot the first support
+    must contain, then k_max: a by default, else within 0..a."""
+    check_constraints(case)
+    if pivot is not None and pivot not in case.supp_a:
+        raise ConstraintViolation(
+            "first support must contain the pivot (2d, 0)", i=pivot[0], j=0
+        )
+    if k_max is None:
+        return case.a
+    if not (0 <= k_max <= case.a):
+        raise ValueError("stage range is 0..a")
+    return k_max
+
+
 def _rows_at(lines, k: int, wx: int, wz: int, wts: list) -> tuple:
     """Stage-k exponents of (monomial, base, slope, x-degree) rows.
 
@@ -329,17 +334,9 @@ def chain_simulate(case: O3CaseA, k_max: int | None = None) -> tuple[ChainStage,
     the loop and shared by the stages that hit the threshold; each stage
     is one tuple built straight from its fields.
     """
-    check_constraints(case)
-    a, d = case.a, case.d
+    d = case.d
     pivot = (2 * d, 0)
-    if pivot not in case.supp_a:
-        raise ConstraintViolation(
-            "first support must contain the pivot (2d, 0)", i=2 * d, j=0
-        )
-    if k_max is None:
-        k_max = a
-    if not (0 <= k_max <= a):
-        raise ValueError("stage range is 0..a")
+    k_max = _stage_range(case, k_max, pivot)
     beta, gamma2, delta2_slope = _lines_a(case)
     y_x_deg = 2 * case.alpha - 1  # x-degree of the y-term
     target = 4 * d
@@ -416,12 +413,8 @@ def chain_stages_b(case: O3CaseB, k_max: int | None = None) -> tuple[ChainStageB
     builds the weights, built-in weights and Fraction stage fields once
     per parity, and builds each stage straight from its fields.
     """
-    check_constraints(case)
-    a, d = case.a, case.d
-    if k_max is None:
-        k_max = a
-    if not (0 <= k_max <= a):
-        raise ValueError("stage range is 0..a")
+    d = case.d
+    k_max = _stage_range(case, k_max)
     first, second = _lines_b(case)
     t1, t2 = 4 * d + 2, 2 * d + 1
     wt_first, wt_second = Fraction(t1, 2), Fraction(t2, 2)

@@ -184,10 +184,8 @@ def _parse_germ(obj):
 
 
 def _weights(value, name):
-    triple = isinstance(value, list) and len(value) == 3
-    if not triple or any(type(w) is not int for w in value):
-        raise SchemaError("cyclic class needs 'weights': [w1, w2, w3]")
-    return tuple(value)
+    message = "cyclic class needs 'weights': [w1, w2, w3]"
+    return _int_rows([value], (3,), message)[0]
 
 
 def _parse_class(obj):

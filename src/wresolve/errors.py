@@ -1,11 +1,22 @@
-"""Exception types shared across the package, and the collector pause of
-its long walks.
+"""Exception types shared across the package, the collector pause of its
+long walks, and the one support check.
 
-Everything raised on bad mathematical input derives from WresolveError so
-callers (and the CLI) can separate domain errors from programming errors.
-Every layer imports this module, so ``paused_gc``, the decorator that keeps
-the cyclic garbage collector off while a walk builds its rows, lives here
-too and costs no layer an import.
+Two kinds of error are raised on bad input.  The records and walks of the
+library layers raise ValueError for a value outside their domain: a germ
+index below 1, an even chain length a, a depth below 0, a float where an
+int belongs.  The CLI reports such a ValueError as InvalidParameter (exit
+2).  Everything else raised on bad mathematical input derives from
+WresolveError: a classification congruence broken (InvalidCaseData), a
+support wall crossed (ConstraintViolation), a trace rule broken
+(RuleViolation), input that does not match the JSON schema (SchemaError,
+exit 1).  Callers, and the CLI, can thus separate domain errors from
+programming errors, which raise neither.
+
+Every layer imports this module, so what several layers share lives here
+too and costs no layer an import: ``paused_gc``, the decorator that keeps
+the cyclic garbage collector off while a walk builds its rows, and
+``_support``, the check that the cA/r germs and both chain shapes make of
+their monomial supports.
 """
 
 import functools
@@ -45,6 +56,19 @@ def paused_gc(walk):
             gc.enable()
 
     return paused
+
+
+def _support(raw) -> frozenset:
+    """raw as a frozenset of (i, j) exponent pairs: every exponent an int,
+    a float or a bool refused, not truncated, and none negative.  The int
+    check of every pair comes before the sign check of any."""
+    pairs = [(i, j) for i, j in raw]
+    for i, j in pairs:
+        if type(i) is not int or type(j) is not int:
+            raise ValueError(f"support exponents must be ints, not ({i!r}, {j!r})")
+    if any(i < 0 or j < 0 for i, j in pairs):
+        raise ValueError("support exponents must be nonnegative")
+    return frozenset(pairs)
 
 
 class WresolveError(Exception):

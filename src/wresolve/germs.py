@@ -39,7 +39,7 @@ from collections import namedtuple
 from math import gcd
 
 from .baskets import CyclicQuotient, TerminalClass
-from .errors import InvalidSplit, SearchLimitExceeded
+from .errors import InvalidSplit, SearchLimitExceeded, _support
 
 
 class CARGerm(namedtuple("CARGerm", "r beta support")):
@@ -59,17 +59,9 @@ class CARGerm(namedtuple("CARGerm", "r beta support")):
         residue = beta % r
         if gcd(residue, r) != 1:
             raise ValueError(f"beta = {beta} not coprime to r = {r}")
-        pairs = [(i, j) for i, j in support]
-        for i, j in pairs:
-            if type(i) is not int or type(j) is not int:
-                raise ValueError(
-                    f"support exponents must be ints, not ({i!r}, {j!r})"
-                )
-        support = frozenset(pairs)
+        support = _support(support)
         if not support:
             raise ValueError("support must be nonempty")
-        if any(i < 0 or j < 0 for i, j in support):
-            raise ValueError("support exponents must be nonnegative")
         if (0, 0) in support:
             raise ValueError("constant term: germ not singular at the origin")
         if not any(i == 0 for i, _ in support):

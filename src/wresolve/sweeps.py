@@ -64,15 +64,6 @@ def _run(name: str, outcomes) -> SweepResult:
     )
 
 
-def _through_first_failure(groups):
-    """Outcomes of each group of cases, up to the end of the first group
-    with a failure: for the sweeps that stop early."""
-    for group in groups:
-        yield from group
-        if any(failure is not None for failure in group):
-            return
-
-
 def _units(r):
     return [b for b in range(1, r) if gcd(b, r) == 1]
 
@@ -153,7 +144,7 @@ def _germ_indices(r_max: int) -> list[tuple[int, int]]:
     return [(r, beta) for r in range(2, r_max + 1) for beta in _units(r)]
 
 
-def iter_germ_family(r_max=7):
+def iter_germ_family(r_max: int):
     """Every support of ``iter_germ_supports`` at every (r, beta) of
     ``_germ_indices``, support by support.
 
@@ -404,38 +395,29 @@ def _ceil_div(p: int, q: int) -> int:
     return -(-p // q)
 
 
+def _random_support(rng: random.Random, i_count: int, wall) -> set:
+    """Zero to four draws (i, j): i from range(i_count), then j at most 6
+    above max(0, wall(i)), the least j the shape's wall admits."""
+    support = set()
+    for _ in range(_below(rng, 5)):
+        i = _below(rng, i_count)
+        support.add((i, max(0, wall(i)) + _below(rng, 7)))
+    return support
+
+
 def random_case_a(rng: random.Random, a: int, d: int) -> chains.O3CaseA:
-    supp_a = {(2 * d, 0)}
-    for _ in range(_below(rng, 5)):
-        i = _below(rng, 3 * d + 3)
-        j = max(0, 2 * a * d - a * i) + _below(rng, 7)
-        supp_a.add((i, j))
-    supp_b = set()
-    for _ in range(_below(rng, 5)):
-        i = _below(rng, 2 * d + 3)
-        j = max(0, _ceil_div(2 * a * d - 1 - (2 * i + 1) * a, 2)) + _below(rng, 7)
-        supp_b.add((i, j))
+    supp_a = {(2 * d, 0)} | _random_support(
+        rng, 3 * d + 3, lambda i: 2 * a * d - a * i)
+    supp_b = _random_support(
+        rng, 2 * d + 3, lambda i: _ceil_div(2 * a * d - 1 - (2 * i + 1) * a, 2))
     alpha = d + 1 + _below(rng, 4)
-    return chains.O3CaseA(
-        a=a, d=d, alpha=alpha,
-        supp_a=frozenset(supp_a), supp_b=frozenset(supp_b),
-    )
+    return chains.O3CaseA(a, d, alpha, supp_a, supp_b)
 
 
 def random_case_b(rng: random.Random, a: int, d: int) -> chains.O3CaseB:
-    supp_a = set()
-    for _ in range(_below(rng, 5)):
-        i = _below(rng, 2 * d + 4)
-        j = max(0, (2 * d + 1) * a - a * i) + _below(rng, 7)
-        supp_a.add((i, j))
-    supp_b = set()
-    for _ in range(_below(rng, 5)):
-        i = _below(rng, d + 3)
-        j = max(0, a * (d - i) - 1) + _below(rng, 7)
-        supp_b.add((i, j))
-    return chains.O3CaseB(
-        a=a, d=d, supp_a=frozenset(supp_a), supp_b=frozenset(supp_b)
-    )
+    supp_a = _random_support(rng, 2 * d + 4, lambda i: (2 * d + 1) * a - a * i)
+    supp_b = _random_support(rng, d + 3, lambda i: a * (d - i) - 1)
+    return chains.O3CaseB(a, d, supp_a, supp_b)
 
 
 def _check_depth_identity(case, rng: random.Random, tag: str) -> str | None:
@@ -519,13 +501,14 @@ def sweep_o3_chains(cases_per_shape: int, seed: int) -> SweepResult:
     rng = random.Random(seed)
     combos = [(a, d) for a in (3, 5, 7, 9) for d in (1, 2, 3)]
     per_combo = _ceil_div(cases_per_shape, len(combos))
-    pairs = (
-        (_check_case_a(random_case_a(rng, a, d), rng),
-         _check_case_b(random_case_b(rng, a, d), rng))
-        for a, d in combos
-        for _ in range(per_combo)
-    )
-    return _run("o3-chain-calculus", _through_first_failure(pairs))
+
+    def outcomes():
+        for a, d in combos:
+            for _ in range(per_combo):
+                yield _check_case_a(random_case_a(rng, a, d), rng)
+                yield _check_case_b(random_case_b(rng, a, d), rng)
+
+    return _run("o3-chain-calculus", outcomes())
 
 
 # the kinds a generated step picks from, at depth 0 and above it
@@ -606,8 +589,8 @@ def sweep_trace_rules(n_traces: int, seed: int) -> SweepResult:
     mutant (or None) from ``accepted``."""
     rng = random.Random(seed)
     accepted: dict[int, traces.TraceStep | None] = {}
-    outcomes = ((_check_trace(random_trace(rng), accepted),) for _ in range(n_traces))
-    return _run("trace-rule-metamorphic", _through_first_failure(outcomes))
+    outcomes = (_check_trace(random_trace(rng), accepted) for _ in range(n_traces))
+    return _run("trace-rule-metamorphic", outcomes)
 
 
 def run_all(

@@ -156,6 +156,7 @@ def test_o3_sweep_reports_a_broken_walk(monkeypatch, name, wrong, detail):
     monkeypatch.setattr(chains, name, wrong(getattr(chains, name)))
     res = sweeps.sweep_o3_chains(12, seed=20240817)
     assert not res.ok
+    assert res.cases == 24  # both shapes of each of the 12 (a, d) draws
     assert res.detail == f"first failure: {detail}"
 
 
@@ -187,14 +188,14 @@ def test_rr_sweep_reads_the_cd2_basket_at_every_step(monkeypatch):
     assert res.detail == "first failure: E1_a4 r'=5: scan 0 != bound 1"
 
 
-def test_trace_sweep_stops_at_first_failure(monkeypatch):
+def test_trace_sweep_counts_every_case_after_a_failure(monkeypatch):
     monkeypatch.setattr(
         traces, "validate_trace",
         lambda trace, **kw: traces.TraceVerdict(valid=False, diagnostics=()),
     )
     res = sweeps.sweep_trace_rules(40, seed=20240818)
     assert not res.ok
-    assert res.cases == 1
+    assert res.cases == 40
     assert res.detail.startswith("first failure: generated trace rejected")
 
 
@@ -212,7 +213,7 @@ def test_trace_sweep_catches_an_accepted_mutant(monkeypatch):
     monkeypatch.setattr(traces, "_check_run", lenient)
     res = sweeps.sweep_trace_rules(50, seed=20240818)
     assert not res.ok
-    assert res.cases == 1
+    assert res.cases == 50
     assert res.detail.startswith("first failure: mutant accepted: TraceStep(kind='Flop'")
 
 
