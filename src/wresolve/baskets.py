@@ -107,6 +107,8 @@ class BasketEntry(namedtuple("BasketEntry", "b r n")):
     __slots__ = ()
 
     def __new__(cls, b, r, n=1):
+        if not (type(b) is type(r) is type(n) is int):
+            raise ValueError(f"basket entry must be ints, not {(b, r, n)!r}")
         if not (0 < b and 2 * b <= r):
             raise ValueError(f"entry ({b}, {r}) outside 0 < b <= r/2")
         if gcd(b, r) != 1:

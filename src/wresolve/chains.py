@@ -48,7 +48,10 @@ from .errors import ConstraintViolation, _support, paused_gc
 
 
 def _check_a_d(a, d) -> None:
-    """The checks both shapes make of a and d: a odd >= 3, d >= 1."""
+    """The checks both shapes make of a and d: ints (a float or a bool is
+    refused), a odd >= 3 and d >= 1."""
+    if type(a) is not int or type(d) is not int:
+        raise ValueError(f"a and d must be ints, not ({a!r}, {d!r})")
     if a < 3 or a % 2 == 0:
         raise ValueError("need odd a >= 3")
     if d < 1:
@@ -73,6 +76,8 @@ class O3CaseA(namedtuple("O3CaseA", "a d alpha supp_a supp_b")):
 
     def __new__(cls, a, d, alpha, supp_a=frozenset(), supp_b=frozenset()):
         _check_a_d(a, d)
+        if type(alpha) is not int:
+            raise ValueError(f"alpha must be an int, not {alpha!r}")
         if alpha < 1:
             raise ValueError("need alpha >= 1")
         return super().__new__(cls, a, d, alpha, _support(supp_a), _support(supp_b))

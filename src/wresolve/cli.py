@@ -87,7 +87,7 @@ def _load_input(arg: str):
             raise SchemaError(f"no such input file: {arg}")
     try:
         obj = json.loads(text, object_pairs_hook=_object)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValueError as exc:  # bad syntax or encoding, or an int too long
         raise SchemaError(f"input is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise SchemaError("top-level input must be a JSON object")

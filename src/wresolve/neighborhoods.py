@@ -51,6 +51,8 @@ class ENPoint(namedtuple("ENPoint", "r w0")):
     __slots__ = ()
 
     def __new__(cls, r, w0=Fraction(0)):
+        if type(r) is not int:
+            raise InvalidCaseData(f"point index must be an int, not {r!r}")
         if r < 1:
             raise InvalidCaseData("point index must be >= 1")
         w0 = Fraction(w0)
@@ -64,6 +66,12 @@ class ENPoint(namedtuple("ENPoint", "r w0")):
 def canonical_degree(points) -> Fraction:
     """K_X . C = -1 + sum of w_P(0); flipping germs give a negative value."""
     return Fraction(-1) + sum((Fraction(p.w0) for p in points), Fraction(0))
+
+
+def _not_ints(cls, values) -> InvalidCaseData:
+    """The error of an en case whose data are not all ints: a float or a
+    bool is refused, not truncated."""
+    return InvalidCaseData(f"{_case_name(cls)} data must be ints, got {values!r}")
 
 
 class _Shape:
@@ -88,6 +96,8 @@ class ICCase(_Shape, namedtuple("ICCase", "r")):
     _cf = Fraction(1)
 
     def __new__(cls, r):
+        if type(r) is not int:
+            raise _not_ints(cls, (r,))
         if r < 5 or r % 2 == 0:
             raise InvalidCaseData("IC needs odd r >= 5")
         return super().__new__(cls, r)
@@ -100,6 +110,8 @@ class IIBCase(_Shape, namedtuple("IIBCase", "r1 r2 r3 r4")):
     _kx_max, _index = Fraction(-1, 4), 4
 
     def __new__(cls, r1, r2, r3, r4):
+        if not (type(r1) is type(r2) is type(r3) is type(r4) is int):
+            raise _not_ints(cls, (r1, r2, r3, r4))
         if (r1 < 1 or r1 % 4 != 3 or r2 < 1 or r2 % 4 != 2
                 or r3 < 1 or r3 % 4 != 1 or r4 < 1 or r4 % 4 != 1):
             raise InvalidCaseData(
@@ -123,6 +135,8 @@ class IACase(_Shape, namedtuple("IACase", "r a1 a2")):
     _congruence = property(lambda self: (self.a1, self.a2))
 
     def __new__(cls, r, a1, a2):
+        if not (type(r) is type(a1) is type(a2) is int):
+            raise _not_ints(cls, (r, a1, a2))
         if r < 2:
             raise InvalidCaseData("IA needs r >= 2")
         for a in (a1, a2):
@@ -160,6 +174,8 @@ class ExceptionalIAIACase(_A2Shape, namedtuple("ExceptionalIAIACase", "r a2")):
     __slots__ = ()
 
     def __new__(cls, r, a2):
+        if not (type(r) is type(a2) is int):
+            raise _not_ints(cls, (r, a2))
         if r < 3 or r % 2 == 0:
             raise InvalidCaseData("exceptional IA+IA needs odd r >= 3")
         return super().__new__(cls, r, a2)
@@ -175,6 +191,8 @@ class SemistableIAIACase(
     _congruence = property(lambda self: (1, self.a))
 
     def __new__(cls, r, a, rprime, aprime):
+        if not (type(r) is type(a) is type(rprime) is type(aprime) is int):
+            raise _not_ints(cls, (r, a, rprime, aprime))
         if not (r >= rprime >= 2):
             raise InvalidCaseData("need r >= r' >= 2")
         if not (0 < a < r) or gcd(a, r) != 1:
@@ -201,6 +219,8 @@ class IAIAIIICase(_A2Shape, namedtuple("IAIAIIICase", "r a2")):
     __slots__ = ()
 
     def __new__(cls, r, a2):
+        if not (type(r) is type(a2) is int):
+            raise _not_ints(cls, (r, a2))
         if r < 3:
             raise InvalidCaseData("IA+IA+III needs r >= 3")
         return super().__new__(cls, r, a2)
@@ -224,6 +244,8 @@ def _resolve_r1(case, r1: int | None) -> int:
     least = minimal_r1(case)
     if r1 is None:
         return least
+    if type(r1) is not int:
+        raise InvalidCaseData(f"r1 must be an int, not {r1!r}")
     if r1 < 1 or r1 % case.r != least % case.r:
         raise InvalidCaseData(
             f"r1 = {r1} is not a positive member of the class {least} mod {case.r}"

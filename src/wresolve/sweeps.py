@@ -441,6 +441,13 @@ def _check_case_a(case: chains.O3CaseA, rng: random.Random) -> str | None:
             return f"{tag}: stage {st.k} discrepancy {st.discrepancy}"
         if not st.witnesses:
             return f"{tag}: stage {st.k} lost its weight witnesses"
+    # stage 0 is the germ itself: each closed form starts at its own j
+    for i, j in case.supp_a:
+        if chains.beta_k(i, j, 0, d) != j:
+            return f"{tag}: stage-0 beta mismatch"
+    for i, j in case.supp_b:
+        if chains.gamma_k(i, j, 0, d) != j:
+            return f"{tag}: stage-0 gamma mismatch"
     for k in range(a):
         for i, j in case.supp_a:
             if chains.beta_k(i, j, k + 1, d) - chains.beta_k(i, j, k, d) != i - 2 * d:
@@ -476,6 +483,13 @@ def _check_case_b(case: chains.O3CaseB, rng: random.Random) -> str | None:
             return f"{tag}: stage {st.k} weights broke"
         if st.discrepancy != Fraction(1, 2):
             return f"{tag}: stage {st.k} discrepancy {st.discrepancy}"
+    # stage 0 is the germ itself: x^(2i) z^j and x^(2i+1) z^(j+1)
+    for i, j in case.supp_a:
+        if chains.beta_k_b(i, j, 0, d) != j:
+            return f"{tag}: stage-0 first exponent mismatch"
+    for i, j in case.supp_b:
+        if chains.gamma_k_b(i, j, 0, d) != j + 1:
+            return f"{tag}: stage-0 second exponent mismatch"
     for k in range(a):
         for i, j in case.supp_a:
             if (chains.beta_k_b(i, j, k + 1, d)

@@ -60,6 +60,8 @@ class TraceStep(namedtuple("TraceStep", "kind dep_before dep_after")):
             known = False
         if not known:
             raise ValueError(f"unknown step kind {kind!r}")
+        if type(dep_before) is not int or type(dep_after) is not int:
+            raise ValueError(f"depths must be ints, not ({dep_before!r}, {dep_after!r})")
         if dep_before < 0 or dep_after < 0:
             raise ValueError("depths must be >= 0")
         return tuple.__new__(cls, (kind, dep_before, dep_after))

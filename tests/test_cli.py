@@ -472,6 +472,21 @@ def test_name_too_long_for_the_os(capsys):
     assert "Traceback" not in captured.out + captured.err
 
 
+def test_integer_too_long_to_parse_is_a_schema_error(capsys):
+    # json.loads refuses an int literal past the interpreter's digit limit
+    # with a plain ValueError; it is malformed input, not a domain error
+    doc = '{"r": 1' + "0" * 5000 + ', "beta": 1, "support": [[0, 1]]}'
+    code = main(["depth", doc])
+    captured = capsys.readouterr()
+    assert code == 1
+    lines = captured.out.splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])["error"]
+    assert error["type"] == "SchemaError"
+    assert error["message"].startswith("input is not valid JSON: ")
+    assert "Traceback" not in captured.out + captured.err
+
+
 def test_text_output(capsys):
     code, out = run(capsys, ["depth", GERM, "--output", "text"])
     assert code == 0

@@ -1,6 +1,7 @@
 """Every check of the validating records that end in ``tuple.__new__``,
 and the int checks of the chain cases' supports: one input per message,
-and the message each one raises."""
+and the message each one raises.  Every int field of a record refuses a
+float or a bool: one input per field."""
 
 import pytest
 
@@ -8,7 +9,16 @@ from wresolve.baskets import BasketEntry, CyclicQuotient
 from wresolve.chains import O3CaseA, O3CaseB
 from wresolve.errors import InvalidCaseData
 from wresolve.germs import CARGerm
-from wresolve.neighborhoods import IIBCase, SemistableIAIACase
+from wresolve.neighborhoods import (
+    ENPoint,
+    ExceptionalIAIACase,
+    IACase,
+    IAIAIIICase,
+    ICCase,
+    IIBCase,
+    SemistableIAIACase,
+    key_check,
+)
 from wresolve.traces import FLOP, TraceStep
 
 CASES = [
@@ -80,6 +90,51 @@ CASES = [
      "support exponents must be nonnegative"),
     (O3CaseB, (3, 1, (), [(0, True)]), ValueError,
      "support exponents must be ints, not (0, True)"),
+    # the int fields of the other records, one input per field
+    (TraceStep, (FLOP, 1.5, 1), ValueError, "depths must be ints, not (1.5, 1)"),
+    (TraceStep, (FLOP, 1, True), ValueError, "depths must be ints, not (1, True)"),
+    (O3CaseA, (3.0, 1, 2, {(2, 0)}), ValueError,
+     "a and d must be ints, not (3.0, 1)"),
+    (O3CaseA, (3, True, 2, {(2, 0)}), ValueError,
+     "a and d must be ints, not (3, True)"),
+    (O3CaseA, (3, 1, 2.5, {(2, 0)}), ValueError, "alpha must be an int, not 2.5"),
+    (O3CaseB, (True, 1), ValueError, "a and d must be ints, not (True, 1)"),
+    (O3CaseB, (3, 1.0), ValueError, "a and d must be ints, not (3, 1.0)"),
+    (BasketEntry, (1.0, 3), ValueError, "basket entry must be ints, not (1.0, 3, 1)"),
+    (BasketEntry, (True, 2), ValueError,
+     "basket entry must be ints, not (True, 2, 1)"),
+    (BasketEntry, (1, 3, 2.0), ValueError,
+     "basket entry must be ints, not (1, 3, 2.0)"),
+    (ENPoint, (2.5, 0), InvalidCaseData, "point index must be an int, not 2.5"),
+    (ICCase, (5.0,), InvalidCaseData, "IC data must be ints, got (5.0,)"),
+    (IIBCase, (3.0, 2, 1, 1), InvalidCaseData,
+     "IIB data must be ints, got (3.0, 2, 1, 1)"),
+    (IIBCase, (3, True, 1, 1), InvalidCaseData,
+     "IIB data must be ints, got (3, True, 1, 1)"),
+    (IIBCase, (3, 2, 1.0, 1), InvalidCaseData,
+     "IIB data must be ints, got (3, 2, 1.0, 1)"),
+    (IIBCase, (3, 2, 1, 1.0), InvalidCaseData,
+     "IIB data must be ints, got (3, 2, 1, 1.0)"),
+    (IACase, (5.0, 1, 2), InvalidCaseData, "IA data must be ints, got (5.0, 1, 2)"),
+    (IACase, (5, True, 2), InvalidCaseData,
+     "IA data must be ints, got (5, True, 2)"),
+    (IACase, (5, 1, 2.0), InvalidCaseData, "IA data must be ints, got (5, 1, 2.0)"),
+    (ExceptionalIAIACase, (5.0, 3), InvalidCaseData,
+     "ExceptionalIAIA data must be ints, got (5.0, 3)"),
+    (ExceptionalIAIACase, (5, 3.0), InvalidCaseData,
+     "ExceptionalIAIA data must be ints, got (5, 3.0)"),
+    (SemistableIAIACase, (5.0, 2, 3, 2), InvalidCaseData,
+     "SemistableIAIA data must be ints, got (5.0, 2, 3, 2)"),
+    (SemistableIAIACase, (5, 2.0, 3, 2), InvalidCaseData,
+     "SemistableIAIA data must be ints, got (5, 2.0, 3, 2)"),
+    (SemistableIAIACase, (5, 2, True, 2), InvalidCaseData,
+     "SemistableIAIA data must be ints, got (5, 2, True, 2)"),
+    (SemistableIAIACase, (5, 2, 3, 2.0), InvalidCaseData,
+     "SemistableIAIA data must be ints, got (5, 2, 3, 2.0)"),
+    (IAIAIIICase, (5.0, 3), InvalidCaseData,
+     "IAIAIII data must be ints, got (5.0, 3)"),
+    (IAIAIIICase, (5, True), InvalidCaseData,
+     "IAIAIII data must be ints, got (5, True)"),
 ]
 
 
@@ -89,6 +144,13 @@ def test_each_check_raises_its_message(cls, args, error, message):
     with pytest.raises(error) as exc:
         cls(*args)
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("r1", [1.0, True])
+def test_key_check_refuses_an_r1_that_is_not_an_int(r1):
+    with pytest.raises(InvalidCaseData) as exc:
+        key_check(ExceptionalIAIACase(5, 3), r1=r1)
+    assert str(exc.value) == f"r1 must be an int, not {r1!r}"
 
 
 @pytest.mark.parametrize("record, fields", [

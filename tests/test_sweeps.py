@@ -160,6 +160,23 @@ def test_o3_sweep_reports_a_broken_walk(monkeypatch, name, wrong, detail):
     assert res.detail == f"first failure: {detail}"
 
 
+# each closed form is anchored at stage 0 as well as checked through its
+# per-stage differences, so one shifted by a constant fails the sweep
+@pytest.mark.parametrize("name, detail", [
+    ("beta_k", "A(a=3, d=1): stage-0 beta mismatch"),
+    ("gamma_k", "A(a=3, d=1): stage-0 gamma mismatch"),
+    ("beta_k_b", "B(a=3, d=1): stage-0 first exponent mismatch"),
+    ("gamma_k_b", "B(a=3, d=1): stage-0 second exponent mismatch"),
+], ids=["beta_k", "gamma_k", "beta_k_b", "gamma_k_b"])
+def test_o3_sweep_catches_a_shifted_closed_form(monkeypatch, name, detail):
+    form = getattr(chains, name)
+    monkeypatch.setattr(chains, name, lambda *args: form(*args) + 1)
+    res = sweeps.sweep_o3_chains(200, seed=20240817)
+    assert not res.ok
+    assert res.cases == 408
+    assert res.detail == f"first failure: {detail}"
+
+
 def test_runner_counts_every_case_after_a_failure(monkeypatch):
     formula = germs.depth_formula
     monkeypatch.setattr(germs, "depth_formula", lambda g: formula(g) + 1)
