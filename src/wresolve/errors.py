@@ -1,16 +1,18 @@
 """Exception types shared across the package, the collector pause of its
 long walks, and the one support check.
 
-Two kinds of error are raised on bad input.  The records and walks of the
-library layers raise ValueError for a value outside their domain: a germ
-index below 1, an even chain length a, a depth below 0, a float where an
-int belongs.  The CLI reports such a ValueError as InvalidParameter (exit
-2).  Everything else raised on bad mathematical input derives from
-WresolveError: a classification congruence broken (InvalidCaseData), a
-support wall crossed (ConstraintViolation), a trace rule broken
-(RuleViolation), input that does not match the JSON schema (SchemaError,
-exit 1).  Callers, and the CLI, can thus separate domain errors from
-programming errors, which raise neither.
+Two kinds of error are raised on bad input.  The records and walks of
+baskets, germs, chains, traces and riemannroch raise a plain ValueError
+for a value outside their domain: a germ index below 1, an even chain
+length a, a negative depth, a float or a bool where an int belongs.  The
+CLI reports every ValueError that reaches it as InvalidParameter (exit
+2), so there a programming error that raises ValueError would look like
+a domain error too.  The other domain errors derive from WresolveError:
+en case data outside the classification, a float in them included
+(InvalidCaseData), a support wall crossed (ConstraintViolation), a trace
+rule broken (RuleViolation), a blow-up split refused (InvalidSplit),
+input that does not match the JSON schema (SchemaError, exit 1), and the
+rest below.
 
 Every layer imports this module, so what several layers share lives here
 too and costs no layer an import: ``paused_gc``, the decorator that keeps
@@ -72,7 +74,7 @@ def _support(raw) -> frozenset:
 
 
 class WresolveError(Exception):
-    """Base class for all domain errors raised by this package."""
+    """Base class of the domain errors that are not a plain ValueError."""
 
 
 class NotTerminalForm(WresolveError):

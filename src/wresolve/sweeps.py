@@ -395,13 +395,13 @@ def _ceil_div(p: int, q: int) -> int:
     return -(-p // q)
 
 
-def _random_support(rng: random.Random, i_count: int, wall) -> set:
-    """Zero to four draws (i, j): i from range(i_count), then j at most 6
-    above max(0, wall(i)), the least j the shape's wall admits."""
+def _random_support(rng: random.Random, i_count: int, low) -> set:
+    """Zero to four draws (i, j): i from range(i_count), then j from
+    max(0, low(i)) up to 6 above it."""
     support = set()
     for _ in range(_below(rng, 5)):
         i = _below(rng, i_count)
-        support.add((i, max(0, wall(i)) + _below(rng, 7)))
+        support.add((i, max(0, low(i)) + _below(rng, 7)))
     return support
 
 
