@@ -485,6 +485,7 @@ def main(argv=None) -> int:
 
 
 def _run(args) -> int:
+    limit = sys.get_int_max_str_digits()
     try:
         if args.command == "verify":
             return _cmd_verify(args)
@@ -501,6 +502,8 @@ def _run(args) -> int:
         # the input is too deep or too large for this interpreter
         _emit_error(InvalidParameter(f"input too large ({type(exc).__name__})"))
         return 2
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 @paused_gc
@@ -509,9 +512,19 @@ def _answer(args) -> None:
     print the answer.  A request builds its input, records and output
     once and frees them by reference counting, so it runs with the cyclic
     collector paused (a cycle an error path leaves waits for the next
-    collection); ``verify``, whose sweeps run for seconds, does not."""
+    collection); ``verify``, whose sweeps run for seconds, does not.
+
+    The input is parsed under the interpreter's int-string digit limit,
+    so an int literal past it is a SchemaError.  The handler, the answer
+    and an error's report then run without the limit, which ``_run``
+    restores: every input int has at most that many digits (``parse_int``
+    and ``parse_rat`` hold decimal strings to it too), and no handler
+    raises an input to an input-given power, so a longer int in an answer
+    or a message costs no more than the arithmetic that made it."""
     handler = globals()["_cmd_" + args.command]
-    _emit(_read_all(handler, _load_input(args.input)), args.output)
+    obj = _load_input(args.input)
+    sys.set_int_max_str_digits(0)
+    _emit(_read_all(handler, obj), args.output)
 
 
 if __name__ == "__main__":  # pragma: no cover

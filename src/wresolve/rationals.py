@@ -7,16 +7,21 @@ stored reduced with positive denominator.  No float ever enters the core;
 """
 
 import re
+import sys
 from fractions import Fraction
 
 # an optional "-" and ASCII digits only: int() and Fraction() alone also
-# take "1_0", " 7", "+7", other scripts' digits and, for Fraction, "1.5"
-_INTEGER = "-?[0-9]+"
-_RATIONAL = f"{_INTEGER}(/[0-9]+)?"
+# take "1_0", " 7", "+7", other scripts' digits and, for Fraction, "1.5";
+# each run of digits is held to the interpreter's int-string digit limit
+# as it stands at import, since the CLI lifts that limit while it answers
+_DIGITS = f"[0-9]{{1,{sys.get_int_max_str_digits() or ''}}}"
+_INTEGER = f"-?{_DIGITS}"
+_RATIONAL = f"{_INTEGER}(/{_DIGITS})?"
 
 
 def parse_int(value):
-    """An int, or a string matching -?[0-9]+; never a bool or a float."""
+    """An int, or a string matching -?[0-9]+ within the digit limit;
+    never a bool or a float."""
     if isinstance(value, str) and re.fullmatch(_INTEGER, value):
         return int(value)
     if isinstance(value, bool) or not isinstance(value, int):
@@ -27,7 +32,8 @@ def parse_int(value):
 def parse_rat(value):
     """Parse a rational from "p/q" / "p" strings, [p, q] pairs, or ints.
 
-    Strings must match -?[0-9]+(/[0-9]+)?, and a pair's entries follow
+    Strings must match -?[0-9]+(/[0-9]+)?, each run of digits within the
+    interpreter's int-string digit limit, and a pair's entries follow
     ``parse_int``.  Floats and booleans are rejected, also inside a pair.
     """
     if isinstance(value, Fraction):

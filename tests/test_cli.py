@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,7 @@ import wresolve
 from wresolve import cli, sweeps, traces
 from wresolve.cli import main
 from wresolve.errors import RuleViolation
+from wresolve.rationals import format_rat
 
 from test_wire import GOLDEN, readme_examples
 
@@ -485,6 +487,99 @@ def test_integer_too_long_to_parse_is_a_schema_error(capsys):
     assert error["type"] == "SchemaError"
     assert error["message"].startswith("input is not valid JSON: ")
     assert "Traceback" not in captured.out + captured.err
+
+
+def _one_document(capsys):
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    lines = captured.out.splitlines()
+    assert len(lines) == 1
+    return captured.out, json.loads(lines[0])
+
+
+def _unlimited(compute):
+    """compute() with the int-string digit limit lifted, as the CLI answers."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return compute()
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_answer_with_an_int_past_the_digit_limit_prints_exactly(capsys):
+    # a/n = 10^3000 has 3001 digits, and delta_chi = 10^9000 / 2 has 9000
+    a_over_n = "1" + "0" * 3000
+    limit = sys.get_int_max_str_digits()
+    code = main(["rr", f'{{"a_over_n": "{a_over_n}", "e3": 1}}'])
+    out, payload = _one_document(capsys)
+    assert code == 0
+    expected = _unlimited(lambda: format_rat(Fraction(1, 2) * Fraction(int(a_over_n)) ** 3))
+    assert payload == {"delta_chi": expected}
+    assert len(out) == 9018
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_message_with_an_int_past_the_digit_limit_is_the_domain_error(capsys):
+    # r = 10^4299 is a 4300-digit literal; the split message holds r * nu_1
+    doc = ('{"r": 1' + "0" * 4299
+           + ', "beta": 1, "support": [[0, 100000]], "r1": 1, "r2": 1}')
+    limit = sys.get_int_max_str_digits()
+    code = main(["blowup", doc])
+    _, payload = _one_document(capsys)
+    assert code == 2
+    error = payload["error"]
+    assert error["type"] == "InvalidSplit"
+    head = "split (1, 1) does not sum to r*nu_1 = "
+    assert error["message"].startswith(head)
+    total = error["message"][len(head):]
+    assert total.isdigit() and len(total) > 4300
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_error_field_with_an_int_past_the_digit_limit(capsys):
+    # d and alpha = d + 1 have 4300 digits each; the pivot 2d has 4301
+    d = 5 * 10**4299
+    doc = f'{{"case": "A", "a": 3, "d": {d}, "alpha": {d + 1}}}'
+    limit = sys.get_int_max_str_digits()
+    code = main(["o3", doc])
+    _, payload = _one_document(capsys)
+    assert code == 2
+    error = payload["error"]
+    assert error["type"] == "ConstraintViolation"
+    assert error["message"] == "first support must contain the pivot (2d, 0)"
+    assert error["i"] == _unlimited(lambda: str(2 * d))
+    assert sys.get_int_max_str_digits() == limit
+
+
+@pytest.mark.parametrize("key", ["a_over_n", "e3"])
+def test_decimal_string_past_the_digit_limit_is_a_schema_error(capsys, key):
+    # the handler runs with the limit lifted; a string is still held to it
+    fields = {"a_over_n": "1", "e3": "1", key: "1" + "0" * 4300 + "/3"}
+    code = main(["rr", json.dumps(fields)])
+    _, payload = _one_document(capsys)
+    assert code == 1
+    assert payload["error"] == {
+        "type": "SchemaError", "message": f"key {key!r} must be a rational"}
+
+
+@pytest.mark.parametrize("request_", [
+    ["depth", GERM],
+    ["depth", '{"r": 1' + "0" * 5000 + ', "beta": 1, "support": [[0, 1]]}'],
+    ["depth", '{"r": 0, "beta": 1, "support": [[0, 1]]}'],
+    ["verify", "--cyclic-max", "3", "--germ-r-max", "2", "--rr-max", "2",
+     "--en-r-max", "3", "--semi-max", "3", "--iib-max", "3", "--o3-cases", "1",
+     "--trace-count", "1"],
+], ids=["answer", "schema-error", "domain-error", "verify"])
+def test_digit_limit_is_restored(capsys, request_):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(5000)
+    try:
+        main(request_)
+        assert sys.get_int_max_str_digits() == 5000
+    finally:
+        sys.set_int_max_str_digits(limit)
+    capsys.readouterr()
 
 
 def test_text_output(capsys):
