@@ -56,15 +56,15 @@ class CyclicQuotient(namedtuple("CyclicQuotient", "r weights")):
 
     def __new__(cls, r, weights):
         if type(r) is not int:
-            raise ValueError(f"quotient index must be an int, not {r!r}")
+            raise InvalidParameter(f"quotient index must be an int, not {r!r}")
         if r < 1:
-            raise ValueError("quotient index must be >= 1")
+            raise InvalidParameter("quotient index must be >= 1")
         weights = tuple(weights)
         if len(weights) != 3:
-            raise ValueError("need exactly three weights")
+            raise InvalidParameter("need exactly three weights")
         w0, w1, w2 = weights
         if type(w0) is not int or type(w1) is not int or type(w2) is not int:
-            raise ValueError(f"weights must be ints, not {weights!r}")
+            raise InvalidParameter(f"weights must be ints, not {weights!r}")
         return tuple.__new__(cls, (r, (w0 % r, w1 % r, w2 % r)))
 
     @property
@@ -108,13 +108,13 @@ class BasketEntry(namedtuple("BasketEntry", "b r n")):
 
     def __new__(cls, b, r, n=1):
         if not (type(b) is type(r) is type(n) is int):
-            raise ValueError(f"basket entry must be ints, not {(b, r, n)!r}")
+            raise InvalidParameter(f"basket entry must be ints, not {(b, r, n)!r}")
         if not (0 < b and 2 * b <= r):
-            raise ValueError(f"entry ({b}, {r}) outside 0 < b <= r/2")
+            raise InvalidParameter(f"entry ({b}, {r}) outside 0 < b <= r/2")
         if gcd(b, r) != 1:
-            raise ValueError(f"entry ({b}, {r}) has gcd > 1")
+            raise InvalidParameter(f"entry ({b}, {r}) has gcd > 1")
         if n < 1:
-            raise ValueError("multiplicity must be >= 1")
+            raise InvalidParameter("multiplicity must be >= 1")
         return tuple.__new__(cls, (b, r, n))
 
 
@@ -236,33 +236,33 @@ class TerminalClass(namedtuple("TerminalClass", "kind k quotient germ")):
     and for cAx/2 it is optional and only feeds the depth bound, since the
     cAx/2 basket does not depend on it), quotient (a CyclicQuotient) for
     the cyclic class, germ (a CARGerm) for cA/r, or nothing.  A datum of
-    any other type is refused with ValueError.
+    any other type is refused with InvalidParameter.
     """
 
     __slots__ = ()
 
     def __new__(cls, kind, k=None, quotient=None, germ=None):
         if kind not in _KINDS:
-            raise ValueError(f"unknown class kind {kind!r}")
+            raise InvalidParameter(f"unknown class kind {kind!r}")
         datum, required, *_ = _KINDS[kind]
         given = {"k": k, "quotient": quotient, "germ": germ}
         value = given.pop(datum, None)
         for name, other in given.items():
             if other is not None:
-                raise ValueError(f"{kind} takes no {name}")
+                raise InvalidParameter(f"{kind} takes no {name}")
         bad_k = k is not None and (type(k) is not int or k < 1)
         if bad_k or (required and value is None):
             if datum != "k":
-                raise ValueError(f"{kind} class needs its {datum} data")
+                raise InvalidParameter(f"{kind} class needs its {datum} data")
             if required:
-                raise ValueError(f"{kind} needs an axial parameter k >= 1")
-            raise ValueError(f"{kind} axial parameter must be >= 1 when given")
+                raise InvalidParameter(f"{kind} needs an axial parameter k >= 1")
+            raise InvalidParameter(f"{kind} axial parameter must be >= 1 when given")
         if datum == "quotient" or datum == "germ":
             from .germs import CARGerm  # germs imports this module
 
             want = CyclicQuotient if datum == "quotient" else CARGerm
             if not isinstance(value, want):
-                raise ValueError(
+                raise InvalidParameter(
                     f"{kind} {datum} must be a {want.__name__}, "
                     f"not {type(value).__name__}"
                 )

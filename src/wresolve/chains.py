@@ -44,18 +44,18 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .errors import ConstraintViolation, _support, paused_gc
+from .errors import ConstraintViolation, InvalidParameter, _support, paused_gc
 
 
 def _check_a_d(a, d) -> None:
     """The checks both shapes make of a and d: ints (a float or a bool is
     refused), a odd >= 3 and d >= 1."""
     if type(a) is not int or type(d) is not int:
-        raise ValueError(f"a and d must be ints, not ({a!r}, {d!r})")
+        raise InvalidParameter(f"a and d must be ints, not ({a!r}, {d!r})")
     if a < 3 or a % 2 == 0:
-        raise ValueError("need odd a >= 3")
+        raise InvalidParameter("need odd a >= 3")
     if d < 1:
-        raise ValueError("need d >= 1")
+        raise InvalidParameter("need d >= 1")
 
 
 class O3CaseA(namedtuple("O3CaseA", "a d alpha supp_a supp_b")):
@@ -77,9 +77,9 @@ class O3CaseA(namedtuple("O3CaseA", "a d alpha supp_a supp_b")):
     def __new__(cls, a, d, alpha, supp_a=frozenset(), supp_b=frozenset()):
         _check_a_d(a, d)
         if type(alpha) is not int:
-            raise ValueError(f"alpha must be an int, not {alpha!r}")
+            raise InvalidParameter(f"alpha must be an int, not {alpha!r}")
         if alpha < 1:
-            raise ValueError("need alpha >= 1")
+            raise InvalidParameter("need alpha >= 1")
         return super().__new__(cls, a, d, alpha, _support(supp_a), _support(supp_b))
 
     @property
@@ -290,7 +290,7 @@ def _stage_range(case, k_max: int | None, pivot=None) -> int:
     if k_max is None:
         return case.a
     if not (0 <= k_max <= case.a):
-        raise ValueError("stage range is 0..a")
+        raise InvalidParameter("stage range is 0..a")
     return k_max
 
 
@@ -474,7 +474,7 @@ def depth_identity(case, dep_q3: int) -> DepthIdentity:
     inequality dep(Y) >= bound + a - 2.
     """
     if dep_q3 < 0:
-        raise ValueError("endpoint depth must be >= 0")
+        raise InvalidParameter("endpoint depth must be >= 0")
     a = case.a
     chain, rise = case._depth_terms
     upper = a + dep_q3 + chain

@@ -494,10 +494,6 @@ def _run(args) -> int:
     except WresolveError as exc:
         _emit_error(exc)
         return 1 if isinstance(exc, SchemaError) else 2
-    except ValueError as exc:
-        # a library range check: the parameter is outside its domain
-        _emit_error(InvalidParameter(str(exc)))
-        return 2
     except (RecursionError, MemoryError) as exc:
         # the input is too deep or too large for this interpreter
         _emit_error(InvalidParameter(f"input too large ({type(exc).__name__})"))

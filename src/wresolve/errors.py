@@ -1,18 +1,14 @@
 """Exception types shared across the package, the collector pause of its
 long walks, and the one support check.
 
-Two kinds of error are raised on bad input.  The records and walks of
-baskets, germs, chains, traces and riemannroch raise a plain ValueError
-for a value outside their domain: a germ index below 1, an even chain
-length a, a negative depth, a float or a bool where an int belongs.  The
-CLI reports every ValueError that reaches it as InvalidParameter (exit
-2), so there a programming error that raises ValueError would look like
-a domain error too.  The other domain errors derive from WresolveError:
-en case data outside the classification, a float in them included
-(InvalidCaseData), a support wall crossed (ConstraintViolation), a trace
-rule broken (RuleViolation), a blow-up split refused (InvalidSplit),
-input that does not match the JSON schema (SchemaError, exit 1), and the
-rest below.
+Every domain error derives from WresolveError: a value outside the
+domain of a record or walk, such as a float where an int belongs
+(InvalidParameter, also a ValueError for library callers), en case data
+outside the classification (InvalidCaseData), a support wall crossed
+(ConstraintViolation), a trace rule broken (RuleViolation), a blow-up
+split refused (InvalidSplit), input that does not match the JSON schema
+(SchemaError, exit 1), and the rest below.  Any other ValueError is a
+bug, and the CLI lets it through.
 
 Every layer imports this module, so what several layers share lives here
 too and costs no layer an import: ``paused_gc``, the decorator that keeps
@@ -67,14 +63,14 @@ def _support(raw) -> frozenset:
     pairs = [(i, j) for i, j in raw]
     for i, j in pairs:
         if type(i) is not int or type(j) is not int:
-            raise ValueError(f"support exponents must be ints, not ({i!r}, {j!r})")
+            raise InvalidParameter(f"support exponents must be ints, not ({i!r}, {j!r})")
     if any(i < 0 or j < 0 for i, j in pairs):
-        raise ValueError("support exponents must be nonnegative")
+        raise InvalidParameter("support exponents must be nonnegative")
     return frozenset(pairs)
 
 
 class WresolveError(Exception):
-    """Base class of the domain errors that are not a plain ValueError."""
+    """Base class of every domain error."""
 
 
 class NotTerminalForm(WresolveError):
@@ -89,7 +85,7 @@ class SearchLimitExceeded(WresolveError):
     """Resolution search walked past the configured step ceiling."""
 
 
-class InvalidParameter(WresolveError):
+class InvalidParameter(WresolveError, ValueError):
     """Case parameter is out of range or produces a non-terminal basket."""
 
 

@@ -39,7 +39,7 @@ from collections import namedtuple
 from math import gcd
 
 from .baskets import CyclicQuotient, TerminalClass
-from .errors import InvalidSplit, SearchLimitExceeded, _support
+from .errors import InvalidParameter, InvalidSplit, SearchLimitExceeded, _support
 
 
 class CARGerm(namedtuple("CARGerm", "r beta support")):
@@ -51,21 +51,21 @@ class CARGerm(namedtuple("CARGerm", "r beta support")):
 
     def __new__(cls, r, beta, support):
         if type(r) is not int:
-            raise ValueError(f"germ index must be an int, not {r!r}")
+            raise InvalidParameter(f"germ index must be an int, not {r!r}")
         if r < 1:
-            raise ValueError("germ index must be >= 1")
+            raise InvalidParameter("germ index must be >= 1")
         if type(beta) is not int:
-            raise ValueError(f"beta must be an int, not {beta!r}")
+            raise InvalidParameter(f"beta must be an int, not {beta!r}")
         residue = beta % r
         if gcd(residue, r) != 1:
-            raise ValueError(f"beta = {beta} not coprime to r = {r}")
+            raise InvalidParameter(f"beta = {beta} not coprime to r = {r}")
         support = _support(support)
         if not support:
-            raise ValueError("support must be nonempty")
+            raise InvalidParameter("support must be nonempty")
         if (0, 0) in support:
-            raise ValueError("constant term: germ not singular at the origin")
+            raise InvalidParameter("constant term: germ not singular at the origin")
         if not any(i == 0 for i, _ in support):
-            raise ValueError("no axial monomial: axial weight would be infinite")
+            raise InvalidParameter("no axial monomial: axial weight would be infinite")
         return tuple.__new__(cls, (r, residue, support))
 
 
@@ -77,7 +77,7 @@ def axial_weight(g: CARGerm) -> int:
 def nu(g: CARGerm, s: int) -> int:
     """Weighted support minimum nu_s = min s*i + j."""
     if s < 1:
-        raise ValueError("slope must be >= 1")
+        raise InvalidParameter("slope must be >= 1")
     return min(s * i + j for i, j in g.support)
 
 
@@ -177,7 +177,7 @@ def cyclic_depth_search(r: int) -> int:
     It is the oracle for the r - 1 that depth_search prices points by.
     """
     if r < 1:
-        raise ValueError("index must be >= 1")
+        raise InvalidParameter("index must be >= 1")
     return _cyclic_depth_table(r)[r]
 
 
@@ -256,11 +256,11 @@ class DepthBound(namedtuple("DepthBound", "lower upper exact")):
 
     def __new__(cls, *, lower=None, upper, exact=False):
         if upper < 0 or (lower is not None and lower < 0):
-            raise ValueError("depth bounds must be >= 0")
+            raise InvalidParameter("depth bounds must be >= 0")
         if lower is not None and lower > upper:
-            raise ValueError("lower bound exceeds upper bound")
+            raise InvalidParameter("lower bound exceeds upper bound")
         if exact and lower != upper:
-            raise ValueError("exact bound needs lower = upper")
+            raise InvalidParameter("exact bound needs lower = upper")
         return super().__new__(cls, lower, upper, exact)
 
     def __getnewargs_ex__(self):

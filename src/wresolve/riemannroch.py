@@ -51,14 +51,14 @@ class ContractionCase(namedtuple("ContractionCase", "tag rprime")):
 
     def __new__(cls, tag, rprime=None):
         if tag not in _TAGS:
-            raise ValueError(f"unknown case tag {tag!r}")
+            raise InvalidParameter(f"unknown case tag {tag!r}")
         if _TAGS[tag][0] is not None:  # an E1/E2 family
             if rprime is not None and type(rprime) is not int:
-                raise ValueError(f"{tag} needs an int r', not {rprime!r}")
+                raise InvalidParameter(f"{tag} needs an int r', not {rprime!r}")
             if rprime is None or rprime < 1:
-                raise ValueError(f"{tag} needs a positive r'")
+                raise InvalidParameter(f"{tag} needs a positive r'")
         elif rprime is not None:
-            raise ValueError(f"{tag} takes no r'")
+            raise InvalidParameter(f"{tag} takes no r'")
         return super().__new__(cls, tag, rprime)
 
 
@@ -75,7 +75,7 @@ def delta_chi(a_over_n, e3, basket_y: Basket, basket_x: Basket) -> Fraction:
     a_over_n = Fraction(a_over_n)
     e3 = Fraction(e3)
     if e3 <= 0:
-        raise ValueError("E^3 must be positive")
+        raise InvalidParameter("E^3 must be positive")
     return (
         Fraction(1, 2) * a_over_n**3 * e3
         + rr_correction(basket_y)
@@ -110,10 +110,7 @@ def _closed_forms(case: ContractionCase) -> tuple:
     if case.rprime <= over:
         raise InvalidParameter(f"{case.tag} needs r' > {over}")
     a, e, entry, bound, dep_y = forms(case.rprime)
-    try:
-        return a, e, BasketEntry(*entry), bound, dep_y
-    except ValueError as exc:
-        raise InvalidParameter(str(exc)) from exc
+    return a, e, BasketEntry(*entry), bound, dep_y
 
 
 def case_data(case: ContractionCase) -> _CaseData:

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .errors import RuleViolation, paused_gc
+from .errors import InvalidParameter, RuleViolation, paused_gc
 
 WEXTRACTION = "WExtraction"
 FLIP = "Flip"
@@ -59,11 +59,11 @@ class TraceStep(namedtuple("TraceStep", "kind dep_before dep_after")):
         except TypeError:  # an unhashable kind is no kind
             known = False
         if not known:
-            raise ValueError(f"unknown step kind {kind!r}")
+            raise InvalidParameter(f"unknown step kind {kind!r}")
         if type(dep_before) is not int or type(dep_after) is not int:
-            raise ValueError(f"depths must be ints, not ({dep_before!r}, {dep_after!r})")
+            raise InvalidParameter(f"depths must be ints, not ({dep_before!r}, {dep_after!r})")
         if dep_before < 0 or dep_after < 0:
-            raise ValueError("depths must be >= 0")
+            raise InvalidParameter("depths must be >= 0")
         return tuple.__new__(cls, (kind, dep_before, dep_after))
 
 

@@ -24,7 +24,7 @@ from wresolve.chains import (
     gamma_k_b,
     nonnegativity_check,
 )
-from wresolve.errors import ConstraintViolation
+from wresolve.errors import ConstraintViolation, InvalidParameter
 
 CASE_A = O3CaseA(3, 1, 2, frozenset({(2, 0)}))
 CASE_A_FULL = O3CaseA(3, 1, 2, frozenset({(2, 0)}), frozenset({(1, 1)}))
@@ -349,7 +349,7 @@ def _simulate_by_fractions(case, k_max=None):
     if k_max is None:
         k_max = a
     if not (0 <= k_max <= a):
-        raise ValueError("stage range is 0..a")
+        raise InvalidParameter("stage range is 0..a")
     target = Fraction(2 * d)
     stages = []
     for k in range(k_max + 1):
@@ -414,7 +414,7 @@ def _stages_b_by_fractions(case, k_max=None):
     if k_max is None:
         k_max = a
     if not (0 <= k_max <= a):
-        raise ValueError("stage range is 0..a")
+        raise InvalidParameter("stage range is 0..a")
     t1 = Fraction(2 * d + 1)
     t2 = Fraction(2 * d + 1, 2)
     stages = []

@@ -582,6 +582,21 @@ def test_digit_limit_is_restored(capsys, request_):
     capsys.readouterr()
 
 
+def test_a_stray_value_error_is_not_a_domain_error(capsys, monkeypatch):
+    # only the library's InvalidParameter is reported as one; a ValueError
+    # from anywhere else is a bug, and it escapes main as itself
+    from wresolve import germs
+
+    def broken(g):
+        raise ValueError("bug")
+
+    monkeypatch.setattr(germs, "depth_formula", broken)
+    with pytest.raises(ValueError, match="^bug$") as exc:
+        main(["depth", GERM])
+    assert type(exc.value) is ValueError
+    assert capsys.readouterr().out == ""
+
+
 def test_text_output(capsys):
     code, out = run(capsys, ["depth", GERM, "--output", "text"])
     assert code == 0

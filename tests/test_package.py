@@ -1,5 +1,7 @@
-"""The package surface: lazy public names and what each command imports."""
+"""The package surface: lazy public names, what each command imports and
+the one domain error type of the library layers."""
 
+import ast
 import importlib
 import json
 import os
@@ -145,3 +147,18 @@ def test_subcommand_import_footprint(argv, layers):
     command, payload = argv
     got = loaded([command, json.dumps(payload)])
     assert got == BASE | {f"wresolve.{layer}" for layer in layers}
+
+
+def test_library_raises_no_plain_value_error():
+    # every range check raises InvalidParameter (a ValueError too); only the
+    # rationals parsers raise ValueError, which the CLI turns into SchemaError
+    found = []
+    for path in sorted(Path(wresolve.__file__).parent.glob("*.py")):
+        if path.name == "rationals.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name) and exc.id == "ValueError":
+                    found.append(f"{path.name}:{node.lineno}")
+    assert found == []

@@ -7,7 +7,7 @@ import pytest
 
 from wresolve.baskets import BasketEntry, CyclicQuotient
 from wresolve.chains import O3CaseA, O3CaseB
-from wresolve.errors import InvalidCaseData
+from wresolve.errors import InvalidCaseData, WresolveError
 from wresolve.germs import CARGerm
 from wresolve.neighborhoods import (
     ENPoint,
@@ -144,6 +144,13 @@ def test_each_check_raises_its_message(cls, args, error, message):
     with pytest.raises(error) as exc:
         cls(*args)
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("cls, args, error, message", CASES,
+                         ids=[f"{c[0].__name__}-{c[1]}" for c in CASES])
+def test_each_check_raises_a_domain_error(cls, args, error, message):
+    with pytest.raises(WresolveError):
+        cls(*args)
 
 
 @pytest.mark.parametrize("r1", [1.0, True])
