@@ -1,5 +1,5 @@
 """Exception types shared across the package, the collector pause of its
-long walks, and the one support check.
+long walks, and the support and rational input checks.
 
 Every domain error derives from WresolveError: a value outside the
 domain of a record or walk, such as a float where an int belongs
@@ -12,13 +12,15 @@ bug, and the CLI lets it through.
 
 Every layer imports this module, so what several layers share lives here
 too and costs no layer an import: ``paused_gc``, the decorator that keeps
-the cyclic garbage collector off while a walk builds its rows, and
+the cyclic garbage collector off while a walk builds its rows;
 ``_support``, the check that the cA/r germs and both chain shapes make of
-their monomial supports.
+their monomial supports; and ``_rational``, the check of every rational
+input of neighborhoods and riemannroch.
 """
 
 import functools
 import gc
+from fractions import Fraction
 
 
 def paused_gc(walk):
@@ -67,6 +69,14 @@ def _support(raw) -> frozenset:
     if any(i < 0 or j < 0 for i, j in pairs):
         raise InvalidParameter("support exponents must be nonnegative")
     return frozenset(pairs)
+
+
+def _rational(value, name, error):
+    """value as a Fraction when it is an int or a Fraction; a bool, a float
+    or a str is refused with error, not converted."""
+    if type(value) is not int and not isinstance(value, Fraction):
+        raise error(f"{name} must be an int or a Fraction, not {value!r}")
+    return Fraction(value)
 
 
 class WresolveError(Exception):

@@ -42,7 +42,7 @@ from collections import namedtuple
 from fractions import Fraction
 from math import gcd
 
-from .errors import InvalidCaseData
+from .errors import InvalidCaseData, _rational
 
 
 class ENPoint(namedtuple("ENPoint", "r w0")):
@@ -55,7 +55,7 @@ class ENPoint(namedtuple("ENPoint", "r w0")):
             raise InvalidCaseData(f"point index must be an int, not {r!r}")
         if r < 1:
             raise InvalidCaseData("point index must be >= 1")
-        w0 = Fraction(w0)
+        w0 = _rational(w0, "w_P(0)", InvalidCaseData)
         if not (0 <= w0 <= Fraction(r - 1, r)):
             raise InvalidCaseData(
                 f"w_P(0) = {w0} outside [0, (r-1)/r] for r = {r}"
@@ -328,7 +328,7 @@ def key_check(case, kx=None, r1: int | None = None) -> KeyVerdict:
 def _require_kx(case, kx, lo: Fraction, hi: Fraction) -> Fraction:
     if kx is None:
         raise InvalidCaseData(f"{_case_name(type(case))} needs the caller's K_X . C")
-    kx = Fraction(kx)
+    kx = _rational(kx, "K_X . C", InvalidCaseData)
     if not (lo <= kx <= hi):
         raise InvalidCaseData(f"K_X . C = {kx} outside [{lo}, {hi}]")
     return kx

@@ -35,7 +35,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .baskets import Basket, BasketEntry, CyclicQuotient, normalize_cyclic
-from .errors import InvalidParameter
+from .errors import InvalidParameter, _rational
 
 E1_A4 = "E1_a4"
 E1_A2 = "E1_a2"
@@ -72,8 +72,8 @@ def rr_correction(basket: Basket) -> Fraction:
 
 def delta_chi(a_over_n, e3, basket_y: Basket, basket_x: Basket) -> Fraction:
     """chi(2K) jump 1/2 (a/n)^3 E^3 + corr(Y) - corr(X); needs E^3 > 0."""
-    a_over_n = Fraction(a_over_n)
-    e3 = Fraction(e3)
+    a_over_n = _rational(a_over_n, "a/n", InvalidParameter)
+    e3 = _rational(e3, "E^3", InvalidParameter)
     if e3 <= 0:
         raise InvalidParameter("E^3 must be positive")
     return (

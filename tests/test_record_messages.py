@@ -1,13 +1,14 @@
 """Every check of the validating records that end in ``tuple.__new__``,
 and the int checks of the chain cases' supports: one input per message,
 and the message each one raises.  Every int field of a record refuses a
-float or a bool: one input per field."""
+float or a bool: one input per field.  Every rational input refuses a
+float, a bool or a str: one input of each per field."""
 
 import pytest
 
-from wresolve.baskets import BasketEntry, CyclicQuotient
+from wresolve.baskets import Basket, BasketEntry, CyclicQuotient
 from wresolve.chains import O3CaseA, O3CaseB
-from wresolve.errors import InvalidCaseData, WresolveError
+from wresolve.errors import InvalidCaseData, InvalidParameter, WresolveError
 from wresolve.germs import CARGerm
 from wresolve.neighborhoods import (
     ENPoint,
@@ -19,7 +20,10 @@ from wresolve.neighborhoods import (
     SemistableIAIACase,
     key_check,
 )
+from wresolve.riemannroch import delta_chi
 from wresolve.traces import FLOP, TraceStep
+
+NO_BASKET = Basket()
 
 CASES = [
     (TraceStep, ("Flap", 1, 1), ValueError, "unknown step kind 'Flap'"),
@@ -135,6 +139,31 @@ CASES = [
      "IAIAIII data must be ints, got (5.0, 3)"),
     (IAIAIIICase, (5, True), InvalidCaseData,
      "IAIAIII data must be ints, got (5, True)"),
+    # rational inputs: an int or a Fraction, nothing converted
+    (ENPoint, (2, 0.1), InvalidCaseData,
+     "w_P(0) must be an int or a Fraction, not 0.1"),
+    (ENPoint, (2, False), InvalidCaseData,
+     "w_P(0) must be an int or a Fraction, not False"),
+    (ENPoint, (2, "1/2"), InvalidCaseData,
+     "w_P(0) must be an int or a Fraction, not '1/2'"),
+    (key_check, (ICCase(5), -0.3), InvalidCaseData,
+     "K_X . C must be an int or a Fraction, not -0.3"),
+    (key_check, (ICCase(5), True), InvalidCaseData,
+     "K_X . C must be an int or a Fraction, not True"),
+    (key_check, (ICCase(5), "-1/2"), InvalidCaseData,
+     "K_X . C must be an int or a Fraction, not '-1/2'"),
+    (delta_chi, (0.5, 1, NO_BASKET, NO_BASKET), InvalidParameter,
+     "a/n must be an int or a Fraction, not 0.5"),
+    (delta_chi, (True, 1, NO_BASKET, NO_BASKET), InvalidParameter,
+     "a/n must be an int or a Fraction, not True"),
+    (delta_chi, ("2", 1, NO_BASKET, NO_BASKET), InvalidParameter,
+     "a/n must be an int or a Fraction, not '2'"),
+    (delta_chi, (2, 0.5, NO_BASKET, NO_BASKET), InvalidParameter,
+     "E^3 must be an int or a Fraction, not 0.5"),
+    (delta_chi, (2, True, NO_BASKET, NO_BASKET), InvalidParameter,
+     "E^3 must be an int or a Fraction, not True"),
+    (delta_chi, (2, "1/3", NO_BASKET, NO_BASKET), InvalidParameter,
+     "E^3 must be an int or a Fraction, not '1/3'"),
 ]
 
 
