@@ -1,4 +1,5 @@
-"""tools/bench_pairs.py: alternating parent/change runs and their summary."""
+"""tools/bench_pairs.py: alternating parent/change runs and their summary,
+and the count comparison of one traced run per checkout."""
 
 import importlib.util
 import json
@@ -65,17 +66,20 @@ from pathlib import Path
 here = Path(__file__).resolve().parents[1]
 with open(here.parent / "order.log", "a") as log:
     log.write(here.name + "\\n")
+with open(here.parent / "argv.log", "a") as log:
+    log.write(" ".join(sys.argv[1:]) + "\\n")
 wall = {"parent": 1.0}.get(here.name, 0.5)
+score = {"moved": 7}.get(here.name, 5)
 print("noise line")
 print(json.dumps({"correct": here.name != "broken", "attempted": 1, "failed": 0,
                   "metrics": {"wall_s": {"value": wall, "unit": "s"},
-                              "score": {"value": 5, "unit": "count"}}}))
+                              "score": {"value": score, "unit": "count"}}}))
 '''
 
 
 def checkout(tmp_path, name):
     root = tmp_path / name
-    (root / "perfbench").mkdir(parents=True)
+    (root / "perfbench").mkdir(parents=True, exist_ok=True)
     (root / "perfbench" / "run.py").write_text(FAKE_RUN)
     (root / "BENCHMARK.json").write_text(json.dumps({"end_to_end": SPEC}))
     return root
@@ -120,3 +124,57 @@ def test_needs_a_pair(tmp_path):
         bench_pairs.main(["--parent", str(tmp_path), "--change", str(tmp_path),
                           "--workload", "verify", "--pairs", "0", "--seed", "1",
                           "--seconds", "1"])
+
+
+def counts(tmp_path, change, *expect):
+    argv = ["--parent", str(checkout(tmp_path, "parent")),
+            "--change", str(checkout(tmp_path, change)),
+            "--workload", "verify", "--seed", "3", "--counts"]
+    for e in expect:
+        argv += ["--expect", e]
+    return bench_pairs.main(argv)
+
+
+def test_counts_no_move(tmp_path, capsys):
+    # wall_s differs, but only a metric of unit count is compared
+    assert counts(tmp_path, "change") == 0
+    out = capsys.readouterr().out
+    assert out.startswith("no count moved\nverify seed 3: every count as declared\n")
+    argv = (tmp_path / "argv.log").read_text().splitlines()
+    assert argv == ["--workload verify --seed 3 --seconds 1 --trace 1"] * 2
+
+
+def test_counts_undeclared_move(tmp_path, capsys):
+    assert counts(tmp_path, "moved") == 1
+    out = capsys.readouterr().out
+    assert out.startswith("score 5 → 7 (+2)  UNDECLARED\n"
+                          "verify seed 3: counts differ from the declared moves\n")
+
+
+def test_counts_declared_move(tmp_path, capsys):
+    assert counts(tmp_path, "moved", "score=2") == 0
+    assert capsys.readouterr().out.startswith("score 5 → 7 (+2)\n")
+    # a move of another size, a declared move that did not happen and a
+    # count that does not exist all fail
+    assert counts(tmp_path, "moved", "score=3") == 1
+    assert capsys.readouterr().out.startswith("score 5 → 7 (+2)  expected +3\n")
+    assert counts(tmp_path, "change", "score=2") == 1
+    assert capsys.readouterr().out.startswith("score 5 → 5 (+0)  expected +2\n")
+    assert counts(tmp_path, "moved", "score=2", "nothing=1") == 1
+    assert "nothing: no such count\n" in capsys.readouterr().out
+
+
+def test_counts_of_an_incorrect_run_fail(tmp_path, capsys):
+    assert counts(tmp_path, "broken") == 1
+    out = capsys.readouterr().out
+    assert out.startswith("change FAILED ")
+    assert "no count moved" in out
+
+
+def test_expect_needs_counts_and_a_whole_delta(tmp_path):
+    base = ["--parent", str(tmp_path), "--change", str(tmp_path), "--workload",
+            "verify", "--seed", "1", "--pairs", "1", "--seconds", "1"]
+    for extra in (["--expect", "score=2"], ["--counts", "--expect", "score=1.5"],
+                  ["--counts", "--expect", "=2"]):
+        with pytest.raises(SystemExit):
+            bench_pairs.main(base + extra)

@@ -1,7 +1,10 @@
-"""Benchmark two checkouts in alternating pairs and sum the pairs up.
+"""Benchmark two checkouts in alternating pairs and sum the pairs up, or
+compare their counts.
 
     python3 tools/bench_pairs.py --parent DIR --change DIR --workload verify \\
         --pairs 10 --seed 7 --seconds 30
+    python3 tools/bench_pairs.py --parent DIR --change DIR --workload verify \\
+        --seed 7 --counts [--expect chains.calls=1820 ...]
 
 Each pair runs ``perfbench/run.py --trace 0`` once in each checkout, each
 checkout with its own copy of the benchmark, with the same workload, seed
@@ -23,8 +26,17 @@ pass.  So the summary also states whether that variable is set and, after
 the last pair, whether each checkout holds that directory, with a warning
 when one checkout holds it and the other does not.
 
-The exit status is 1 when a run is not ``correct`` or gives no result, and
-0 otherwise.  Standard library only.
+With ``--counts`` it runs ``perfbench/run.py --trace 1`` once in each
+checkout instead, on the same workload and seed, and prints every per-layer
+metric of unit ``count`` whose value differs, as ``name parent → change
+(delta)``.  Counts do not depend on the machine, so they settle what wall
+times on a noisy host cannot.  ``--expect name=delta``, which may be
+repeated, declares a move the change means to make.  A move nobody
+declared, or one of another size than declared (no move included), is
+marked and fails the comparison.
+
+The exit status is 1 when a run is not ``correct`` or gives no result, or
+when a count comparison fails, and 0 otherwise.  Standard library only.
 """
 
 from __future__ import annotations
@@ -112,11 +124,70 @@ def bytecode_lines(dirs: dict[str, Path]) -> list[str]:
     return lines
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def _exact(value):
+    """A count as an int when it is whole, so it prints without a point."""
+    return int(value) if float(value).is_integer() else value
+
+
+def count_diff(parent: dict, change: dict, expected: dict) -> tuple[list[str], bool]:
+    """The lines of every count (a metric of unit ``count``) whose value
+    differs between the metrics of two runs, or whose move expected (name
+    -> delta) declares, and whether each count moved exactly as declared."""
+    counts = [name for name, m in change.items() if m["unit"] == "count"]
+    lines, ok = [], True
+    for name in counts:
+        old, new = _exact(parent[name]["value"]), _exact(change[name]["value"])
+        delta, want = new - old, expected.get(name, 0)
+        if delta == 0 and name not in expected:
+            continue
+        line = f"{name} {old} → {new} ({delta:+})"
+        if delta != want:
+            ok = False
+            line += f"  expected {want:+}" if name in expected else "  UNDECLARED"
+        lines.append(line)
+    for name in sorted(expected.keys() - set(counts)):
+        ok = False
+        lines.append(f"{name}: no such count")
+    return lines, ok
+
+
+def compare_counts(dirs: dict[str, Path], workload: str, seed: int,
+                   expected: dict) -> int:
+    """One traced run per checkout and the verdict on their counts."""
+    runs = {side: run_once(dirs[side], workload, seed, 1, trace=1) for side in SIDES}
+    sound = True
+    for side in SIDES:
+        if "error" in runs[side] or not runs[side].get("correct"):
+            sound = False
+            print(f"{side} FAILED {runs[side].get('error', runs[side])}")
+    ok = False
+    if all("metrics" in runs[side] for side in SIDES):
+        lines, ok = count_diff(runs["parent"]["metrics"], runs["change"]["metrics"],
+                               expected)
+        print("\n".join(lines) or "no count moved")
+    print(f"{workload} seed {seed}: " + (
+        "every count as declared" if ok else "counts differ from the declared moves"))
+    print("\n".join(bytecode_lines(dirs)))
+    return 0 if sound and ok else 1
+
+
+def _expectation(text: str) -> tuple[str, int]:
+    """NAME=DELTA as (name, delta); a count moves by a whole number."""
+    name, _, delta = text.partition("=")
+    try:
+        if name:
+            return name, int(delta)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"not name=delta: {text!r}")
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float,
+             trace: int = 0) -> dict:
     """One benchmark run in a checkout: its last stdout line, parsed, or
     an ``error`` entry when it gives none."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload,
-            "--seed", str(seed), "--seconds", str(seconds)]
+            "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     try:
@@ -126,18 +197,28 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", type=Path, required=True)
     parser.add_argument("--change", type=Path, required=True)
     parser.add_argument("--workload", required=True)
-    parser.add_argument("--pairs", type=int, required=True)
+    parser.add_argument("--pairs", type=int)
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--seconds", type=float, required=True)
+    parser.add_argument("--seconds", type=float)
+    parser.add_argument("--counts", action="store_true",
+                        help="compare the counts of one traced run per checkout")
+    parser.add_argument("--expect", type=_expectation, action="append", default=[],
+                        metavar="NAME=DELTA", help="a count move the change makes")
     args = parser.parse_args(argv)
+    dirs = {"parent": args.parent, "change": args.change}
+    if args.counts:
+        return compare_counts(dirs, args.workload, args.seed, dict(args.expect))
+    if args.expect:
+        parser.error("--expect needs --counts")
+    if args.pairs is None or args.seconds is None:
+        parser.error("--pairs and --seconds are needed without --counts")
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
     spec = json.loads((args.change / "BENCHMARK.json").read_text())["end_to_end"]
-    dirs = {"parent": args.parent, "change": args.change}
 
     pairs, sound = [], True
     for i in range(args.pairs):
