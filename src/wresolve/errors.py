@@ -2,20 +2,18 @@
 long walks, and the support and rational input checks.
 
 Every domain error derives from WresolveError: a value outside the
-domain of a record or walk, such as a float where an int belongs
-(InvalidParameter, also a ValueError for library callers), en case data
-outside the classification (InvalidCaseData), a support wall crossed
-(ConstraintViolation), a trace rule broken (RuleViolation), a blow-up
-split refused (InvalidSplit), input that does not match the JSON schema
-(SchemaError, exit 1), and the rest below.  Any other ValueError is a
-bug, and the CLI lets it through.
+domain of a record or walk (InvalidParameter, also a ValueError for
+library callers), en case data outside the classification
+(InvalidCaseData), a support wall crossed (ConstraintViolation), a trace
+rule broken (RuleViolation), a blow-up split refused (InvalidSplit),
+input that does not match the JSON schema (SchemaError, exit 1), and the
+rest below.  Any other ValueError is a bug, and the CLI lets it through.
 
 Every layer imports this module, so what several layers share lives here
-too and costs no layer an import: ``paused_gc``, the decorator that keeps
-the cyclic garbage collector off while a walk builds its rows;
-``_support``, the check that the cA/r germs and both chain shapes make of
-their monomial supports; and ``_rational``, the check of every rational
-input of neighborhoods and riemannroch.
+too and costs no layer an import: ``paused_gc``, which keeps the cyclic
+collector off while a walk builds its rows; ``_support``, the check of
+the monomial supports of the cA/r germs and both chain shapes; and
+``_rational``, the check of every rational input.
 """
 
 import functools
@@ -72,8 +70,7 @@ def _support(raw) -> frozenset:
 
 
 def _rational(value, name, error):
-    """value as a Fraction when it is an int or a Fraction; a bool, a float
-    or a str is refused with error, not converted."""
+    """value as a Fraction if an int or a Fraction; else raise error."""
     if type(value) is not int and not isinstance(value, Fraction):
         raise error(f"{name} must be an int or a Fraction, not {value!r}")
     return Fraction(value)
