@@ -139,7 +139,7 @@ def test_counts_no_move(tmp_path, capsys):
     # wall_s differs, but only a metric of unit count is compared
     assert counts(tmp_path, "change") == 0
     out = capsys.readouterr().out
-    assert out.startswith("no count moved\nverify seed 3: every count as declared\n")
+    assert out.startswith("no count moved\nverify seed 3, 1 counts: every count as declared\n")
     argv = (tmp_path / "argv.log").read_text().splitlines()
     assert argv == ["--workload verify --seed 3 --seconds 1 --trace 1"] * 2
 
@@ -148,7 +148,7 @@ def test_counts_undeclared_move(tmp_path, capsys):
     assert counts(tmp_path, "moved") == 1
     out = capsys.readouterr().out
     assert out.startswith("score 5 → 7 (+2)  UNDECLARED\n"
-                          "verify seed 3: counts differ from the declared moves\n")
+                          "verify seed 3, 1 counts: counts differ from the declared moves\n")
 
 
 def test_counts_declared_move(tmp_path, capsys):

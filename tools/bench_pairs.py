@@ -160,12 +160,13 @@ def compare_counts(dirs: dict[str, Path], workload: str, seed: int,
         if "error" in runs[side] or not runs[side].get("correct"):
             sound = False
             print(f"{side} FAILED {runs[side].get('error', runs[side])}")
-    ok = False
+    ok, compared = False, 0
     if all("metrics" in runs[side] for side in SIDES):
-        lines, ok = count_diff(runs["parent"]["metrics"], runs["change"]["metrics"],
-                               expected)
+        change = runs["change"]["metrics"]
+        lines, ok = count_diff(runs["parent"]["metrics"], change, expected)
+        compared = sum(m["unit"] == "count" for m in change.values())
         print("\n".join(lines) or "no count moved")
-    print(f"{workload} seed {seed}: " + (
+    print(f"{workload} seed {seed}, {compared} counts: " + (
         "every count as declared" if ok else "counts differ from the declared moves"))
     print("\n".join(bytecode_lines(dirs)))
     return 0 if sound and ok else 1
