@@ -32,8 +32,8 @@ metric of unit ``count`` whose value differs, as ``name parent → change
 (delta)``.  Counts do not depend on the machine, so they settle what wall
 times on a noisy host cannot.  ``--expect name=delta``, which may be
 repeated, declares a move the change means to make.  A move nobody
-declared, or one of another size than declared (no move included), is
-marked and fails the comparison.
+declared, or one of another size than declared (a declared move that did
+not happen included), is marked and fails the comparison.
 
 The exit status is 1 when a run is not ``correct`` or gives no result, or
 when a count comparison fails, and 0 otherwise.  Standard library only.
@@ -168,7 +168,6 @@ def compare_counts(dirs: dict[str, Path], workload: str, seed: int,
         print("\n".join(lines) or "no count moved")
     print(f"{workload} seed {seed}, {compared} counts: " + (
         "every count as declared" if ok else "counts differ from the declared moves"))
-    print("\n".join(bytecode_lines(dirs)))
     return 0 if sound and ok else 1
 
 
