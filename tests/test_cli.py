@@ -639,6 +639,25 @@ def test_verify_quick(capsys):
     assert all(ln.startswith("[PASS]") for ln in lines)
 
 
+def test_verify_reports_every_sweep_when_a_check_raises(capsys, monkeypatch):
+    # a raising check fails its own cases only: ten lines at the default
+    # case counts, exit 2, and no traceback
+    def raising(*args):
+        raise KeyError("x")
+
+    monkeypatch.setattr(sweeps, "_check_germ_depth", raising)
+    assert main(["verify"]) == 2
+    out = capsys.readouterr().out
+    lines = out.splitlines()
+    assert len(lines) == 10 and "Traceback" not in out
+    counts = [223, 7038, 1411, 57, 1, 3006, 20016, 28561, 408, 10000]
+    assert [ln.split(": ")[1].split(" cases")[0] for ln in lines] == list(map(str, counts))
+    assert [ln[:6] for ln in lines] == ["[PASS]"] + ["[FAIL]"] + ["[PASS]"] * 8
+    assert lines[1].endswith(
+        " 7038 failed, first: CARGerm(r=2, beta=1, support=frozenset({(0, 1)})), 2: "
+        "raised KeyError: 'x'")
+
+
 def test_verify_json(capsys):
     code = main(
         [

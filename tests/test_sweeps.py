@@ -1,5 +1,6 @@
 """Plumbing of the verification sweeps: reporting, generators, mutants."""
 
+import functools
 import random
 from math import gcd
 
@@ -14,9 +15,9 @@ def test_result_line_format():
     res = sweeps.SweepResult(name="demo", ok=True, cases=42, elapsed=0.1234)
     assert res.line() == "[PASS] demo: 42 cases in 0.12s"
     res = sweeps.SweepResult(
-        name="demo", ok=False, cases=1, elapsed=2.0, detail="first failure: x"
+        name="demo", ok=False, cases=1, elapsed=2.0, detail="1 failed, first: 3: x"
     )
-    assert res.line().startswith("[FAIL] demo: 1 cases in 2.00s first failure")
+    assert res.line() == "[FAIL] demo: 1 cases in 2.00s 1 failed, first: 3: x"
 
 
 def test_germ_family_is_substantial():
@@ -134,6 +135,46 @@ def test_run_all_quick():
     assert names[-1] == "trace-rule-metamorphic"
 
 
+QUICK = dict(cyclic_max=6, germ_r_max=3, rr_max=10, en_r_max=15, semi_max=8,
+             iib_max=11, o3_cases=6, trace_count=100)
+# all 13: two cyclic checks and three o3 ones among them
+CHECKS = sorted(name for name in vars(sweeps) if name.startswith("_check_"))
+
+
+# a check that raises fails its case, and the runner goes on: every sweep
+# still reports, and only the one behind the patched check fails
+@pytest.mark.parametrize("name", CHECKS)
+def test_a_raising_check_fails_only_its_cases(monkeypatch, name):
+    counts = [r.cases for r in sweeps.run_all(**QUICK)]
+    calls = []
+
+    def raising(*args, **shared):
+        calls.append(args)
+        raise KeyError("x")
+
+    monkeypatch.setattr(sweeps, name, raising)
+    results = sweeps.run_all(**QUICK)
+    assert [r.cases for r in results] == counts
+    failed = [r for r in results if not r.ok]
+    assert len(failed) == 1 and calls
+    assert failed[0].detail == (f"{len(calls)} failed, first: "
+                                f"{', '.join(map(repr, calls[0]))}: raised KeyError: 'x'")
+
+
+def test_runner_names_the_case_by_its_args_and_not_the_shared_keyword():
+    def below(a, b, table):
+        return None if a < b else f"{a} >= {b}"
+
+    check = functools.partial(below, table={})
+    res = sweeps._run("demo", ((check, n, 2) for n in range(4)))
+    assert (res.ok, res.cases) == (False, 4)
+    assert res.detail == "2 failed, first: 2, 2: 2 >= 2"
+    res = sweeps._run("demo", [(check, 1, 2), (check, 0, None), (check, 3, 2)])
+    assert res.detail == ("2 failed, first: 0, None: raised TypeError: "
+                          "'<' not supported between instances of 'int' and 'NoneType'")
+    assert sweeps._run("demo", []).detail == "no cases checked"
+
+
 def _parity_swapped(weights):
     return lambda case, k: weights(case, k + 1)
 
@@ -146,27 +187,40 @@ def _beta_lowered(lines):
     return lowered
 
 
+# the first shape-A case of seed 20240817 and its endpoint depth, and the
+# first two shape-B cases of that seed to fail a shifted closed form, as
+# the runner names them
+FIRST_A = ("O3CaseA(a=3, d=1, alpha=3, supp_a=frozenset({(2, 0), (2, 1), (5, 2)}), "
+           "supp_b=frozenset({(1, 0), (1, 1), (0, 3), (0, 2)})), 8")
+FIRST_B_BETA = ("O3CaseB(a=3, d=1, supp_a=frozenset({(2, 3), (4, 2), (0, 9), (1, 10)}), "
+                "supp_b=frozenset({(2, 1)})), 4")
+FIRST_B_GAMMA = ("O3CaseB(a=3, d=1, supp_a=frozenset(), "
+                 "supp_b=frozenset({(2, 3), (1, 3), (3, 4), (3, 0)})), 11")
+
+
 # the sweep checks the weights and exponents the walks measure, so a broken
 # walk shows up as a failed sweep, not as an exception from the walk
 @pytest.mark.parametrize("name, wrong, detail", [
-    ("_doubled_weights", _parity_swapped, "A(a=3, d=1): stage 0 weight 1"),
-    ("_lines_a", _beta_lowered, "A(a=3, d=1): negative exponent at stage 0"),
+    ("_doubled_weights", _parity_swapped, f"24 failed, first: {FIRST_A}: stage 0 weight 1"),
+    ("_lines_a", _beta_lowered,
+     f"12 failed, first: {FIRST_A}: negative exponent at stage 0"),
 ], ids=["weights", "exponents"])
 def test_o3_sweep_reports_a_broken_walk(monkeypatch, name, wrong, detail):
     monkeypatch.setattr(chains, name, wrong(getattr(chains, name)))
     res = sweeps.sweep_o3_chains(12, seed=20240817)
     assert not res.ok
     assert res.cases == 24  # both shapes of each of the 12 (a, d) draws
-    assert res.detail == f"first failure: {detail}"
+    assert res.detail == detail
 
 
 # each closed form is anchored at stage 0 as well as checked through its
 # per-stage differences, so one shifted by a constant fails the sweep
 @pytest.mark.parametrize("name, detail", [
-    ("beta_k", "A(a=3, d=1): stage-0 beta mismatch"),
-    ("gamma_k", "A(a=3, d=1): stage-0 gamma mismatch"),
-    ("beta_k_b", "B(a=3, d=1): stage-0 first exponent mismatch"),
-    ("gamma_k_b", "B(a=3, d=1): stage-0 second exponent mismatch"),
+    ("beta_k", f"204 failed, first: {FIRST_A}: stage-0 beta mismatch"),
+    ("gamma_k", f"162 failed, first: {FIRST_A}: stage-0 gamma mismatch"),
+    ("beta_k_b", f"163 failed, first: {FIRST_B_BETA}: stage-0 first exponent mismatch"),
+    ("gamma_k_b",
+     f"155 failed, first: {FIRST_B_GAMMA}: stage-0 second exponent mismatch"),
 ], ids=["beta_k", "gamma_k", "beta_k_b", "gamma_k_b"])
 def test_o3_sweep_catches_a_shifted_closed_form(monkeypatch, name, detail):
     form = getattr(chains, name)
@@ -174,7 +228,7 @@ def test_o3_sweep_catches_a_shifted_closed_form(monkeypatch, name, detail):
     res = sweeps.sweep_o3_chains(200, seed=20240817)
     assert not res.ok
     assert res.cases == 408
-    assert res.detail == f"first failure: {detail}"
+    assert res.detail == detail
 
 
 def test_runner_counts_every_case_after_a_failure(monkeypatch):
@@ -183,17 +237,24 @@ def test_runner_counts_every_case_after_a_failure(monkeypatch):
     res = sweeps.sweep_germ_depth(3)
     assert not res.ok
     assert res.cases == 1242
-    assert res.detail.startswith("first failure: (r=2")
+    assert res.detail == ("1242 failed, first: CARGerm(r=2, beta=1, "
+                          "support=frozenset({(0, 1)})), 2: search 1, formula 2")
 
 
 # the chi-threshold scan is a second route to aw_upper_bound: it must catch
-# a wrong bound, and it must sum corr(X) over the cD/2 basket itself
+# a wrong bound, and it must sum corr(X) over the cD/2 basket itself; the
+# first case it reports is E1_a4 at r' = 5 with its case data
+FIRST_RR = ("ContractionCase(tag='E1_a4', rprime=5), _CaseData(a_over_n=Fraction(2, 1), "
+            "e3=Fraction(1, 5), basket_y=Basket(entries=(BasketEntry(b=1, r=10, n=1),)), "
+            "sufficient_bound=4, dep_y=(9, 9))")
+
+
 def test_rr_sweep_catches_a_wrong_bound(monkeypatch):
     bound = riemannroch.aw_upper_bound
     monkeypatch.setattr(riemannroch, "aw_upper_bound", lambda case: bound(case) + 1)
     res = sweeps.sweep_rr_bounds(40)
     assert res.ok is False
-    assert res.detail == "first failure: E1_a4 r'=5: scan 1 != bound 2"
+    assert res.detail == f"57 failed, first: {FIRST_RR}: scan 1 != bound 2"
 
 
 def test_rr_sweep_reads_the_cd2_basket_at_every_step(monkeypatch):
@@ -202,7 +263,12 @@ def test_rr_sweep_reads_the_cd2_basket_at_every_step(monkeypatch):
     )
     res = sweeps.sweep_rr_bounds(40)
     assert res.ok is False
-    assert res.detail == "first failure: E1_a4 r'=5: scan 0 != bound 1"
+    assert res.detail == f"55 failed, first: {FIRST_RR}: scan 0 != bound 1"
+
+
+# the first trace of seed 20240818
+FIRST_TRACE = ("FactorizationTrace(steps=(TraceStep(kind='DivToPoint', dep_before=4, "
+               "dep_after=3), TraceStep(kind='Flop', dep_before=3, dep_after=3)))")
 
 
 def test_trace_sweep_counts_every_case_after_a_failure(monkeypatch):
@@ -213,7 +279,7 @@ def test_trace_sweep_counts_every_case_after_a_failure(monkeypatch):
     res = sweeps.sweep_trace_rules(40, seed=20240818)
     assert not res.ok
     assert res.cases == 40
-    assert res.detail.startswith("first failure: generated trace rejected")
+    assert res.detail == f"40 failed, first: {FIRST_TRACE}: generated trace rejected"
 
 
 def test_trace_sweep_catches_an_accepted_mutant(monkeypatch):
@@ -231,7 +297,8 @@ def test_trace_sweep_catches_an_accepted_mutant(monkeypatch):
     res = sweeps.sweep_trace_rules(50, seed=20240818)
     assert not res.ok
     assert res.cases == 50
-    assert res.detail.startswith("first failure: mutant accepted: TraceStep(kind='Flop'")
+    assert res.detail == (f"50 failed, first: {FIRST_TRACE}: mutant accepted: "
+                          "TraceStep(kind='Flop', dep_before=3, dep_after=4)")
 
 
 # The generators as they were written with Random.randint and choice; the
