@@ -37,7 +37,7 @@ from collections import namedtuple
 from math import gcd
 from typing import TYPE_CHECKING
 
-from .errors import InvalidParameter, NotTerminalForm
+from .errors import InvalidParameter, NotTerminalForm, _int
 
 if TYPE_CHECKING:  # pragma: no cover
     from .germs import CARGerm
@@ -55,9 +55,7 @@ class CyclicQuotient(namedtuple("CyclicQuotient", "r weights")):
     __slots__ = ()
 
     def __new__(cls, r, weights):
-        if type(r) is not int:
-            raise InvalidParameter(f"quotient index must be an int, not {r!r}")
-        if r < 1:
+        if _int(r, "quotient index") < 1:
             raise InvalidParameter("quotient index must be >= 1")
         weights = tuple(weights)
         if len(weights) != 3:

@@ -44,7 +44,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .errors import ConstraintViolation, InvalidParameter, _support, paused_gc
+from .errors import ConstraintViolation, InvalidParameter, _int, _support, paused_gc
 
 
 def _check_a_d(a, d) -> None:
@@ -76,9 +76,7 @@ class O3CaseA(namedtuple("O3CaseA", "a d alpha supp_a supp_b")):
 
     def __new__(cls, a, d, alpha, supp_a=frozenset(), supp_b=frozenset()):
         _check_a_d(a, d)
-        if type(alpha) is not int:
-            raise InvalidParameter(f"alpha must be an int, not {alpha!r}")
-        if alpha < 1:
+        if _int(alpha, "alpha") < 1:
             raise InvalidParameter("need alpha >= 1")
         return super().__new__(cls, a, d, alpha, _support(supp_a), _support(supp_b))
 
@@ -289,7 +287,7 @@ def _stage_range(case, k_max: int | None, pivot=None) -> int:
         )
     if k_max is None:
         return case.a
-    if not (0 <= k_max <= case.a):
+    if not (0 <= _int(k_max, "k_max") <= case.a):
         raise InvalidParameter("stage range is 0..a")
     return k_max
 
@@ -473,7 +471,7 @@ def depth_identity(case, dep_q3: int) -> DepthIdentity:
     In both shapes dep(Y) = bound + a - 2 exactly; check records the
     inequality dep(Y) >= bound + a - 2.
     """
-    if dep_q3 < 0:
+    if _int(dep_q3, "endpoint depth") < 0:
         raise InvalidParameter("endpoint depth must be >= 0")
     a = case.a
     chain, rise = case._depth_terms

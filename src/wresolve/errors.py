@@ -12,8 +12,9 @@ rest below.  Any other ValueError is a bug, and the CLI lets it through.
 Every layer imports this module, so what several layers share lives here
 too and costs no layer an import: ``paused_gc``, which keeps the cyclic
 collector off while a walk builds its rows; ``_support``, the check of
-the monomial supports of the cA/r germs and both chain shapes; and
-``_rational``, the check of every rational input.
+the monomial supports of the cA/r germs and both chain shapes;
+``_int``, the check of a lone int argument; and ``_rational``, the check
+of every rational input.
 """
 
 import functools
@@ -69,13 +70,6 @@ def _support(raw) -> frozenset:
     return frozenset(pairs)
 
 
-def _rational(value, name, error):
-    """value as a Fraction if an int or a Fraction; else raise error."""
-    if type(value) is not int and not isinstance(value, Fraction):
-        raise error(f"{name} must be an int or a Fraction, not {value!r}")
-    return Fraction(value)
-
-
 class WresolveError(Exception):
     """Base class of every domain error."""
 
@@ -124,3 +118,21 @@ class RuleViolation(WresolveError):
 
 class SchemaError(WresolveError):
     """Input does not match the expected JSON schema."""
+
+
+# the checks of one int or rational input, below InvalidParameter, the
+# default error of _int
+
+
+def _int(value, name, error=InvalidParameter):
+    """value if an int, not a bool; else raise error."""
+    if type(value) is not int:
+        raise error(f"{name} must be an int, not {value!r}")
+    return value
+
+
+def _rational(value, name, error):
+    """value as a Fraction if an int or a Fraction; else raise error."""
+    if type(value) is not int and not isinstance(value, Fraction):
+        raise error(f"{name} must be an int or a Fraction, not {value!r}")
+    return Fraction(value)

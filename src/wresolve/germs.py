@@ -39,7 +39,7 @@ from collections import namedtuple
 from math import gcd
 
 from .baskets import CyclicQuotient, TerminalClass
-from .errors import InvalidParameter, InvalidSplit, SearchLimitExceeded, _support
+from .errors import InvalidParameter, InvalidSplit, SearchLimitExceeded, _int, _support
 
 
 class CARGerm(namedtuple("CARGerm", "r beta support")):
@@ -50,13 +50,9 @@ class CARGerm(namedtuple("CARGerm", "r beta support")):
     __slots__ = ()
 
     def __new__(cls, r, beta, support):
-        if type(r) is not int:
-            raise InvalidParameter(f"germ index must be an int, not {r!r}")
-        if r < 1:
+        if _int(r, "germ index") < 1:
             raise InvalidParameter("germ index must be >= 1")
-        if type(beta) is not int:
-            raise InvalidParameter(f"beta must be an int, not {beta!r}")
-        residue = beta % r
+        residue = _int(beta, "beta") % r
         if gcd(residue, r) != 1:
             raise InvalidParameter(f"beta = {beta} not coprime to r = {r}")
         support = _support(support)
@@ -176,7 +172,7 @@ def cyclic_depth_search(r: int) -> int:
     bottoms out at the same total: 1 + (a - 1) + (r - a - 1) = r - 1).
     It is the oracle for the r - 1 that depth_search prices points by.
     """
-    if r < 1:
+    if _int(r, "index") < 1:
         raise InvalidParameter("index must be >= 1")
     return _cyclic_depth_table(r)[r]
 
@@ -229,6 +225,8 @@ def _walk(g: CARGerm, limit: int | None):
     split (beta, r nu_1 - beta) is admissible by construction.  The axial
     weight drops by nu_1 per stage, so the walk tracks it instead of
     rereading it, and it ends at the stage where nu_1 = lam."""
+    if limit is not None:
+        _int(limit, "limit")
     if g.r == 1:
         return
     lam = axial_weight(g)

@@ -42,7 +42,7 @@ from collections import namedtuple
 from fractions import Fraction
 from math import gcd
 
-from .errors import InvalidCaseData, _rational
+from .errors import InvalidCaseData, _int, _rational
 
 
 class ENPoint(namedtuple("ENPoint", "r w0")):
@@ -51,9 +51,7 @@ class ENPoint(namedtuple("ENPoint", "r w0")):
     __slots__ = ()
 
     def __new__(cls, r, w0=Fraction(0)):
-        if type(r) is not int:
-            raise InvalidCaseData(f"point index must be an int, not {r!r}")
-        if r < 1:
+        if _int(r, "point index", InvalidCaseData) < 1:
             raise InvalidCaseData("point index must be >= 1")
         w0 = _rational(w0, "w_P(0)", InvalidCaseData)
         if not (0 <= w0 <= Fraction(r - 1, r)):
@@ -244,9 +242,7 @@ def _resolve_r1(case, r1: int | None) -> int:
     least = minimal_r1(case)
     if r1 is None:
         return least
-    if type(r1) is not int:
-        raise InvalidCaseData(f"r1 must be an int, not {r1!r}")
-    if r1 < 1 or r1 % case.r != least % case.r:
+    if _int(r1, "r1", InvalidCaseData) < 1 or r1 % case.r != least % case.r:
         raise InvalidCaseData(
             f"r1 = {r1} is not a positive member of the class {least} mod {case.r}"
         )

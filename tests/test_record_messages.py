@@ -1,15 +1,17 @@
 """Every check of the validating records that end in ``tuple.__new__``,
 and the int checks of the chain cases' supports: one input per message,
 and the message each one raises.  Every int field of a record refuses a
-float or a bool: one input per field.  Every rational input refuses a
-float, a bool or a str: one input of each per field."""
+float or a bool: one input per field, and so does every int argument of
+the chain walks, the depth identity and the depth searches: one float
+and one bool each.  Every rational input refuses a float, a bool or a
+str: one input of each per field."""
 
 import pytest
 
 from wresolve.baskets import Basket, BasketEntry, CyclicQuotient
-from wresolve.chains import O3CaseA, O3CaseB
+from wresolve.chains import O3CaseA, O3CaseB, chain_simulate, chain_stages_b, depth_identity
 from wresolve.errors import InvalidCaseData, InvalidParameter, WresolveError
-from wresolve.germs import CARGerm
+from wresolve.germs import CARGerm, cyclic_depth_search, depth_search
 from wresolve.neighborhoods import (
     ENPoint,
     ExceptionalIAIACase,
@@ -24,6 +26,8 @@ from wresolve.riemannroch import delta_chi
 from wresolve.traces import FLOP, TraceStep
 
 NO_BASKET = Basket()
+CASE_A, CASE_B = O3CaseA(3, 1, 2, {(2, 0)}), O3CaseB(3, 1)
+GERM = CARGerm(5, 2, {(0, 2), (1, 1)})
 
 CASES = [
     (TraceStep, ("Flap", 1, 1), ValueError, "unknown step kind 'Flap'"),
@@ -110,6 +114,7 @@ CASES = [
     (BasketEntry, (1, 3, 2.0), ValueError,
      "basket entry must be ints, not (1, 3, 2.0)"),
     (ENPoint, (2.5, 0), InvalidCaseData, "point index must be an int, not 2.5"),
+    (ENPoint, (True, 0), InvalidCaseData, "point index must be an int, not True"),
     (ICCase, (5.0,), InvalidCaseData, "IC data must be ints, got (5.0,)"),
     (IIBCase, (3.0, 2, 1, 1), InvalidCaseData,
      "IIB data must be ints, got (3.0, 2, 1, 1)"),
@@ -139,6 +144,20 @@ CASES = [
      "IAIAIII data must be ints, got (5.0, 3)"),
     (IAIAIIICase, (5, True), InvalidCaseData,
      "IAIAIII data must be ints, got (5, True)"),
+    # the int arguments of the walks and searches
+    (chain_simulate, (CASE_A, 1.5), InvalidParameter, "k_max must be an int, not 1.5"),
+    (chain_simulate, (CASE_A, True), InvalidParameter, "k_max must be an int, not True"),
+    (chain_stages_b, (CASE_B, 2.0), InvalidParameter, "k_max must be an int, not 2.0"),
+    (chain_stages_b, (CASE_B, False), InvalidParameter,
+     "k_max must be an int, not False"),
+    (depth_identity, (CASE_A, 0.5), InvalidParameter,
+     "endpoint depth must be an int, not 0.5"),
+    (depth_identity, (CASE_B, True), InvalidParameter,
+     "endpoint depth must be an int, not True"),
+    (cyclic_depth_search, (2.5,), InvalidParameter, "index must be an int, not 2.5"),
+    (cyclic_depth_search, (True,), InvalidParameter, "index must be an int, not True"),
+    (depth_search, (GERM, 100.5), InvalidParameter, "limit must be an int, not 100.5"),
+    (depth_search, (GERM, True), InvalidParameter, "limit must be an int, not True"),
     # rational inputs: an int or a Fraction, nothing converted
     (ENPoint, (2, 0.1), InvalidCaseData,
      "w_P(0) must be an int or a Fraction, not 0.1"),
