@@ -70,10 +70,13 @@ with open(here.parent / "argv.log", "a") as log:
     log.write(" ".join(sys.argv[1:]) + "\\n")
 wall = {"parent": 1.0}.get(here.name, 0.5)
 score = {"moved": 7}.get(here.name, 5)
+metrics = {"wall_s": {"value": wall, "unit": "s"},
+           "score": {"value": score, "unit": "count"}}
+if here.name == "extra":
+    metrics["extra.calls"] = {"value": 3, "unit": "count"}
 print("noise line")
 print(json.dumps({"correct": here.name != "broken", "attempted": 1, "failed": 0,
-                  "metrics": {"wall_s": {"value": wall, "unit": "s"},
-                              "score": {"value": score, "unit": "count"}}}))
+                  "metrics": metrics}))
 '''
 
 
@@ -126,8 +129,8 @@ def test_needs_a_pair(tmp_path):
                           "--seconds", "1"])
 
 
-def counts(tmp_path, change, *expect):
-    argv = ["--parent", str(checkout(tmp_path, "parent")),
+def counts(tmp_path, change, *expect, parent="parent"):
+    argv = ["--parent", str(checkout(tmp_path, parent)),
             "--change", str(checkout(tmp_path, change)),
             "--workload", "verify", "--seed", "3", "--counts"]
     for e in expect:
@@ -162,6 +165,27 @@ def test_counts_declared_move(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("score 5 → 5 (+0)  expected +2\n")
     assert counts(tmp_path, "moved", "score=2", "nothing=1") == 1
     assert "nothing: no such count\n" in capsys.readouterr().out
+
+
+# a count that only one side has is named and fails the comparison; it is
+# neither a KeyError nor left out
+def test_counts_only_in_the_change(tmp_path, capsys):
+    assert counts(tmp_path, "extra") == 1
+    assert capsys.readouterr().out == (
+        "extra.calls: only in change\n"
+        "verify seed 3, 2 counts: counts differ from the declared moves\n")
+
+
+def test_counts_only_in_the_parent(tmp_path, capsys):
+    assert counts(tmp_path, "change", "extra.calls=1", parent="extra") == 1
+    assert capsys.readouterr().out == (
+        "extra.calls: only in parent\n"
+        "verify seed 3, 1 counts: counts differ from the declared moves\n")
+    direct = bench_pairs.count_diff(
+        {"score": {"value": 5, "unit": "count"}, "gone": {"value": 1, "unit": "count"}},
+        {"score": {"value": 5, "unit": "count"}, "new": {"value": 2.0, "unit": "count"}},
+        {})
+    assert direct == (["new: only in change", "gone: only in parent"], False)
 
 
 def test_counts_of_an_incorrect_run_fail(tmp_path, capsys):

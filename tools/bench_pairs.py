@@ -33,7 +33,9 @@ metric of unit ``count`` whose value differs, as ``name parent → change
 times on a noisy host cannot.  ``--expect name=delta``, which may be
 repeated, declares a move the change means to make.  A move nobody
 declared, or one of another size than declared (a declared move that did
-not happen included), is marked and fails the comparison.
+not happen included), is marked and fails the comparison.  So does a
+count that only one run has, shown as ``name: only in parent`` or
+``name: only in change``.
 
 The exit status is 1 when a run is not ``correct`` or gives no result, or
 when a count comparison fails, and 0 otherwise.  Standard library only.
@@ -129,14 +131,25 @@ def _exact(value):
     return int(value) if float(value).is_integer() else value
 
 
+def _counts(metrics: dict) -> dict:
+    """The metrics of unit ``count``, name -> value."""
+    return {name: _exact(m["value"]) for name, m in metrics.items()
+            if m["unit"] == "count"}
+
+
 def count_diff(parent: dict, change: dict, expected: dict) -> tuple[list[str], bool]:
     """The lines of every count (a metric of unit ``count``) whose value
     differs between the metrics of two runs, or whose move expected (name
-    -> delta) declares, and whether each count moved exactly as declared."""
-    counts = [name for name, m in change.items() if m["unit"] == "count"]
+    -> delta) declares, or that only one run has, and whether each count
+    moved exactly as declared; a count only one run has never is."""
+    before, after = _counts(parent), _counts(change)
     lines, ok = [], True
-    for name in counts:
-        old, new = _exact(parent[name]["value"]), _exact(change[name]["value"])
+    for name in after | before:  # the change's order, then the parent's
+        if name not in before or name not in after:
+            ok = False
+            lines.append(f"{name}: only in {'change' if name in after else 'parent'}")
+            continue
+        old, new = before[name], after[name]
         delta, want = new - old, expected.get(name, 0)
         if delta == 0 and name not in expected:
             continue
@@ -145,7 +158,7 @@ def count_diff(parent: dict, change: dict, expected: dict) -> tuple[list[str], b
             ok = False
             line += f"  expected {want:+}" if name in expected else "  UNDECLARED"
         lines.append(line)
-    for name in sorted(expected.keys() - set(counts)):
+    for name in sorted(expected.keys() - after.keys() - before.keys()):
         ok = False
         lines.append(f"{name}: no such count")
     return lines, ok
