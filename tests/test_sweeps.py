@@ -1,6 +1,7 @@
 """Plumbing of the verification sweeps: reporting, generators, mutants."""
 
 import functools
+import itertools
 import random
 from math import gcd
 
@@ -38,6 +39,26 @@ def test_positional_family_is_the_constructor_family(r_max):
     assert family == built
     assert all(type(g) is germs.CARGerm and type(g.support) is frozenset
                for g in family)
+
+
+def test_support_family_is_the_set_deduped_family_in_order():
+    # reference: every axial singleton, then each axial point paired with
+    # each grid point, a repeated pair dropped by a set, then the triples
+    axial = [(0, j) for j in range(1, 5)]
+    grid = [(i, j) for i in range(5) for j in range(9) if i or j]
+    want = [frozenset({a}) for a in axial]
+    seen = set()
+    for a in axial:
+        for p in grid:
+            s = frozenset({a, p})
+            if p != a and s not in seen:
+                seen.add(s)
+                want.append(s)
+    small = [(i, j) for i in range(3) for j in range(5) if i or j]
+    want += [frozenset(c) for c in itertools.combinations(small, 3)
+             if any(i == 0 and j <= 4 for i, j in c)]
+    assert list(sweeps.iter_germ_supports()) == want
+    assert len(want) == 414
 
 
 def test_one_window_per_index_pair_is_the_basket_entry_window():
