@@ -73,27 +73,23 @@ class CyclicQuotient(namedtuple("CyclicQuotient", "r weights")):
 def normalize_cyclic(q: CyclicQuotient) -> tuple[int, int]:
     """Return the terminal normal form (b, r) with 0 < b <= r/2.
 
-    For each ordering (u, v) of the first two weights with u a unit, solve
-    lam*u = 1 mod r by lam = u^-1 and keep it if lam*v = -1; the fold then
-    leaves exactly one admissible b.  Raises NotTerminalForm when neither
-    ordering lands on (1, -1, *) or the axis weight shares a factor with r.
+    The first two weights (w0, w1) are a folding pair exactly when w0 is a
+    unit mod r and w0 + w1 = 0 mod r; then lam = w0^-1 scales q to
+    1/r(1, -1, b) with b = lam*w2, and the swapped ordering passes or fails
+    with it and gives r - b, so the fold keeps min(b, r - b).  Raises
+    NotTerminalForm when the weights are no folding pair, when b = 0, or
+    when the axis weight shares a factor with r.
     """
     r = q.r
     if r < 2:
         raise NotTerminalForm("index-1 point has no terminal normal form")
     w0, w1, w2 = q.weights
-    reachable = set()
-    for u, v in ((w0, w1), (w1, w0)):
-        if gcd(u, r) == 1:
-            lam = pow(u, -1, r)
-            if lam * v % r == r - 1:
-                reachable.add(lam * w2 % r)
-    if not reachable:
+    if gcd(w0, r) != 1 or (w0 + w1) % r:
         raise NotTerminalForm(f"1/{r}{q.weights} has no (1, -1, b) form")
-    folded = {b for b in reachable if 0 < b and 2 * b <= r}
-    if len(folded) != 1:
+    b = w2 * pow(w0, -1, r) % r
+    b = min(b, r - b)
+    if b == 0:
         raise NotTerminalForm(f"1/{r}{q.weights} axis weight degenerates")
-    b = folded.pop()
     if gcd(b, r) != 1:
         raise NotTerminalForm(f"axis weight {b} not coprime to index {r}")
     return (b, r)
@@ -142,9 +138,6 @@ class Basket(namedtuple("Basket", "entries")):
             else:
                 entries.append(BasketEntry(*it))
         return cls(tuple(entries))
-
-    def merge(self, other: "Basket") -> "Basket":
-        return Basket(self.entries + other.entries)
 
 
 def aw(basket: Basket) -> int:
@@ -234,7 +227,10 @@ class TerminalClass(namedtuple("TerminalClass", "kind k quotient germ")):
     and for cAx/2 it is optional and only feeds the depth bound, since the
     cAx/2 basket does not depend on it), quotient (a CyclicQuotient) for
     the cyclic class, germ (a CARGerm) for cA/r, or nothing.  A datum of
-    any other type is refused with InvalidParameter.
+    any other type is refused with InvalidParameter.  Build a class as
+    ``TerminalClass(kind, <datum>=...)``, e.g. ``TerminalClass(CD2, k=4)``
+    or ``TerminalClass(CYCLIC, quotient=q)``: this one constructor runs
+    every check, so a new kind needs only its row and its CLI alias.
     """
 
     __slots__ = ()
@@ -271,38 +267,6 @@ class TerminalClass(namedtuple("TerminalClass", "kind k quotient germ")):
         the class table, and the datum they apply to."""
         datum, _, entries, depth = _KINDS[self.kind]
         return entries, depth, datum and getattr(self, datum)
-
-    @classmethod
-    def gorenstein(cls):
-        return cls(GORENSTEIN)
-
-    @classmethod
-    def cyclic(cls, quotient: CyclicQuotient):
-        return cls(CYCLIC, quotient=quotient)
-
-    @classmethod
-    def ca_r(cls, germ: "CARGerm"):
-        return cls(CA_R, germ=germ)
-
-    @classmethod
-    def cax2(cls, k: int | None = None):
-        return cls(CAX2, k=k)
-
-    @classmethod
-    def cax4(cls, k: int):
-        return cls(CAX4, k=k)
-
-    @classmethod
-    def cd2(cls, k: int):
-        return cls(CD2, k=k)
-
-    @classmethod
-    def cd3(cls):
-        return cls(CD3)
-
-    @classmethod
-    def ce2(cls):
-        return cls(CE2)
 
 
 def basket_of(tc: TerminalClass) -> Basket:

@@ -126,20 +126,15 @@ def _grid(i_max: int, j_max: int) -> list[tuple[int, int]]:
 def iter_germ_supports():
     """Systematic support family: the axial singletons {(0, j)}, j <= 4;
     each of them paired with a point of the grid i <= 4, j <= 8; and the
-    triples on the grid i <= 2, j <= 4 with an axial point j <= 4."""
+    triples on the grid i <= 2, j <= 4 with an axial point j <= 4.  A pair
+    of two axial points comes once, from its lower point."""
     axial = [(0, j) for j in range(1, 5)]
     for a in axial:
         yield frozenset({a})
-    seen = set()
     for a in axial:
         for p in _grid(4, 8):
-            if p == a:
-                continue
-            s = frozenset({a, p})
-            if s in seen:
-                continue
-            seen.add(s)
-            yield s
+            if p[0] or p[1] > a[1]:
+                yield frozenset({a, p})
     for combo in itertools.combinations(_grid(2, 4), 3):
         axials = [j for i, j in combo if i == 0]
         if not axials or min(axials) > 4:

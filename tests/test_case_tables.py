@@ -2,7 +2,6 @@
 classes, the en shapes, the o3 shapes and the rr tags.  A row added or
 dropped without its entry point fails here."""
 
-import inspect
 import json
 
 from wresolve import baskets, chains, cli, neighborhoods, riemannroch
@@ -26,15 +25,8 @@ def _run(capsys, argv):
     return code, json.loads(capsys.readouterr().out)
 
 
-def test_every_kind_has_a_row_a_classmethod_and_a_cli_alias(capsys):
+def test_every_kind_has_a_row_and_a_cli_alias(capsys):
     assert _string_constants(baskets) == set(baskets.KINDS) == set(baskets._KINDS)
-    built = set()
-    for name, attr in vars(TerminalClass).items():
-        if isinstance(attr, classmethod):
-            builder = getattr(TerminalClass, name)
-            params = inspect.signature(builder).parameters
-            built.add(builder(*(_SAMPLES[p] for p in params)).kind)
-    assert built == set(baskets.KINDS)
     for kind in baskets.KINDS:
         datum, required, *_ = baskets._KINDS[kind]
         assert datum is None or datum in TerminalClass._fields

@@ -343,27 +343,27 @@ def test_resolution_tree_with_residual():
 
 
 def test_depth_bound_by_class():
-    assert depth_bound(TerminalClass.gorenstein()) == DepthBound.exactly(0)
-    b = depth_bound(TerminalClass.cyclic(CyclicQuotient(5, (2, 3, 1))))
+    assert depth_bound(TerminalClass("gorenstein")) == DepthBound.exactly(0)
+    b = depth_bound(TerminalClass("cyclic", quotient=CyclicQuotient(5, (2, 3, 1))))
     assert b == DepthBound.exactly(4)
-    b = depth_bound(TerminalClass.cyclic(CyclicQuotient(1, (0, 0, 0))))
+    b = depth_bound(TerminalClass("cyclic", quotient=CyclicQuotient(1, (0, 0, 0))))
     assert b == DepthBound.exactly(0)
     # a quotient with no terminal normal form is refused, as basket_of does
     with pytest.raises(NotTerminalForm, match=r"1/5\(1, 1, 1\) has no"):
-        depth_bound(TerminalClass.cyclic(CyclicQuotient(5, (1, 1, 1))))
-    b = depth_bound(TerminalClass.ca_r(G3))
+        depth_bound(TerminalClass("cyclic", quotient=CyclicQuotient(5, (1, 1, 1))))
+    b = depth_bound(TerminalClass("cA/r", germ=G3))
     assert b == DepthBound.exactly(9)
     # non-cA classes carry only a hard ceiling, read off the elephant
-    assert depth_bound(TerminalClass.cax4(3)) == DepthBound(upper=7)
-    assert depth_bound(TerminalClass.cd2(4)) == DepthBound(upper=8)
-    assert depth_bound(TerminalClass.cd3()) == DepthBound(upper=6)
-    assert depth_bound(TerminalClass.ce2()) == DepthBound(upper=7)
+    assert depth_bound(TerminalClass("cAx/4", k=3)) == DepthBound(upper=7)
+    assert depth_bound(TerminalClass("cD/2", k=4)) == DepthBound(upper=8)
+    assert depth_bound(TerminalClass("cD/3")) == DepthBound(upper=6)
+    assert depth_bound(TerminalClass("cE/2")) == DepthBound(upper=7)
 
 
 def test_cax2_bound_requires_k():
     with pytest.raises(InvalidParameter):
-        depth_bound(TerminalClass.cax2())
-    assert depth_bound(TerminalClass.cax2(2)) == DepthBound(upper=4)
+        depth_bound(TerminalClass("cAx/2"))
+    assert depth_bound(TerminalClass("cAx/2", k=2)) == DepthBound(upper=4)
 
 
 def test_germ_validation():
@@ -382,6 +382,6 @@ def test_germ_validation():
 def test_depth_family_window():
     # Xi - aw <= dep <= Xi - 1 whenever the singular content is nonempty
     for g in (G1, G2, G3, G4, G5):
-        b = basket_of(TerminalClass.ca_r(g))
+        b = basket_of(TerminalClass("cA/r", germ=g))
         dep = depth_formula(g)
         assert xi(b) - basket_aw(b) <= dep <= xi(b) - 1

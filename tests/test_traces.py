@@ -105,7 +105,7 @@ def _records():
         (baskets.CyclicQuotient(5, (1, 4, 2)), ("r", "weights")),
         (entry, ("b", "r", "n")),
         (baskets.Basket((entry,)), ("entries",)),
-        (baskets.TerminalClass.ca_r(g), ("kind", "k", "quotient", "germ")),
+        (baskets.TerminalClass("cA/r", germ=g), ("kind", "k", "quotient", "germ")),
         (g, ("r", "beta", "support")),
         (germs.blowup_step(g, 1, 1), ("cyclic_points", "residual")),
         (germs.DepthBound(lower=1, upper=2), ("lower", "upper", "exact")),

@@ -75,8 +75,8 @@ def printed_records():
     """Every kind of record the CLI prints, as the library returns it."""
     g = germs.CARGerm(2, 1, frozenset({(0, 3), (1, 0), (2, 1)}))
     yield germs.blowup_step(g, 1, 1).residual  # frozenset support
-    yield germs.depth_bound(TerminalClass.cd3())
-    yield germs.depth_bound(TerminalClass.ca_r(g))
+    yield germs.depth_bound(TerminalClass("cD/3"))
+    yield germs.depth_bound(TerminalClass("cA/r", germ=g))
     verdicts = [
         neighborhoods.key_check(neighborhoods.ICCase(5), kx=Fraction(-1, 5)),
         neighborhoods.key_check(neighborhoods.ExceptionalIAIACase(5, 3)),
@@ -123,7 +123,7 @@ def test_record_rule_matches_the_asdict_route():
 def test_records_carry_only_their_wire_fields():
     rep = riemannroch.case_depth_check(riemannroch.ContractionCase(riemannroch.E2, 6), 2)
     assert cli._encode(rep) == {"aw": 2, "dep_y": [22, 23], "dep_x_upper": 4, "ok": True}
-    bound = germs.depth_bound(TerminalClass.cd3())
+    bound = germs.depth_bound(TerminalClass("cD/3"))
     assert cli._encode(bound) == {"lower": None, "upper": 6, "exact": False}
     case = chains.O3CaseB(a=3, d=1)
     assert cli._encode(chains.nonnegativity_check(case)) == {"checks": 0, "ok": True}
