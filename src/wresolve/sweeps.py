@@ -7,12 +7,13 @@ linear scan, simulated chain stages against closed-form exponents) and
 reports a SweepResult. A sweep is a stream of cases, each a
 ``(check, *args)`` tuple, fed to one runner that calls ``check(*args)``,
 times and counts them. A check returns what broke, or None; one that
-raises fails its case, and the next case runs. The runner names a
-failing case by the repr of its args, so a check never names its own
-case; what several cases share (a table of corr(X), the mutants a trace
-end depth accepts) goes in as a keyword bound by ``functools.partial``
-and is not part of the name. Everything is deterministic; the
-randomized sweeps take an explicit seed.
+raises fails its case, and the next case runs. A raise while the stream
+makes a case ends the sweep as a failure at that case's number. The
+runner names a failing case by the repr of its args, so a check never
+names its own case; what several cases share (a table of corr(X), the
+mutants a trace end depth accepts) goes in as a keyword bound by
+``functools.partial`` and is not part of the name. Everything is
+deterministic; the randomized sweeps take an explicit seed.
 """
 
 from __future__ import annotations
@@ -49,27 +50,38 @@ class SweepResult(
 
 def _run(name: str, cases) -> SweepResult:
     """Call ``check(*args)`` for each ``(check, *args)`` of ``cases``; a
-    check that raises fails its case.  Report the failures and the first
-    failing case's args and message.  A sweep that checks no case fails."""
+    check that raises fails its case, and a raise while ``cases`` makes a
+    case fails the sweep there.  Report the failures and the first failing
+    case's args, or the number of the case being made, and message.  A
+    sweep that checks no case fails."""
     start = time.perf_counter()
     count = failed = 0
-    for case in cases:  # indexed: a starred unpacking would build a list
-        count += 1
-        try:
-            message = case[0](*case[1:])
-        except Exception as exc:
-            message = f"raised {type(exc).__name__}: {exc}"
-        if message is not None:
-            failed += 1
-            if failed == 1:
-                first = f"{', '.join(map(repr, case[1:]))}: {message}"
-    detail = f"{failed} failed, first: {first}" if failed else ""
+    try:
+        for case in cases:  # indexed: a starred unpacking would build a list
+            count += 1
+            try:
+                message = case[0](*case[1:])
+            except Exception as exc:
+                message = f"raised {type(exc).__name__}: {exc}"
+            if message is not None:
+                failed += 1
+                if failed == 1:
+                    first = f"{', '.join(map(repr, case[1:]))}: {message}"
+    except Exception as exc:
+        failed += 1
+        if failed == 1:
+            first = (f"while making case {count + 1}: "
+                     f"raised {type(exc).__name__}: {exc}")
+    if failed:
+        detail = f"{failed} failed, first: {first}"
+    else:
+        detail = "" if count else "no cases checked"
     return SweepResult(
         name=name,
         ok=count > 0 and not failed,
         cases=count,
         elapsed=time.perf_counter() - start,
-        detail=detail if count else "no cases checked",
+        detail=detail,
     )
 
 
@@ -311,8 +323,10 @@ def _check_e11(case: riemannroch.ContractionCase) -> str | None:
 
 def check_e11() -> SweepResult:
     """E11 case: dep(Y) = 6 from the index-2 and index-6 points, dep(X) <= 7."""
-    e11 = riemannroch.ContractionCase(riemannroch.E11)
-    return _run("e11-depth", [(_check_e11, e11)])
+    def cases():
+        yield _check_e11, riemannroch.ContractionCase(riemannroch.E11)
+
+    return _run("e11-depth", cases())
 
 
 def _check_en_exceptional(

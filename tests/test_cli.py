@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import wresolve
-from wresolve import cli, sweeps, traces
+from wresolve import cli, neighborhoods, sweeps, traces
 from wresolve.cli import main
 from wresolve.errors import RuleViolation
 from wresolve.rationals import format_rat
@@ -656,6 +656,22 @@ def test_verify_reports_every_sweep_when_a_check_raises(capsys, monkeypatch):
     assert lines[1].endswith(
         " 7038 failed, first: CARGerm(r=2, beta=1, support=frozenset({(0, 1)})), 2: "
         "raised KeyError: 'x'")
+
+
+def test_verify_reports_every_sweep_when_making_a_case_raises(capsys, monkeypatch):
+    # a raise while the IIB stream builds its first case fails that sweep
+    # only, by name: ten lines, exit 2, and no traceback
+    def raising(*args):
+        raise KeyError("x")
+
+    monkeypatch.setattr(neighborhoods, "IIBCase", raising)
+    assert main(QUICK_VERIFY) == 2
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert len(lines) == 10 and "Traceback" not in captured.out + captured.err
+    assert [ln[:6] for ln in lines] == ["[PASS]"] * 7 + ["[FAIL]"] + ["[PASS]"] * 2
+    assert lines[7].startswith("[FAIL] en-iib-fiber-degree: 0 cases in ")
+    assert lines[7].endswith(" 1 failed, first: while making case 1: raised KeyError: 'x'")
 
 
 def test_verify_json(capsys):

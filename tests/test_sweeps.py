@@ -7,7 +7,7 @@ from math import gcd
 
 import pytest
 
-from wresolve import chains, germs, riemannroch, sweeps, traces
+from wresolve import chains, germs, neighborhoods, riemannroch, sweeps, traces
 from wresolve.baskets import _ca_r_entry
 from wresolve.errors import InvalidParameter
 
@@ -180,6 +180,56 @@ def test_a_raising_check_fails_only_its_cases(monkeypatch, name):
     assert len(failed) == 1 and calls
     assert failed[0].detail == (f"{len(calls)} failed, first: "
                                 f"{', '.join(map(repr, calls[0]))}: raised KeyError: 'x'")
+
+
+def _raising_once(passed, real):
+    """real, except that the call after the first ``passed`` raises."""
+    def patched(*args, **kwargs):
+        nonlocal passed
+        passed -= 1
+        if passed == -1:
+            raise KeyError("x")
+        return real(*args, **kwargs)
+    return patched
+
+
+# per sweep, a call its stream makes while it builds cases, the calls of it
+# that go through first (those an earlier sweep makes, or some of the
+# sweep's own), and the cases checked before the raise; the calls after it
+# go through too, as a later sweep's checks may make the same call
+GENERATION = [
+    ("cyclic-depth-search", germs, "_cyclic_depth_table", 0, 0),
+    ("germ-depth-dual-route", sweeps, "_transverse_indices", 0, 0),
+    ("residual-recursion", sweeps, "iter_germ_family", 1, 0),
+    ("chi-threshold-bounds", riemannroch, "case_data", 0, 0),
+    # the chi-threshold sweep builds one case per tag and r'
+    ("e11-depth", riemannroch, "ContractionCase", 3 * QUICK["rr_max"], 0),
+    ("en-exceptional-iaia", neighborhoods, "minimal_r1", 0, 0),
+    ("en-semistable-iaia", neighborhoods, "SemistableIAIACase", 0, 0),
+    ("en-iib-fiber-degree", neighborhoods, "IIBCase", 0, 0),
+    ("o3-chain-calculus", sweeps, "random_case_a", 0, 0),
+    ("trace-rule-metamorphic", sweeps, "random_trace", 0, 0),
+    ("trace-rule-metamorphic", sweeps, "random_trace", 5, 5),
+]
+
+
+# a raise while a stream makes a case fails that sweep at the case's
+# number, also before any case was checked, and every sweep still reports
+@pytest.mark.parametrize("sweep, module, name, passed, made", GENERATION)
+def test_a_raise_while_making_a_case_fails_only_its_sweep(
+    monkeypatch, sweep, module, name, passed, made
+):
+    clean = sweeps.run_all(**QUICK)
+    monkeypatch.setattr(module, name, _raising_once(passed, getattr(module, name)))
+    results = sweeps.run_all(**QUICK)
+    assert [r.name for r in results] == [r.name for r in clean]
+    for res, want in zip(results, clean):
+        if res.name != sweep:
+            assert (res.ok, res.cases, res.detail) == (True, want.cases, "")
+    (res,) = [r for r in results if r.name == sweep]
+    assert (res.ok, res.cases) == (False, made)
+    assert res.detail == (f"1 failed, first: while making case {made + 1}: "
+                          "raised KeyError: 'x'")
 
 
 def test_runner_names_the_case_by_its_args_and_not_the_shared_keyword():
