@@ -58,10 +58,14 @@ def paused_gc(walk):
 
 
 def _support(raw) -> frozenset:
-    """raw as a frozenset of (i, j) exponent pairs: every exponent an int,
-    a float or a bool refused, not truncated, and none negative.  The int
-    check of every pair comes before the sign check of any."""
-    pairs = [(i, j) for i, j in raw]
+    """raw as a frozenset of (i, j) exponent pairs: raw a collection of
+    pairs, every exponent an int, a float or a bool refused, not truncated,
+    and none negative.  The int check of every pair comes before the sign
+    check of any."""
+    try:
+        pairs = [(i, j) for i, j in raw]
+    except (TypeError, ValueError):  # raw or an entry of it unpacks badly
+        raise InvalidParameter(f"support must be (i, j) pairs, not {raw!r}") from None
     for i, j in pairs:
         if type(i) is not int or type(j) is not int:
             raise InvalidParameter(f"support exponents must be ints, not ({i!r}, {j!r})")

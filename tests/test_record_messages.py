@@ -1,5 +1,5 @@
 """Every check of the validating records that end in ``tuple.__new__``,
-and the int checks of the chain cases' supports: one input per message,
+and the pair and int checks of the supports: one input per message,
 and the message each one raises.  Every int field of a record refuses a
 float or a bool: one input per field, and so does every int argument of
 the chain walks, the depth identity and the depth searches: one float
@@ -24,6 +24,7 @@ from wresolve.neighborhoods import (
 )
 from wresolve.riemannroch import delta_chi
 from wresolve.traces import FLOP, TraceStep
+
 
 NO_BASKET = Basket()
 CASE_A, CASE_B = O3CaseA(3, 1, 2, {(2, 0)}), O3CaseB(3, 1)
@@ -98,6 +99,16 @@ CASES = [
      "support exponents must be nonnegative"),
     (O3CaseB, (3, 1, (), [(0, True)]), ValueError,
      "support exponents must be ints, not (0, True)"),
+    # a support is a collection of (i, j) pairs, nothing else
+    (CARGerm, (5, 2, [(0, 1, 2)]), InvalidParameter,
+     "support must be (i, j) pairs, not [(0, 1, 2)]"),
+    (CARGerm, (5, 2, 7), InvalidParameter, "support must be (i, j) pairs, not 7"),
+    (CARGerm, (5, 2, [(0, 1), 3]), InvalidParameter,
+     "support must be (i, j) pairs, not [(0, 1), 3]"),
+    (O3CaseB, (3, 1, [(0, 1, 2)]), InvalidParameter,
+     "support must be (i, j) pairs, not [(0, 1, 2)]"),
+    (O3CaseA, (3, 1, 2, {(2, 0)}, [(1,)]), InvalidParameter,
+     "support must be (i, j) pairs, not [(1,)]"),
     # the int fields of the other records, one input per field
     (TraceStep, (FLOP, 1.5, 1), ValueError, "depths must be ints, not (1.5, 1)"),
     (TraceStep, (FLOP, 1, True), ValueError, "depths must be ints, not (1, True)"),
