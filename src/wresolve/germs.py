@@ -248,12 +248,15 @@ def _walk(g: CARGerm, limit: int | None):
 
 class DepthBound(namedtuple("DepthBound", "lower upper exact")):
     """Depth estimate: optional lower bound, hard upper bound, exactness.
-    Built by keyword only."""
+    Built by keyword only; each bound given must be an int, and a float or
+    a bool is refused."""
 
     __slots__ = ()
 
     def __new__(cls, *, lower=None, upper, exact=False):
-        if upper < 0 or (lower is not None and lower < 0):
+        if _int(upper, "upper depth bound") < 0 or (
+            lower is not None and _int(lower, "lower depth bound") < 0
+        ):
             raise InvalidParameter("depth bounds must be >= 0")
         if lower is not None and lower > upper:
             raise InvalidParameter("lower bound exceeds upper bound")

@@ -11,7 +11,7 @@ import pytest
 from wresolve.baskets import Basket, BasketEntry, CyclicQuotient
 from wresolve.chains import O3CaseA, O3CaseB, chain_simulate, chain_stages_b, depth_identity
 from wresolve.errors import InvalidCaseData, InvalidParameter, WresolveError
-from wresolve.germs import CARGerm, cyclic_depth_search, depth_search
+from wresolve.germs import CARGerm, DepthBound, cyclic_depth_search, depth_search
 from wresolve.neighborhoods import (
     ENPoint,
     ExceptionalIAIACase,
@@ -24,6 +24,11 @@ from wresolve.neighborhoods import (
 )
 from wresolve.riemannroch import delta_chi
 from wresolve.traces import FLOP, TraceStep
+
+
+def depth_bounds(lower, upper):
+    """DepthBound, which takes keywords only, from positional bounds."""
+    return DepthBound(lower=lower, upper=upper)
 
 
 NO_BASKET = Basket()
@@ -155,6 +160,14 @@ CASES = [
      "IAIAIII data must be ints, got (5.0, 3)"),
     (IAIAIIICase, (5, True), InvalidCaseData,
      "IAIAIII data must be ints, got (5, True)"),
+    (depth_bounds, (None, 2.5), InvalidParameter,
+     "upper depth bound must be an int, not 2.5"),
+    (depth_bounds, (None, True), InvalidParameter,
+     "upper depth bound must be an int, not True"),
+    (depth_bounds, (1.0, 2), InvalidParameter,
+     "lower depth bound must be an int, not 1.0"),
+    (depth_bounds, (False, 2), InvalidParameter,
+     "lower depth bound must be an int, not False"),
     # the int arguments of the walks and searches
     (chain_simulate, (CASE_A, 1.5), InvalidParameter, "k_max must be an int, not 1.5"),
     (chain_simulate, (CASE_A, True), InvalidParameter, "k_max must be an int, not True"),
