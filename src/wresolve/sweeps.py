@@ -8,19 +8,29 @@ reports a SweepResult. A sweep is a stream of cases, each a
 ``(check, *args)`` tuple, fed to one runner that calls ``check(*args)``,
 times and counts them. A check returns what broke, or None; one that
 raises fails its case, and the next case runs. A raise while the stream
-makes a case ends the sweep as a failure at that case's number. The
-runner names a failing case by the repr of its args, so a check never
-names its own case; what several cases share (a table of corr(X), the
-mutants a trace end depth accepts) goes in as a keyword bound by
-``functools.partial`` and is not part of the name. Everything is
-deterministic; the randomized sweeps take an explicit seed.
+is set up or makes a case ends the sweep as a failure at that case's
+number, so no sweep function raises. The runner names a failing case by
+the repr of its args, so a check never names its own case; what several
+cases share (a table of corr(X), the mutants a trace end depth accepts)
+goes in as a keyword bound by ``functools.partial`` and is not part of
+the name. Everything is deterministic; the randomized sweeps take an
+explicit seed.
+
+The sweeps share no state, so ``run_all`` spreads them over the CPUs the
+process may use, in forked children with a fixed split, and returns the
+list one process would (each ``elapsed`` timed where its sweep ran).
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
+import marshal
+import os
 import random
+import signal
+import threading
 import time
 from collections import namedtuple
 from fractions import Fraction
@@ -48,16 +58,17 @@ class SweepResult(
         )
 
 
-def _run(name: str, cases) -> SweepResult:
-    """Call ``check(*args)`` for each ``(check, *args)`` of ``cases``; a
-    check that raises fails its case, and a raise while ``cases`` makes a
-    case fails the sweep there.  Report the failures and the first failing
-    case's args, or the number of the case being made, and message.  A
-    sweep that checks no case fails."""
+def _run(name: str, make) -> SweepResult:
+    """Call ``check(*args)`` for each ``(check, *args)`` of the stream that
+    ``make()`` returns; a check that raises fails its case, and a raise in
+    ``make`` or while the stream makes a case fails the sweep there.
+    Report the failures and the first failing case's args, or the number
+    of the case being made, and message.  A sweep that checks no case
+    fails."""
     start = time.perf_counter()
     count = failed = 0
     try:
-        for case in cases:  # indexed: a starred unpacking would build a list
+        for case in make():  # indexed: a starred unpacking would build a list
             count += 1
             try:
                 message = case[0](*case[1:])
@@ -128,7 +139,7 @@ def sweep_cyclic_depth(r_max: int) -> SweepResult:
             for beta in _units(r):
                 yield _check_cyclic_germ, r, beta
 
-    return _run("cyclic-depth-search", cases())
+    return _run("cyclic-depth-search", cases)
 
 
 def _grid(i_max: int, j_max: int) -> list[tuple[int, int]]:
@@ -213,7 +224,7 @@ def sweep_germ_depth(r_max: int) -> SweepResult:
         for g in iter_germ_family(r_max):
             yield _check_germ_depth, g, indices[g.r, g.beta]
 
-    return _run("germ-depth-dual-route", cases())
+    return _run("germ-depth-dual-route", cases)
 
 
 def _check_residual(g: CARGerm, lam: int, n1: int) -> str | None:
@@ -240,7 +251,7 @@ def sweep_residual_recursion(r_max: int) -> SweepResult:
             if n1 < lam:
                 yield _check_residual, g, lam, n1
 
-    return _run("residual-recursion", cases())
+    return _run("residual-recursion", cases)
 
 
 class _CorrX(dict):
@@ -307,7 +318,7 @@ def sweep_rr_bounds(rp_max: int) -> SweepResult:
                     continue  # r' too small, or a non-terminal basket of Y
                 yield check, case, data
 
-    return _run("chi-threshold-bounds", cases())
+    return _run("chi-threshold-bounds", cases)
 
 
 def _check_e11(case: riemannroch.ContractionCase) -> str | None:
@@ -326,7 +337,7 @@ def check_e11() -> SweepResult:
     def cases():
         yield _check_e11, riemannroch.ContractionCase(riemannroch.E11)
 
-    return _run("e11-depth", cases())
+    return _run("e11-depth", cases)
 
 
 def _check_en_exceptional(
@@ -355,7 +366,7 @@ def sweep_en_exceptional(r_max: int) -> SweepResult:
                 for step in range(3):
                     yield _check_en_exceptional, case, base + step * r
 
-    return _run("en-exceptional-iaia", cases())
+    return _run("en-exceptional-iaia", cases)
 
 
 def _check_en_semistable(case: neighborhoods.SemistableIAIACase) -> str | None:
@@ -372,16 +383,19 @@ def _check_en_semistable(case: neighborhoods.SemistableIAIACase) -> str | None:
 def sweep_en_semistable(r_max: int) -> SweepResult:
     """Semistable IA+IA: r1*delta = r' mod r, r1*delta >= r' and
     K_Y.C_Y <= 0 over all shapes."""
-    units = [_units(r) for r in range(r_max + 1)]  # one list per index
-    cases = (
-        neighborhoods.SemistableIAIACase(r, a, rp, ap)
-        for rp in range(2, r_max + 1)
-        for r in range(rp, r_max + 1)
-        for a in units[r]
-        for ap in units[rp]
-        if a * rp + ap * r - r * rp > 0
-    )
-    return _run("en-semistable-iaia", zip(itertools.repeat(_check_en_semistable), cases))
+    def cases():
+        units = [_units(r) for r in range(r_max + 1)]  # one list per index
+        shapes = (
+            neighborhoods.SemistableIAIACase(r, a, rp, ap)
+            for rp in range(2, r_max + 1)
+            for r in range(rp, r_max + 1)
+            for a in units[r]
+            for ap in units[rp]
+            if a * rp + ap * r - r * rp > 0
+        )
+        return zip(itertools.repeat(_check_en_semistable), shapes)
+
+    return _run("en-semistable-iaia", cases)
 
 
 def _check_en_iib(case: neighborhoods.IIBCase) -> str | None:
@@ -393,13 +407,13 @@ def _check_en_iib(case: neighborhoods.IIBCase) -> str | None:
 
 def sweep_en_iib(entry_max: int) -> SweepResult:
     """IIB: fiber degree min(3/r1, 2/r2) <= 1 over the congruence grid."""
-    r1s = range(3, entry_max + 1, 4)
-    r2s = range(2, entry_max + 1, 4)
-    r3s = range(1, entry_max + 1, 4)
-    cases = itertools.starmap(
-        neighborhoods.IIBCase, itertools.product(r1s, r2s, r3s, r3s)
-    )
-    return _run("en-iib-fiber-degree", zip(itertools.repeat(_check_en_iib), cases))
+    def cases():
+        r1s, r2s, r3s = (range(low, entry_max + 1, 4) for low in (3, 2, 1))
+        shapes = itertools.product(r1s, r2s, r3s, r3s)
+        return zip(itertools.repeat(_check_en_iib),
+                   itertools.starmap(neighborhoods.IIBCase, shapes))
+
+    return _run("en-iib-fiber-degree", cases)
 
 
 def _ceil_div(p: int, q: int) -> int:
@@ -521,18 +535,17 @@ def _check_case_b(case: chains.O3CaseB, dep_q3: int) -> str | None:
 def sweep_o3_chains(cases_per_shape: int, seed: int) -> SweepResult:
     """Randomized chain data for both shapes: recurrences, nonnegativity,
     stage weights, top-stage exponents, and the depth identity."""
-    rng = random.Random(seed)
-    combos = [(a, d) for a in (3, 5, 7, 9) for d in (1, 2, 3)]
-    per_combo = _ceil_div(cases_per_shape, len(combos))
-
     def cases():
+        rng = random.Random(seed)
+        combos = [(a, d) for a in (3, 5, 7, 9) for d in (1, 2, 3)]
+        per_combo = _ceil_div(cases_per_shape, len(combos))
         # each case, then its endpoint depth: one stream of draws
         for a, d in combos:
             for _ in range(per_combo):
                 yield _check_case_a, random_case_a(rng, a, d), _below(rng, 13)
                 yield _check_case_b, random_case_b(rng, a, d), _below(rng, 13)
 
-    return _run("o3-chain-calculus", cases())
+    return _run("o3-chain-calculus", cases)
 
 
 # the kinds a generated step picks from, at depth 0 and above it
@@ -611,10 +624,12 @@ def sweep_trace_rules(n_traces: int, seed: int) -> SweepResult:
     empty trace.  So each end depth's mutants are checked once, on its
     first trace, and later traces ending there reuse the first accepted
     mutant (or None) from ``accepted``."""
-    rng = random.Random(seed)
-    check = functools.partial(_check_trace, accepted={})
-    cases = map(random_trace, itertools.repeat(rng, n_traces))
-    return _run("trace-rule-metamorphic", zip(itertools.repeat(check), cases))
+    def cases():
+        check = functools.partial(_check_trace, accepted={})
+        traced = map(random_trace, itertools.repeat(random.Random(seed), n_traces))
+        return zip(itertools.repeat(check), traced)
+
+    return _run("trace-rule-metamorphic", cases)
 
 
 def run_all(
@@ -628,15 +643,77 @@ def run_all(
     trace_count: int = 10000,
     seed: int = 20240817,
 ) -> list[SweepResult]:
-    return [
-        sweep_cyclic_depth(cyclic_max),
-        sweep_germ_depth(germ_r_max),
-        sweep_residual_recursion(germ_r_max),
-        sweep_rr_bounds(rr_max),
-        check_e11(),
-        sweep_en_exceptional(en_r_max),
-        sweep_en_semistable(semi_max),
-        sweep_en_iib(iib_max),
-        sweep_o3_chains(o3_cases, seed),
-        sweep_trace_rules(trace_count, seed + 1),
-    ]
+    """The ten sweeps' results, in this order.  They run in as many
+    processes as ``_processes`` gives (see ``_dispatch``); the list is the
+    one a single process returns."""
+    return _dispatch([
+        (sweep_cyclic_depth, cyclic_max),
+        (sweep_germ_depth, germ_r_max),
+        (sweep_residual_recursion, germ_r_max),
+        (sweep_rr_bounds, rr_max),
+        (check_e11,),
+        (sweep_en_exceptional, en_r_max),
+        (sweep_en_semistable, semi_max),
+        (sweep_en_iib, iib_max),
+        (sweep_o3_chains, o3_cases, seed),
+        (sweep_trace_rules, trace_count, seed + 1),
+    ])
+
+
+def _processes(calls: int) -> int:
+    """One process per CPU this process may use, at most one per call; one
+    where ``os.fork`` or the CPU affinity is missing, or where another
+    thread runs (a fork copies only the calling thread)."""
+    if (not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
+            or threading.active_count() > 1):
+        return 1
+    return min(len(os.sched_getaffinity(0)), calls)
+
+
+def _dispatch(calls: list[tuple]) -> list[SweepResult]:
+    """``fn(*args)`` for each ``(fn, *args)`` of ``calls``, in order.
+
+    With n processes, call i runs in process i mod n: process 0 is this
+    one, the others forked children, so every run splits the calls the
+    same way.  A child sends each result down its pipe with ``marshal``.
+    This process runs its share, reads each child's results off its pipe
+    and reaps every child; on a raise it kills them first.  A call that a
+    child did not report (it died) runs here after the others."""
+    n = _processes(len(calls))
+    results, children = [None] * len(calls), []
+    try:
+        for k in range(1, n):
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _child(calls[k::n], write)
+            os.close(write)
+            children.append((pid, open(read, "rb"), range(k, len(calls), n)))
+        for i in range(0, len(calls), n):
+            results[i] = calls[i][0](*calls[i][1:])
+        for _, pipe, mine in children:
+            with contextlib.suppress(EOFError, ValueError, TypeError):  # it died
+                for i in mine:
+                    results[i] = SweepResult(*marshal.load(pipe))
+    except BaseException:
+        for pid, _, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, pipe, _ in children:
+            pipe.close()
+            os.waitpid(pid, 0)
+    return [res or call[0](*call[1:]) for res, call in zip(results, calls)]
+
+
+def _child(calls: list[tuple], write: int):
+    """Run calls in a forked child, each result down the pipe as it comes;
+    leave through ``os._exit``, so the child never returns into its
+    parent's stack nor flushes the stdio buffers it inherited."""
+    try:
+        with open(write, "wb") as pipe:
+            for call in calls:
+                marshal.dump(tuple(call[0](*call[1:])), pipe)
+                pipe.flush()
+    finally:
+        os._exit(0)

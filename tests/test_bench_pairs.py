@@ -3,6 +3,7 @@ and the count comparison of one traced run per checkout."""
 
 import importlib.util
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -61,9 +62,11 @@ def test_one_run_is_its_own_quartiles():
 
 
 FAKE_RUN = '''
-import json, sys
+import json, os, sys
 from pathlib import Path
 here = Path(__file__).resolve().parents[1]
+with open(here.parent / "cpus.log", "a") as log:
+    log.write(f"{len(os.sched_getaffinity(0))}\\n")
 with open(here.parent / "order.log", "a") as log:
     log.write(here.name + "\\n")
 with open(here.parent / "argv.log", "a") as log:
@@ -145,6 +148,17 @@ def test_counts_no_move(tmp_path, capsys):
     assert out.startswith("no count moved\nverify seed 3, 1 counts: every count as declared\n")
     argv = (tmp_path / "argv.log").read_text().splitlines()
     assert argv == ["--workload verify --seed 3 --seconds 1 --trace 1"] * 2
+    # each traced run is pinned to one CPU, so verify's counts cover every sweep
+    assert (tmp_path / "cpus.log").read_text().split() == ["1", "1"]
+
+
+def test_timed_runs_keep_every_cpu(tmp_path):
+    parent, change = checkout(tmp_path, "parent"), checkout(tmp_path, "change")
+    assert bench_pairs.main(["--parent", str(parent), "--change", str(change),
+                             "--workload", "verify", "--pairs", "1", "--seed", "1",
+                             "--seconds", "1"]) == 0
+    cpus = str(len(os.sched_getaffinity(0)))
+    assert (tmp_path / "cpus.log").read_text().split() == [cpus, cpus]
 
 
 def test_counts_undeclared_move(tmp_path, capsys):

@@ -2,11 +2,17 @@
 
 import functools
 import itertools
+import os
 import random
+import subprocess
+import sys
+import time
 from math import gcd
+from pathlib import Path
 
 import pytest
 
+import wresolve
 from wresolve import chains, germs, neighborhoods, riemannroch, sweeps, traces
 from wresolve.baskets import _ca_r_entry
 from wresolve.errors import InvalidParameter
@@ -162,8 +168,21 @@ QUICK = dict(cyclic_max=6, germ_r_max=3, rr_max=10, en_r_max=15, semi_max=8,
 CHECKS = sorted(name for name in vars(sweeps) if name.startswith("_check_"))
 
 
+def _pin(monkeypatch, n):
+    monkeypatch.setattr(sweeps, "_processes", lambda calls: n)
+
+
+@pytest.fixture
+def one_process(monkeypatch):
+    """run_all in the calling process alone: for tests whose patches count
+    calls across sweeps in this process's memory, which a forked child's
+    calls would not reach."""
+    _pin(monkeypatch, 1)
+
+
 # a check that raises fails its case, and the runner goes on: every sweep
 # still reports, and only the one behind the patched check fails
+@pytest.mark.usefixtures("one_process")
 @pytest.mark.parametrize("name", CHECKS)
 def test_a_raising_check_fails_only_its_cases(monkeypatch, name):
     counts = [r.cases for r in sweeps.run_all(**QUICK)]
@@ -215,6 +234,7 @@ GENERATION = [
 
 # a raise while a stream makes a case fails that sweep at the case's
 # number, also before any case was checked, and every sweep still reports
+@pytest.mark.usefixtures("one_process")
 @pytest.mark.parametrize("sweep, module, name, passed, made", GENERATION)
 def test_a_raise_while_making_a_case_fails_only_its_sweep(
     monkeypatch, sweep, module, name, passed, made
@@ -237,13 +257,139 @@ def test_runner_names_the_case_by_its_args_and_not_the_shared_keyword():
         return None if a < b else f"{a} >= {b}"
 
     check = functools.partial(below, table={})
-    res = sweeps._run("demo", ((check, n, 2) for n in range(4)))
+    res = sweeps._run("demo", lambda: ((check, n, 2) for n in range(4)))
     assert (res.ok, res.cases) == (False, 4)
     assert res.detail == "2 failed, first: 2, 2: 2 >= 2"
-    res = sweeps._run("demo", [(check, 1, 2), (check, 0, None), (check, 3, 2)])
+    res = sweeps._run("demo", lambda: [(check, 1, 2), (check, 0, None), (check, 3, 2)])
     assert res.detail == ("2 failed, first: 0, None: raised TypeError: "
                           "'<' not supported between instances of 'int' and 'NoneType'")
-    assert sweeps._run("demo", []).detail == "no cases checked"
+    assert sweeps._run("demo", list).detail == "no cases checked"
+
+
+# the set-up a sweep does before its first case (a table, a seeded
+# generator) runs inside the runner's guard, so a raise there fails that
+# sweep by name; no sweep function raises
+def test_a_raise_before_the_first_case_fails_only_its_sweep(monkeypatch):
+    clean = sweeps.run_all(**QUICK)
+    units = sweeps._units
+
+    def raising(r):  # only the semistable sweep's table asks for r < 2
+        if r < 2:
+            raise KeyError("x")
+        return units(r)
+
+    monkeypatch.setattr(sweeps, "_units", raising)
+    results = sweeps.run_all(**QUICK)
+    for res, want in zip(results, clean):
+        if res.name != "en-semistable-iaia":
+            assert (res.name, res.ok, res.cases, res.detail) == (
+                want.name, True, want.cases, "")
+    (res,) = [r for r in results if not r.ok]
+    assert (res.name, res.cases) == ("en-semistable-iaia", 0)
+    assert res.detail == "1 failed, first: while making case 1: raised KeyError: 'x'"
+
+
+@pytest.mark.parametrize("sweep, count", [
+    (sweeps.sweep_o3_chains, 12), (sweeps.sweep_trace_rules, 40)])
+def test_a_seed_random_refuses_fails_its_sweep(sweep, count):
+    res = sweep(count, seed=[1])
+    assert (res.ok, res.cases) == (False, 0)
+    assert res.detail.startswith("1 failed, first: while making case 1: raised TypeError: ")
+
+
+def _summary(results):
+    return [(r.name, r.ok, r.cases, r.detail) for r in results]
+
+
+def _always_raising(*args, **kwargs):
+    raise KeyError("x")
+
+
+# patches that hold no state, so each process sees the same ones: every
+# check, and every call a stream makes, raising on each call
+PATCHES = ([(sweeps, name) for name in CHECKS]
+           + sorted({(module, name) for _, module, name, _, _ in GENERATION},
+                    key=lambda p: (p[0].__name__, p[1])))
+
+
+# call i runs in process i mod n, and the list is the one-process list
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("module, name", [(None, None)] + PATCHES,
+                         ids=["clean"] + [f"{m.__name__}.{f}" for m, f in PATCHES])
+def test_parallel_matches_one_process(monkeypatch, n, module, name):
+    if module is not None:
+        monkeypatch.setattr(module, name, _always_raising)
+    _pin(monkeypatch, 1)
+    alone = _summary(sweeps.run_all(**QUICK))
+    _pin(monkeypatch, n)
+    assert _summary(sweeps.run_all(**QUICK)) == alone
+
+
+def _no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+# a sweep whose child dies runs again here: sweep 1 takes the child's
+# every result with it, sweep 9 only its own (with two processes the
+# child runs the odd sweeps)
+@pytest.mark.parametrize("name", ["sweep_germ_depth", "sweep_trace_rules"])
+def test_a_sweep_whose_child_dies_runs_here(monkeypatch, name):
+    _pin(monkeypatch, 1)
+    alone = _summary(sweeps.run_all(**QUICK))
+    real, caller = getattr(sweeps, name), os.getpid()
+
+    def dying(*args):
+        if os.getpid() != caller:
+            os._exit(3)
+        return real(*args)
+
+    monkeypatch.setattr(sweeps, name, dying)
+    _pin(monkeypatch, 2)
+    assert _summary(sweeps.run_all(**QUICK)) == alone
+    _no_children()
+
+
+def test_no_child_outlives_run_all(monkeypatch):
+    _pin(monkeypatch, 2)
+    assert len(sweeps.run_all(**QUICK)) == 10
+    _no_children()
+
+
+class _Stop(BaseException):
+    pass
+
+
+# a raise in the caller kills the children before it reaps them: here the
+# child would sleep a minute
+def test_a_raise_in_the_caller_kills_the_children(monkeypatch):
+    caller = os.getpid()
+
+    def stuck_in_a_child(*args):
+        if os.getpid() != caller:
+            time.sleep(60)
+        raise _Stop
+
+    monkeypatch.setattr(sweeps, "sweep_germ_depth", stuck_in_a_child)
+    monkeypatch.setattr(sweeps, "sweep_residual_recursion", stuck_in_a_child)
+    _pin(monkeypatch, 2)
+    start = time.perf_counter()
+    with pytest.raises(_Stop):
+        sweeps.run_all(**QUICK)
+    assert time.perf_counter() - start < 30
+    _no_children()
+
+
+def test_verify_in_a_fresh_process_prints_ten_lines():
+    src = str(Path(wresolve.__file__).resolve().parents[1])
+    argv = [sys.executable, "-m", "wresolve", "verify"]
+    for name, value in QUICK.items():
+        argv += ["--" + name.replace("_", "-"), str(value)]
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert (proc.returncode, proc.stderr) == (0, "")
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 10 and all(ln.startswith("[PASS] ") for ln in lines)
 
 
 def _parity_swapped(weights):

@@ -27,7 +27,9 @@ the last pair, whether each checkout holds that directory, with a warning
 when one checkout holds it and the other does not.
 
 With ``--counts`` it runs ``perfbench/run.py --trace 1`` once in each
-checkout instead, on the same workload and seed, and prints every per-layer
+checkout instead, on the same workload and seed, pinned to one CPU (the
+lowest this process may use), so that ``verify`` runs every sweep in the
+traced process and its counts cover them all.  It prints every per-layer
 metric of unit ``count`` whose value differs, as ``name parent → change
 (delta)``.  Counts do not depend on the machine, so they settle what wall
 times on a noisy host cannot.  ``--expect name=delta``, which may be
@@ -195,13 +197,19 @@ def _expectation(text: str) -> tuple[str, int]:
     raise argparse.ArgumentTypeError(f"not name=delta: {text!r}")
 
 
+def _one_cpu():
+    """Pin the calling process to the lowest CPU it may use."""
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: float,
              trace: int = 0) -> dict:
-    """One benchmark run in a checkout: its last stdout line, parsed, or
-    an ``error`` entry when it gives none."""
+    """One benchmark run in a checkout, a traced one pinned to one CPU: its
+    last stdout line, parsed, or an ``error`` entry when it gives none."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload,
             "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
-    proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
+    proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True,
+                          preexec_fn=_one_cpu if trace else None)
     lines = proc.stdout.strip().splitlines()
     try:
         return json.loads(lines[-1])
