@@ -57,12 +57,12 @@ class CyclicQuotient(namedtuple("CyclicQuotient", "r weights")):
     def __new__(cls, r, weights):
         if _int(r, "quotient index") < 1:
             raise InvalidParameter("quotient index must be >= 1")
-        weights = tuple(weights)
-        if len(weights) != 3:
-            raise InvalidParameter("need exactly three weights")
-        w0, w1, w2 = weights
+        try:
+            w0, w1, w2 = weights
+        except (TypeError, ValueError):  # not three values, or no collection
+            raise InvalidParameter("need exactly three weights") from None
         if type(w0) is not int or type(w1) is not int or type(w2) is not int:
-            raise InvalidParameter(f"weights must be ints, not {weights!r}")
+            raise InvalidParameter(f"weights must be ints, not {(w0, w1, w2)!r}")
         return tuple.__new__(cls, (r, (w0 % r, w1 % r, w2 % r)))
 
     @property
@@ -96,7 +96,8 @@ def normalize_cyclic(q: CyclicQuotient) -> tuple[int, int]:
 
 
 class BasketEntry(namedtuple("BasketEntry", "b r n")):
-    """n copies of the cyclic point (b, r), already in normal form."""
+    """n copies of the cyclic point (b, r), already in normal form: the
+    row (b, r, n) of a basket, n = 1 when left out."""
 
     __slots__ = ()
 
@@ -113,31 +114,29 @@ class BasketEntry(namedtuple("BasketEntry", "b r n")):
 
 
 class Basket(namedtuple("Basket", "entries")):
-    """Multiset of normal-form cyclic points, canonically merged and sorted."""
+    """Multiset of normal-form cyclic points, canonically merged and sorted.
+
+    Built from a collection of rows, each (b, r) or (b, r, n) and each
+    checked as ``BasketEntry(*row)``; a BasketEntry is such a row.  A
+    value that is no collection, or a row that does not unpack into a
+    BasketEntry, is refused with InvalidParameter.
+    """
 
     __slots__ = ()
 
     def __new__(cls, entries=()):
-        merged: dict[tuple[int, int], int] = {}
-        for e in entries:
-            key = (e.r, e.b)
-            merged[key] = merged.get(key, 0) + e.n
+        merged, row = {}, entries  # (r, b) -> n; row names a non-collection
+        try:
+            for row in entries:
+                b, r, n = BasketEntry(*row)
+                merged[r, b] = merged.get((r, b), 0) + n
+        except TypeError:  # no collection, or a row of no (b, r[, n]) shape
+            raise InvalidParameter(f"basket rows are (b, r) or (b, r, n), not {row!r}") from None
         canon = tuple(
             BasketEntry(b=b, r=r, n=n)
             for (r, b), n in sorted(merged.items(), reverse=True)
         )
         return super().__new__(cls, canon)
-
-    @classmethod
-    def of(cls, *items) -> "Basket":
-        """Build from (b, r) or (b, r, n) tuples or BasketEntry values."""
-        entries = []
-        for it in items:
-            if isinstance(it, BasketEntry):
-                entries.append(it)
-            else:
-                entries.append(BasketEntry(*it))
-        return cls(tuple(entries))
 
 
 def aw(basket: Basket) -> int:
@@ -236,7 +235,7 @@ class TerminalClass(namedtuple("TerminalClass", "kind k quotient germ")):
     __slots__ = ()
 
     def __new__(cls, kind, k=None, quotient=None, germ=None):
-        if kind not in _KINDS:
+        if kind not in KINDS:
             raise InvalidParameter(f"unknown class kind {kind!r}")
         datum, required, *_ = _KINDS[kind]
         given = {"k": k, "quotient": quotient, "germ": germ}
@@ -272,4 +271,4 @@ class TerminalClass(namedtuple("TerminalClass", "kind k quotient germ")):
 def basket_of(tc: TerminalClass) -> Basket:
     """Basket of cyclic points the class degenerates to (class table)."""
     entries, _, datum = tc._rules()
-    return Basket.of(*entries(datum))
+    return Basket(entries(datum))

@@ -142,7 +142,7 @@ def _basket(value, name):
     from .baskets import Basket
 
     message = f"{name} must be a list of [b, r] or [b, r, n]"
-    return Basket.of(*_int_rows(value, (2, 3), message))
+    return Basket(_int_rows(value, (2, 3), message))
 
 
 def _name(table, unknown, fold=str.lower):
@@ -432,7 +432,7 @@ def _emit_error(exc: WresolveError):
         value = getattr(exc, attr, None)
         if value is not None:
             body[attr] = value
-    print(json.dumps(_encode({"error": body})))
+    _emit({"error": body}, "json")
 
 
 @functools.cache

@@ -268,10 +268,6 @@ class DepthBound(namedtuple("DepthBound", "lower upper exact")):
         # copy and pickle rebuild through __new__, which takes keywords only
         return (), self._asdict()
 
-    @classmethod
-    def exactly(cls, value: int) -> "DepthBound":
-        return cls(lower=value, upper=value, exact=True)
-
 
 def depth_bound(tc: TerminalClass) -> DepthBound:
     """Depth of a terminal point: the depth rule of its row in the class

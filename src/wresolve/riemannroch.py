@@ -50,7 +50,7 @@ class ContractionCase(namedtuple("ContractionCase", "tag rprime")):
     __slots__ = ()
 
     def __new__(cls, tag, rprime=None):
-        if tag not in _TAGS:
+        if tag not in TAGS:
             raise InvalidParameter(f"unknown case tag {tag!r}")
         if _TAGS[tag][0] is not None:  # an E1/E2 family
             if rprime is not None and type(rprime) is not int:
@@ -87,7 +87,7 @@ def cd2_basket(aw: int) -> Basket:
     """Basket of a cD/2 point of axial weight aw: aw copies of (1, 2)."""
     if aw < 1:
         raise InvalidParameter("axial weight must be >= 1")
-    return Basket.of((1, 2, aw))
+    return Basket([(1, 2, aw)])
 
 
 class _CaseData(
@@ -120,7 +120,7 @@ def case_data(case: ContractionCase) -> _CaseData:
     return _CaseData(
         a_over_n=Fraction(a),
         e3=Fraction(e, case.rprime),
-        basket_y=Basket.of(entry),
+        basket_y=Basket([entry]),
         sufficient_bound=bound,
         dep_y=dep_y,
     )

@@ -677,14 +677,20 @@ def _dispatch(calls: list[tuple]) -> list[SweepResult]:
     one, the others forked children, so every run splits the calls the
     same way.  A child sends each result down its pipe with ``marshal``.
     This process runs its share, reads each child's results off its pipe
-    and reaps every child; on a raise it kills them first.  A call that a
-    child did not report (it died) runs here after the others."""
+    and reaps every child; on a raise it kills them first.  A call that no
+    child reported runs here after the others: its child died, or
+    ``os.fork`` failed to start it, and then no later child is started."""
     n = _processes(len(calls))
     results, children = [None] * len(calls), []
     try:
         for k in range(1, n):
             read, write = os.pipe()
-            pid = os.fork()
+            try:
+                pid = os.fork()
+            except OSError:  # no process to be had: its calls rerun here
+                os.close(read)
+                os.close(write)
+                break
             if pid == 0:
                 _child(calls[k::n], write)
             os.close(write)

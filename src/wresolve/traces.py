@@ -44,7 +44,6 @@ DIV_TO_CURVE = "DivToCurve"
 BLOWDOWN_LCI = "BlowDownLCI"
 
 KINDS = (WEXTRACTION, FLIP, FLOP, DIV_TO_POINT, DIV_TO_CURVE, BLOWDOWN_LCI)
-_KIND_SET = frozenset(KINDS)
 
 
 class TraceStep(namedtuple("TraceStep", "kind dep_before dep_after")):
@@ -54,11 +53,7 @@ class TraceStep(namedtuple("TraceStep", "kind dep_before dep_after")):
     __slots__ = ()
 
     def __new__(cls, kind, dep_before, dep_after):
-        try:
-            known = kind in _KIND_SET
-        except TypeError:  # an unhashable kind is no kind
-            known = False
-        if not known:
+        if kind not in KINDS:
             raise InvalidParameter(f"unknown step kind {kind!r}")
         if type(dep_before) is not int or type(dep_after) is not int:
             raise InvalidParameter(f"depths must be ints, not ({dep_before!r}, {dep_after!r})")
@@ -68,12 +63,23 @@ class TraceStep(namedtuple("TraceStep", "kind dep_before dep_after")):
 
 
 class FactorizationTrace(namedtuple("FactorizationTrace", "steps")):
-    """A chain of steps; rule conformance is checked by validate_trace."""
+    """A chain of TraceSteps; rule conformance is checked by validate_trace.
+    A value that is no collection, or a step that is no TraceStep (a raw
+    tuple included, which would skip TraceStep's checks), is refused with
+    InvalidParameter."""
 
     __slots__ = ()
 
     def __new__(cls, steps=()):
-        return super().__new__(cls, tuple(steps))
+        try:
+            steps = tuple(steps)
+        except TypeError:
+            raise InvalidParameter(f"trace steps must be a collection, not {steps!r}") from None
+        # one C-level pass over the step types, the refused step found after
+        if not set(map(type, steps)) <= {TraceStep}:
+            bad = next(s for s in steps if type(s) is not TraceStep)
+            raise InvalidParameter(f"trace step must be a TraceStep, not {bad!r}")
+        return tuple.__new__(cls, (steps,))
 
 
 class StepDiagnostic(

@@ -74,12 +74,18 @@ def test_entry_validation():
 
 
 def test_basket_canonical_merge():
-    left = Basket.of((1, 2), (1, 4), (1, 2))
-    right = Basket.of((1, 2, 2), (1, 4))
+    left = Basket([(1, 2), (1, 4), (1, 2)])
+    right = Basket([(1, 2, 2), (1, 4)])
     assert left == right
     assert [(e.b, e.r, e.n) for e in left.entries] == [(1, 4, 1), (1, 2, 2)]
-    merged = Basket(left.entries + Basket.of((1, 4, 3)).entries)
+    merged = Basket(left.entries + Basket([(1, 4, 3)]).entries)
     assert [(e.b, e.r, e.n) for e in merged.entries] == [(1, 4, 4), (1, 2, 2)]
+    # every row goes through BasketEntry, so an entry, a (b, r) row and a
+    # (b, r, n) row of one point add up
+    mixed = Basket([BasketEntry(1, 4), (1, 2), (1, 4, 2), BasketEntry(1, 2, 3)])
+    assert mixed.entries == (BasketEntry(1, 4, 3), BasketEntry(1, 2, 4))
+    assert mixed == Basket([(1, 2, 4), (1, 4, 3)]) == Basket(iter(mixed.entries))
+    assert all(type(e) is BasketEntry for e in mixed.entries)
 
 
 def test_invariants_bounds():
@@ -90,7 +96,7 @@ def test_invariants_bounds():
         [(3, 7, 2), (1, 2)],
         [(5, 11), (4, 9), (1, 2, 4)],
     ]:
-        b = Basket.of(*entries)
+        b = Basket(entries)
         assert aw(b) <= sigma(b)
         assert 2 * sigma(b) <= xi(b)
 

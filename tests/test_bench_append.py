@@ -72,3 +72,21 @@ def test_records_of_different_trees_are_refused(tmp_path):
     with pytest.raises(ValueError, match="different trees"):
         bench_append.append("cli", tmp_path, tmp_path)
     assert not (tmp_path / "BENCH_cli.json").exists()
+
+
+# every germ case searches once, so a traced verify record with fewer
+# searches than germ cases counted only the caller's share of the sweeps
+@pytest.mark.parametrize("searches, refused", [(21, True), (1242, False)])
+def test_a_traced_record_of_a_split_run_is_refused(tmp_path, searches, refused):
+    metrics = {"germs.search.calls": searches, "sweeps.germ-depth-dual-route.cases": 1242,
+               "traces.calls": 0}
+    write(tmp_path, "verify-seed1-trace0.json", record(1, 0, [measured(1.0, 1, 0.1)]))
+    write(tmp_path, "verify-seed3-trace1.json", record(3, 1, [], metrics))
+    if refused:
+        with pytest.raises(ValueError, match="21 germ searches for 1242 germ cases: .*"
+                                             "rerun it under taskset -c 0"):
+            bench_append.append("verify", tmp_path, tmp_path)
+        assert not (tmp_path / "BENCH_verify.json").exists()
+    else:
+        new = bench_append.append("verify", tmp_path, tmp_path)
+        assert new["counts"]["seed3"]["germs.search.calls"] == 1242

@@ -343,16 +343,16 @@ def test_resolution_tree_with_residual():
 
 
 def test_depth_bound_by_class():
-    assert depth_bound(TerminalClass("gorenstein")) == DepthBound.exactly(0)
+    assert depth_bound(TerminalClass("gorenstein")) == DepthBound(lower=0, upper=0, exact=True)
     b = depth_bound(TerminalClass("cyclic", quotient=CyclicQuotient(5, (2, 3, 1))))
-    assert b == DepthBound.exactly(4)
+    assert b == DepthBound(lower=4, upper=4, exact=True)
     b = depth_bound(TerminalClass("cyclic", quotient=CyclicQuotient(1, (0, 0, 0))))
-    assert b == DepthBound.exactly(0)
+    assert b == DepthBound(lower=0, upper=0, exact=True)
     # a quotient with no terminal normal form is refused, as basket_of does
     with pytest.raises(NotTerminalForm, match=r"1/5\(1, 1, 1\) has no"):
         depth_bound(TerminalClass("cyclic", quotient=CyclicQuotient(5, (1, 1, 1))))
     b = depth_bound(TerminalClass("cA/r", germ=G3))
-    assert b == DepthBound.exactly(9)
+    assert b == DepthBound(lower=9, upper=9, exact=True)
     # non-cA classes carry only a hard ceiling, read off the elephant
     assert depth_bound(TerminalClass("cAx/4", k=3)) == DepthBound(upper=7)
     assert depth_bound(TerminalClass("cD/2", k=4)) == DepthBound(upper=8)

@@ -4,11 +4,15 @@ and the message each one raises.  Every int field of a record refuses a
 float or a bool: one input per field, and so does every int argument of
 the chain walks, the depth identity and the depth searches: one float
 and one bool each.  Every rational input refuses a float, a bool or a
-str: one input of each per field."""
+str: one input of each per field.  And the record probe: any odd value in
+any one field of a validating record builds it or raises a domain error."""
+
+from fractions import Fraction
 
 import pytest
 
-from wresolve.baskets import Basket, BasketEntry, CyclicQuotient
+import wresolve
+from wresolve.baskets import CD2, Basket, BasketEntry, CyclicQuotient, TerminalClass
 from wresolve.chains import O3CaseA, O3CaseB, chain_simulate, chain_stages_b, depth_identity
 from wresolve.errors import InvalidCaseData, InvalidParameter, WresolveError
 from wresolve.germs import CARGerm, DepthBound, cyclic_depth_search, depth_search
@@ -22,8 +26,8 @@ from wresolve.neighborhoods import (
     SemistableIAIACase,
     key_check,
 )
-from wresolve.riemannroch import delta_chi
-from wresolve.traces import FLOP, TraceStep
+from wresolve.riemannroch import E2, ContractionCase, delta_chi
+from wresolve.traces import FLOP, FactorizationTrace, TraceStep
 
 
 def depth_bounds(lower, upper):
@@ -77,6 +81,22 @@ CASES = [
      "no axial monomial: axial weight would be infinite"),
     (CyclicQuotient, (0, (1, -1, 1)), ValueError, "quotient index must be >= 1"),
     (CyclicQuotient, (5, (1, 4)), ValueError, "need exactly three weights"),
+    # a name is looked up in its public tuple, an unhashable one too
+    (TerminalClass, (["cD/2"],), InvalidParameter, "unknown class kind ['cD/2']"),
+    (ContractionCase, (["E2"], 3), InvalidParameter, "unknown case tag ['E2']"),
+    # a basket takes a collection of rows, each of BasketEntry's shape
+    (Basket, (7,), InvalidParameter, "basket rows are (b, r) or (b, r, n), not 7"),
+    (Basket, (["x"],), InvalidParameter, "basket rows are (b, r) or (b, r, n), not 'x'"),
+    (Basket, ([(1, 2), (1, 3, 1, 1)],), InvalidParameter,
+     "basket rows are (b, r) or (b, r, n), not (1, 3, 1, 1)"),
+    (CyclicQuotient, (5, 7), InvalidParameter, "need exactly three weights"),
+    # a trace takes a collection of TraceSteps only
+    (FactorizationTrace, (7,), InvalidParameter, "trace steps must be a collection, not 7"),
+    # and refuses a raw tuple, which would skip TraceStep's checks
+    (FactorizationTrace, ([(FLOP, 1.5, 1.5)],), InvalidParameter,
+     "trace step must be a TraceStep, not ('Flop', 1.5, 1.5)"),
+    (FactorizationTrace, ([TraceStep(FLOP, 1, 1), (FLOP, 1, 1)],), InvalidParameter,
+     "trace step must be a TraceStep, not ('Flop', 1, 1)"),
     (BasketEntry, (3, 5), ValueError, "entry (3, 5) outside 0 < b <= r/2"),
     (BasketEntry, (0, 5), ValueError, "entry (0, 5) outside 0 < b <= r/2"),
     (BasketEntry, (2, 4), ValueError, "entry (2, 4) has gcd > 1"),
@@ -245,3 +265,51 @@ def test_a_record_that_passes_is_its_type_and_fields(record, fields):
     assert tuple(record) == fields
     assert record == cls._make(fields) and type(cls._make(fields)) is cls
     assert dict(zip(cls._fields, fields)) == record._asdict()
+
+
+# The record probe: each validating record from one valid set of fields,
+# with each field in turn set to each odd value.  The record builds or
+# raises a domain error; no TypeError or AttributeError gets out.
+ODD = (None, 7, 2.5, True, "x", ["a"], [1], (1, 2), {}, frozenset(), [(0, 1, 2)],
+       -1, 0, Fraction(1, 2))
+RECORDS = [
+    (CyclicQuotient, dict(r=5, weights=(1, 4, 2))),
+    (BasketEntry, dict(b=1, r=3, n=2)),
+    (Basket, dict(entries=[(1, 3, 2)])),
+    (TerminalClass, dict(kind=CD2, k=4, quotient=None, germ=None)),
+    (O3CaseA, dict(a=3, d=1, alpha=2, supp_a={(2, 0)}, supp_b=frozenset())),
+    (O3CaseB, dict(a=3, d=1, supp_a=frozenset(), supp_b=frozenset())),
+    (CARGerm, dict(r=5, beta=2, support={(0, 2), (1, 1)})),
+    (DepthBound, dict(lower=1, upper=2, exact=False)),
+    (ENPoint, dict(r=3, w0=Fraction(1, 3))),
+    (ICCase, dict(r=5)),
+    (IIBCase, dict(r1=3, r2=2, r3=1, r4=1)),
+    (IACase, dict(r=5, a1=1, a2=2)),
+    (ExceptionalIAIACase, dict(r=5, a2=3)),
+    (SemistableIAIACase, dict(r=5, a=3, rprime=3, aprime=2)),
+    (IAIAIIICase, dict(r=5, a2=3)),
+    (ContractionCase, dict(tag=E2, rprime=3)),
+    (TraceStep, dict(kind=FLOP, dep_before=1, dep_after=1)),
+    (FactorizationTrace, dict(steps=[TraceStep(FLOP, 1, 1)])),
+]
+
+
+def test_the_probe_covers_every_validating_record():
+    exported = (getattr(wresolve, name) for name in wresolve.__all__)
+    checked = {v for v in exported if isinstance(v, type) and "__new__" in vars(v)}
+    assert checked == {record for record, _ in RECORDS}
+
+
+@pytest.mark.parametrize("record, fields", RECORDS, ids=[r.__name__ for r, _ in RECORDS])
+def test_an_odd_field_builds_or_raises_a_domain_error(record, fields):
+    record(**fields)
+    bad = []
+    for name in fields:
+        for odd in ODD:
+            try:
+                record(**{**fields, name: odd})
+            except WresolveError:
+                pass
+            except Exception as exc:
+                bad.append((name, odd, type(exc).__name__))
+    assert bad == []

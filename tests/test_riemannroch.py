@@ -25,11 +25,11 @@ from wresolve.riemannroch import (
 
 def test_correction_frozen():
     assert rr_correction(Basket()) == 0
-    assert rr_correction(Basket.of((1, 2))) == Fraction(1, 4)
-    assert rr_correction(Basket.of((2, 5))) == Fraction(3, 5)
-    assert rr_correction(Basket.of((1, 4), (1, 2))) == Fraction(5, 8)
-    assert rr_correction(Basket.of((5, 18))) == Fraction(65, 36)
-    assert rr_correction(Basket.of((1, 2, 7))) == Fraction(7, 4)
+    assert rr_correction(Basket([(1, 2)])) == Fraction(1, 4)
+    assert rr_correction(Basket([(2, 5)])) == Fraction(3, 5)
+    assert rr_correction(Basket([(1, 4), (1, 2)])) == Fraction(5, 8)
+    assert rr_correction(Basket([(5, 18)])) == Fraction(65, 36)
+    assert rr_correction(Basket([(1, 2, 7)])) == Fraction(7, 4)
 
 
 def test_delta_chi_requires_positive_volume():

@@ -1,5 +1,6 @@
 """Plumbing of the verification sweeps: reporting, generators, mutants."""
 
+import errno
 import functools
 import itertools
 import os
@@ -350,6 +351,26 @@ def test_a_sweep_whose_child_dies_runs_here(monkeypatch, name):
     _no_children()
 
 
+# os.fork refusing process 1, then process 2, of three: the calls of every
+# process not started run here, and the list is the one-process list
+@pytest.mark.parametrize("refused", [1, 2])
+def test_a_refused_fork_runs_its_calls_here(monkeypatch, refused):
+    _pin(monkeypatch, 1)
+    alone = _summary(sweeps.run_all(**QUICK))
+    real, forks = os.fork, itertools.count(1)
+
+    def fork():
+        if next(forks) == refused:
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return real()
+
+    monkeypatch.setattr(os, "fork", fork)
+    _pin(monkeypatch, 3)
+    assert _summary(sweeps.run_all(**QUICK)) == alone
+    assert next(forks) == refused + 1  # no fork after the refused one
+    _no_children()
+
+
 def test_no_child_outlives_run_all(monkeypatch):
     _pin(monkeypatch, 2)
     assert len(sweeps.run_all(**QUICK)) == 10
@@ -476,7 +497,7 @@ def test_rr_sweep_catches_a_wrong_bound(monkeypatch):
 
 def test_rr_sweep_reads_the_cd2_basket_at_every_step(monkeypatch):
     monkeypatch.setattr(
-        riemannroch, "cd2_basket", lambda aw: riemannroch.Basket.of((1, 2, aw + 1))
+        riemannroch, "cd2_basket", lambda aw: riemannroch.Basket([(1, 2, aw + 1)])
     )
     res = sweeps.sweep_rr_bounds(40)
     assert res.ok is False

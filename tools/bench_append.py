@@ -12,8 +12,11 @@ request counts of all the records; and, per seed of a --trace 1 record,
 cli.import_ms and the machine-independent counts (every *.calls,
 chains.stages, traces.steps_checked and sweeps.*.cases).  An entry is
 only ever appended: the entries already in the file are kept as they are,
-and records that an entry already sums up are refused.  Standard library
-only.
+and records that an entry already sums up are refused.  So is a --trace 1
+record that counts fewer germs.search.calls than germ-depth-dual-route
+cases: every germ case searches once, so its counts cover only the share
+of the sweeps run in the traced process, and it must be run again under
+``taskset -c 0``.  Standard library only.
 """
 
 from __future__ import annotations
@@ -51,6 +54,13 @@ def entry(records: dict[str, dict]) -> dict:
         raise ValueError(f"the records come from different trees: {sorted(shas)}")
     plain = [r for r in records.values() if not r["args"]["trace"]]
     traced = [r for r in records.values() if r["args"]["trace"]]
+    for name, r in records.items():
+        searches = r["metrics"].get("germs.search.calls", 0)
+        cases = r["metrics"].get("sweeps.germ-depth-dual-route.cases", 0)
+        if r["args"]["trace"] and searches < cases:
+            raise ValueError(
+                f"{name} counts {searches} germ searches for {cases} germ cases: "
+                "the sweeps ran in several processes; rerun it under taskset -c 0")
     passes = [p for r in plain for p in r["passes"] if "error" not in p]
     # a pass with requests measured them; a set-up pass only starts
     measured = [p for p in passes if p["outcomes"]]
