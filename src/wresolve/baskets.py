@@ -37,13 +37,13 @@ from collections import namedtuple
 from math import gcd
 from typing import TYPE_CHECKING
 
-from .errors import InvalidParameter, NotTerminalForm, _int
+from .errors import InvalidParameter, NotTerminalForm, _Record, _int
 
 if TYPE_CHECKING:  # pragma: no cover
     from .germs import CARGerm
 
 
-class CyclicQuotient(namedtuple("CyclicQuotient", "r weights")):
+class CyclicQuotient(_Record, namedtuple("CyclicQuotient", "r weights")):
     """Cyclic quotient germ 1/r(w1, w2, w3); weights are stored mod r.
     The index and the weights are ints; a float or a bool is refused.
 
@@ -95,7 +95,7 @@ def normalize_cyclic(q: CyclicQuotient) -> tuple[int, int]:
     return (b, r)
 
 
-class BasketEntry(namedtuple("BasketEntry", "b r n")):
+class BasketEntry(_Record, namedtuple("BasketEntry", "b r n")):
     """n copies of the cyclic point (b, r), already in normal form: the
     row (b, r, n) of a basket, n = 1 when left out."""
 
@@ -113,7 +113,7 @@ class BasketEntry(namedtuple("BasketEntry", "b r n")):
         return tuple.__new__(cls, (b, r, n))
 
 
-class Basket(namedtuple("Basket", "entries")):
+class Basket(_Record, namedtuple("Basket", "entries")):
     """Multiset of normal-form cyclic points, canonically merged and sorted.
 
     Built from a collection of rows, each (b, r) or (b, r, n) and each
@@ -218,7 +218,7 @@ _KINDS = {
 KINDS = tuple(_KINDS)
 
 
-class TerminalClass(namedtuple("TerminalClass", "kind k quotient germ")):
+class TerminalClass(_Record, namedtuple("TerminalClass", "kind k quotient germ")):
     """A terminal point labelled by its class in the classification.
 
     Each kind takes exactly the datum its row of the class table names:

@@ -44,7 +44,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .errors import ConstraintViolation, InvalidParameter, _int, _support, paused_gc
+from .errors import ConstraintViolation, InvalidParameter, _Record, _int, _support, paused_gc
 
 
 def _check_a_d(a, d) -> None:
@@ -58,7 +58,7 @@ def _check_a_d(a, d) -> None:
         raise InvalidParameter("need d >= 1")
 
 
-class O3CaseA(namedtuple("O3CaseA", "a d alpha supp_a supp_b")):
+class O3CaseA(_Record, namedtuple("O3CaseA", "a d alpha supp_a supp_b")):
     """Shape-A chain data; r = 2ad - 1.
 
     The shape's rules are its attributes, and the shared entry points read
@@ -107,7 +107,7 @@ class O3CaseA(namedtuple("O3CaseA", "a d alpha supp_a supp_b")):
         return chain_simulate(self, k_max)
 
 
-class O3CaseB(namedtuple("O3CaseB", "a d supp_a supp_b")):
+class O3CaseB(_Record, namedtuple("O3CaseB", "a d supp_a supp_b")):
     """Shape-B chain data; r = (2d+1)a - 2.  Its rules are the attributes
     that O3CaseA describes; y, u and w sit at 2d plus the offsets."""
 

@@ -11,10 +11,11 @@ rest below.  Any other ValueError is a bug, and the CLI lets it through.
 
 Every layer imports this module, so what several layers share lives here
 too and costs no layer an import: ``paused_gc``, which keeps the cyclic
-collector off while a walk builds its rows; ``_support``, the check of
-the monomial supports of the cA/r germs and both chain shapes;
-``_int``, the check of a lone int argument; and ``_rational``, the check
-of every rational input.
+collector off while a walk builds its rows; ``_Record``, the first base
+of every validating record; ``_support``, the check of the monomial
+supports of the cA/r germs and both chain shapes; ``_int``, the check of
+a lone int argument; and ``_rational``, the check of every rational
+input.
 """
 
 import functools
@@ -55,6 +56,22 @@ def paused_gc(walk):
             gc.enable()
 
     return paused
+
+
+class _Record:
+    """The first base of every validating record: its ``_make``, and so
+    namedtuple's ``_replace``, which calls it, build through the record's
+    constructor and its checks.  The fields go in by name, since
+    DepthBound takes keywords only."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        values = tuple(iterable)
+        if len(values) != len(cls._fields):
+            raise TypeError(f"Expected {len(cls._fields)} arguments, got {len(values)}")
+        return cls(**dict(zip(cls._fields, values)))
 
 
 def _support(raw) -> frozenset:

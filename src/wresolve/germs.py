@@ -39,10 +39,10 @@ from collections import namedtuple
 from math import gcd
 
 from .baskets import CyclicQuotient, TerminalClass
-from .errors import InvalidParameter, InvalidSplit, SearchLimitExceeded, _int, _support
+from .errors import InvalidParameter, InvalidSplit, SearchLimitExceeded, _Record, _int, _support
 
 
-class CARGerm(namedtuple("CARGerm", "r beta support")):
+class CARGerm(_Record, namedtuple("CARGerm", "r beta support")):
     """Monomial data of a cA/r germ: index r, axis weight beta (stored mod
     r), support (a frozenset of (i, j) pairs); every number an int, and a
     float or a bool is refused, not truncated."""
@@ -246,7 +246,7 @@ def _walk(g: CARGerm, limit: int | None):
         lam -= n1
 
 
-class DepthBound(namedtuple("DepthBound", "lower upper exact")):
+class DepthBound(_Record, namedtuple("DepthBound", "lower upper exact")):
     """Depth estimate: optional lower bound, hard upper bound, exactness.
     Built by keyword only; each bound given must be an int, and a float or
     a bool is refused."""

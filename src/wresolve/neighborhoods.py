@@ -42,10 +42,10 @@ from collections import namedtuple
 from fractions import Fraction
 from math import gcd
 
-from .errors import InvalidCaseData, _int, _rational
+from .errors import InvalidCaseData, _Record, _int, _rational
 
 
-class ENPoint(namedtuple("ENPoint", "r w0")):
+class ENPoint(_Record, namedtuple("ENPoint", "r w0")):
     """A singular point on the extremal curve: index r and its w_P(0)."""
 
     __slots__ = ()
@@ -88,7 +88,7 @@ class _Shape:
     _index = property(lambda self: self.r)
 
 
-class ICCase(_Shape, namedtuple("ICCase", "r")):
+class ICCase(_Record, _Shape, namedtuple("ICCase", "r")):
     __slots__ = ()
     _kx_max = property(lambda self: Fraction(-1, self.r))
     _cf = Fraction(1)
@@ -101,7 +101,7 @@ class ICCase(_Shape, namedtuple("ICCase", "r")):
         return super().__new__(cls, r)
 
 
-class IIBCase(_Shape, namedtuple("IIBCase", "r1 r2 r3 r4")):
+class IIBCase(_Record, _Shape, namedtuple("IIBCase", "r1 r2 r3 r4")):
     """A cAx/4 point: index 4, C_Y . F = min(3/r1, 2/r2)."""
 
     __slots__ = ()
@@ -125,7 +125,7 @@ class IIBCase(_Shape, namedtuple("IIBCase", "r1 r2 r3 r4")):
         return Fraction(2, self.r2)
 
 
-class IACase(_Shape, namedtuple("IACase", "r a1 a2")):
+class IACase(_Record, _Shape, namedtuple("IACase", "r a1 a2")):
     """Ordinary point of type (r; a1, a2); r1 = a1 a2^(-1) mod r."""
 
     __slots__ = ()
@@ -166,7 +166,7 @@ class _A2Shape(_Shape):
         return Fraction(-s, 2 * self.r), s, None
 
 
-class ExceptionalIAIACase(_A2Shape, namedtuple("ExceptionalIAIACase", "r a2")):
+class ExceptionalIAIACase(_Record, _A2Shape, namedtuple("ExceptionalIAIACase", "r a2")):
     """(r; 1, a2) with a2 > r/2 plus the index-2 companion point."""
 
     __slots__ = ()
@@ -180,7 +180,7 @@ class ExceptionalIAIACase(_A2Shape, namedtuple("ExceptionalIAIACase", "r a2")):
 
 
 class SemistableIAIACase(
-    _Shape, namedtuple("SemistableIAIACase", "r a rprime aprime")
+    _Record, _Shape, namedtuple("SemistableIAIACase", "r a rprime aprime")
 ):
     """Points (r; 1, a) and (r'; 1, a') with delta = ar' + a'r - rr' > 0;
     K_X . C = -delta / rr' and r1 = a^(-1) mod r."""
@@ -211,7 +211,7 @@ class SemistableIAIACase(
         return Fraction(-delta, self.r * self.rprime), None, delta
 
 
-class IAIAIIICase(_A2Shape, namedtuple("IAIAIIICase", "r a2")):
+class IAIAIIICase(_Record, _A2Shape, namedtuple("IAIAIIICase", "r a2")):
     """Same numerics as ExceptionalIAIA, with a type III companion."""
 
     __slots__ = ()

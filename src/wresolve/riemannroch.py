@@ -35,7 +35,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .baskets import Basket, BasketEntry, CyclicQuotient, normalize_cyclic
-from .errors import InvalidParameter, _rational
+from .errors import InvalidParameter, _Record, _rational
 
 E1_A4 = "E1_a4"
 E1_A2 = "E1_a2"
@@ -44,7 +44,7 @@ E11 = "E11"
 O3 = "O3"
 
 
-class ContractionCase(namedtuple("ContractionCase", "tag rprime")):
+class ContractionCase(_Record, namedtuple("ContractionCase", "tag rprime")):
     """One classified contraction case; r' parametrizes the E1/E2 families."""
 
     __slots__ = ()

@@ -11,10 +11,10 @@ raises fails its case, and the next case runs. A raise while the stream
 is set up or makes a case ends the sweep as a failure at that case's
 number, so no sweep function raises. The runner names a failing case by
 the repr of its args, so a check never names its own case; what several
-cases share (a table of corr(X), the mutants a trace end depth accepts)
-goes in as a keyword bound by ``functools.partial`` and is not part of
-the name. Everything is deterministic; the randomized sweeps take an
-explicit seed.
+cases share (the per-run cache of corr(X), the mutants a trace end depth
+accepts) goes in as a keyword bound by ``functools.partial`` and is not
+part of the name. Everything is deterministic; the randomized sweeps take
+an explicit seed.
 
 The sweeps share no state, so ``run_all`` spreads them over the CPUs the
 process may use, in forked children with a fixed split, and returns the
@@ -254,21 +254,7 @@ def sweep_residual_recursion(r_max: int) -> SweepResult:
     return _run("residual-recursion", cases)
 
 
-class _CorrX(dict):
-    """corr(X) of the cD/2 point of each axial weight awx, summed over its
-    basket ``cd2_basket(awx)`` the first time it is asked for; one table
-    serves every case of the chi-threshold scan."""
-
-    __slots__ = ()
-
-    def __missing__(self, awx: int) -> Fraction:
-        corr = self[awx] = riemannroch.rr_correction(riemannroch.cd2_basket(awx))
-        return corr
-
-
-def _check_rr_bounds(
-    case: riemannroch.ContractionCase, data, corr_x: _CorrX
-) -> str | None:
+def _check_rr_bounds(case: riemannroch.ContractionCase, data, corr_x) -> str | None:
     bound = riemannroch.aw_upper_bound(case)
     if bound > data.sufficient_bound:
         return f"bound {bound} too large"
@@ -281,7 +267,7 @@ def _check_rr_bounds(
     )
 
     def jump(awx):
-        return base - corr_x[awx]
+        return base - corr_x(awx)
 
     scan = 0
     awx = 1
@@ -308,7 +294,11 @@ def sweep_rr_bounds(rp_max: int) -> SweepResult:
     """Axial-weight bounds from the chi threshold, plus case depth checks,
     over every r' <= rp_max that case_data takes."""
     def cases():
-        check = functools.partial(_check_rr_bounds, corr_x=_CorrX())
+        # corr(X) of the cD/2 point of each axial weight, summed over its
+        # basket once per run: one cache serves every case of the scan
+        corr_x = functools.cache(lambda awx: riemannroch.rr_correction(
+            riemannroch.cd2_basket(awx)))
+        check = functools.partial(_check_rr_bounds, corr_x=corr_x)
         for tag in (riemannroch.E1_A4, riemannroch.E1_A2, riemannroch.E2):
             for rp in range(1, rp_max + 1):
                 case = riemannroch.ContractionCase(tag, rp)
@@ -452,6 +442,29 @@ def _check_depth_identity(case, dep_q3: int) -> str | None:
     return None
 
 
+def _family_failure(name, case, support, form, offset, step, rows, top):
+    """The first failure of one family of chain z-exponents, or None.
+
+    The closed form ``form(i, j, k, d)`` of each (i, j) of the support is
+    j + offset at stage 0 (the germ itself) and steps by i + step[k % 2]
+    from stage k to k + 1, the paper's recurrence; each top-stage row
+    ((i, j), e) of the walk reads ``top(i, j)``, the stage-a formula."""
+    d = case.d
+    for i, j in support:
+        if form(i, j, 0, d) != j + offset:
+            return f"stage-0 {name} mismatch"
+    for k in range(case.a):
+        want = step[k % 2]
+        for i, j in support:
+            if form(i, j, k + 1, d) - form(i, j, k, d) != i + want:
+                return f"{name} recurrence broke"
+    for (i, j), e in rows:
+        want = top(i, j)
+        if e != want:
+            return f"top-stage {name} {e} != {want}"
+    return None
+
+
 def _check_case_a(case: chains.O3CaseA, dep_q3: int) -> str | None:
     a, d, alpha, r = case.a, case.d, case.alpha, case.r
     stages = chains.chain_simulate(case)
@@ -465,33 +478,22 @@ def _check_case_a(case: chains.O3CaseA, dep_q3: int) -> str | None:
             return f"stage {st.k} discrepancy {st.discrepancy}"
         if not st.witnesses:
             return f"stage {st.k} lost its weight witnesses"
-    # stage 0 is the germ itself: each closed form starts at its own j
-    for i, j in case.supp_a:
-        if chains.beta_k(i, j, 0, d) != j:
-            return "stage-0 beta mismatch"
-    for i, j in case.supp_b:
-        if chains.gamma_k(i, j, 0, d) != j:
-            return "stage-0 gamma mismatch"
+    top = stages[-1]
+    failure = _family_failure(
+        "beta", case, case.supp_a, chains.beta_k, 0, (-2 * d, -2 * d),
+        top.a_exponents, lambda i, j: a * i + j - r - 1,
+    ) or _family_failure(
+        "gamma", case, case.supp_b, chains.gamma_k, 0, (1 - d, -d),
+        top.b_exponents, lambda i, j: Fraction((2 * i + 1) * a + 2 * j - r, 2),
+    )
+    if failure:
+        return failure
     for k in range(a):
-        for i, j in case.supp_a:
-            if chains.beta_k(i, j, k + 1, d) - chains.beta_k(i, j, k, d) != i - 2 * d:
-                return "beta recurrence broke"
-        for i, j in case.supp_b:
-            want = i + 1 - d if k % 2 == 0 else i - d
-            if chains.gamma_k(i, j, k + 1, d) - chains.gamma_k(i, j, k, d) != want:
-                return "gamma recurrence broke"
         want = alpha - 1 - d if k % 2 == 0 else alpha - d
         if chains.delta_k(k + 1, alpha, d) - chains.delta_k(k, alpha, d) != want:
             return "delta recurrence broke"
     if chains.delta_k(a, alpha, d) != Fraction(2 * a * alpha - a - r - 2, 2):
         return "closed form for delta(a) broke"
-    top = stages[-1]
-    for (i, j), e in top.a_exponents:
-        if e != a * i + j - r - 1:
-            return f"top-stage beta {e} != {a * i + j - r - 1}"
-    for (i, j), e in top.b_exponents:
-        if 2 * e != (2 * i + 1) * a + 2 * j - r:
-            return "top-stage gamma mismatch"
     return _check_depth_identity(case, dep_q3)
 
 
@@ -507,29 +509,14 @@ def _check_case_b(case: chains.O3CaseB, dep_q3: int) -> str | None:
         if st.discrepancy != Fraction(1, 2):
             return f"stage {st.k} discrepancy {st.discrepancy}"
     # stage 0 is the germ itself: x^(2i) z^j and x^(2i+1) z^(j+1)
-    for i, j in case.supp_a:
-        if chains.beta_k_b(i, j, 0, d) != j:
-            return "stage-0 first exponent mismatch"
-    for i, j in case.supp_b:
-        if chains.gamma_k_b(i, j, 0, d) != j + 1:
-            return "stage-0 second exponent mismatch"
-    for k in range(a):
-        for i, j in case.supp_a:
-            if (chains.beta_k_b(i, j, k + 1, d)
-                    - chains.beta_k_b(i, j, k, d)) != i - 2 * d - 1:
-                return "first recurrence broke"
-        for i, j in case.supp_b:
-            if (chains.gamma_k_b(i, j, k + 1, d)
-                    - chains.gamma_k_b(i, j, k, d)) != i - d:
-                return "second recurrence broke"
     top = stages[-1]
-    for (i, j), e in top.p_exponents:
-        if e != a * i + j - r - 2:
-            return "top-stage first exponent mismatch"
-    for (i, j), e in top.q_exponents:
-        if e != j + 1 + a * (i - d):
-            return "top-stage second exponent mismatch"
-    return _check_depth_identity(case, dep_q3)
+    return _family_failure(
+        "first exponent", case, case.supp_a, chains.beta_k_b, 0,
+        (-2 * d - 1, -2 * d - 1), top.p_exponents, lambda i, j: a * i + j - r - 2,
+    ) or _family_failure(
+        "second exponent", case, case.supp_b, chains.gamma_k_b, 1, (-d, -d),
+        top.q_exponents, lambda i, j: j + 1 + a * (i - d),
+    ) or _check_depth_identity(case, dep_q3)
 
 
 def sweep_o3_chains(cases_per_shape: int, seed: int) -> SweepResult:

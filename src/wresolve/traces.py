@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .errors import InvalidParameter, RuleViolation, paused_gc
+from .errors import InvalidParameter, RuleViolation, _Record, paused_gc
 
 WEXTRACTION = "WExtraction"
 FLIP = "Flip"
@@ -46,7 +46,7 @@ BLOWDOWN_LCI = "BlowDownLCI"
 KINDS = (WEXTRACTION, FLIP, FLOP, DIV_TO_POINT, DIV_TO_CURVE, BLOWDOWN_LCI)
 
 
-class TraceStep(namedtuple("TraceStep", "kind dep_before dep_after")):
+class TraceStep(_Record, namedtuple("TraceStep", "kind dep_before dep_after")):
     """One step: operation kind and depth on either side.  Checked, then
     built as one tuple."""
 
@@ -62,7 +62,7 @@ class TraceStep(namedtuple("TraceStep", "kind dep_before dep_after")):
         return tuple.__new__(cls, (kind, dep_before, dep_after))
 
 
-class FactorizationTrace(namedtuple("FactorizationTrace", "steps")):
+class FactorizationTrace(_Record, namedtuple("FactorizationTrace", "steps")):
     """A chain of TraceSteps; rule conformance is checked by validate_trace.
     A value that is no collection, or a step that is no TraceStep (a raw
     tuple included, which would skip TraceStep's checks), is refused with

@@ -5,7 +5,8 @@ float or a bool: one input per field, and so does every int argument of
 the chain walks, the depth identity and the depth searches: one float
 and one bool each.  Every rational input refuses a float, a bool or a
 str: one input of each per field.  And the record probe: any odd value in
-any one field of a validating record builds it or raises a domain error."""
+any one field of a validating record builds it or raises a domain error,
+through the constructor, ``_replace`` and ``_make`` alike."""
 
 from fractions import Fraction
 
@@ -313,3 +314,29 @@ def test_an_odd_field_builds_or_raises_a_domain_error(record, fields):
             except Exception as exc:
                 bad.append((name, odd, type(exc).__name__))
     assert bad == []
+
+
+def _built(build):
+    """What build() returns, or the type and message of the domain error it
+    raises."""
+    try:
+        return build()
+    except WresolveError as exc:
+        return type(exc), str(exc)
+
+
+# _replace and _make build through the constructor: each odd value in each
+# field gives the record the constructor gives, or the error it raises
+@pytest.mark.parametrize("record, fields", RECORDS, ids=[r.__name__ for r, _ in RECORDS])
+def test_replace_and_make_build_through_the_constructor(record, fields):
+    base = record(**fields)
+    for name in fields:
+        for odd in ODD:
+            want = _built(lambda: record(**{**base._asdict(), name: odd}))
+            assert _built(lambda: base._replace(**{name: odd})) == want, (name, odd)
+            values = [odd if field == name else value
+                      for field, value in zip(base._fields, base)]
+            assert _built(lambda: record._make(values)) == want, (name, odd)
+    # and _make keeps namedtuple's length check
+    with pytest.raises(TypeError):
+        record._make((*base, None))

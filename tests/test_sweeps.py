@@ -5,9 +5,11 @@ import functools
 import itertools
 import os
 import random
+import re
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from math import gcd
 from pathlib import Path
 
@@ -87,7 +89,13 @@ def test_germ_sweep_normalizes_once_per_index_pair(monkeypatch):
 
 
 def test_one_corr_x_per_axial_weight_is_the_cd2_correction():
-    corr_x = sweeps._CorrX()
+    summed = []
+
+    def correction(awx):
+        summed.append(awx)
+        return riemannroch.rr_correction(riemannroch.cd2_basket(awx))
+
+    corr_x = functools.cache(correction)
     bounds = []
     for tag in (riemannroch.E1_A4, riemannroch.E1_A2, riemannroch.E2):
         for rp in range(1, 41):
@@ -99,10 +107,11 @@ def test_one_corr_x_per_axial_weight_is_the_cd2_correction():
             assert sweeps._check_rr_bounds(case, data, corr_x) is None
             bounds.append(riemannroch.aw_upper_bound(case))
     assert len(bounds) == 57
-    # each case's scan runs to one past its bound
-    assert sorted(corr_x) == list(range(1, max(bounds) + 2))
-    for awx, corr in corr_x.items():
-        assert corr == riemannroch.rr_correction(riemannroch.cd2_basket(awx))
+    # each case's scan runs to one past its bound, and sums each basket once
+    assert summed == list(range(1, max(bounds) + 2))
+    assert corr_x.cache_info().currsize == len(summed)
+    for awx in summed:
+        assert corr_x(awx) == riemannroch.rr_correction(riemannroch.cd2_basket(awx))
 
 
 def test_random_traces_are_valid():
@@ -467,6 +476,51 @@ def test_o3_sweep_catches_a_shifted_closed_form(monkeypatch, name, detail):
     assert not res.ok
     assert res.cases == 408
     assert res.detail == detail
+
+
+# the four families of chain exponents: the name the sweep gives each, its
+# closed form, and the walk and stage field that hold its rows
+FAMILIES = [
+    ("beta", "beta_k", "chain_simulate", "a_exponents"),
+    ("gamma", "gamma_k", "chain_simulate", "b_exponents"),
+    ("first exponent", "beta_k_b", "chain_stages_b", "p_exponents"),
+    ("second exponent", "gamma_k_b", "chain_stages_b", "q_exponents"),
+]
+
+
+# a closed form right at stages 0 and 1 but off from stage 2 on passes the
+# stage-0 anchor, so only the per-stage differences catch it
+@pytest.mark.parametrize("name, form, walk, rows", FAMILIES, ids=[f[1] for f in FAMILIES])
+def test_o3_sweep_catches_a_closed_form_off_from_stage_2(
+        monkeypatch, name, form, walk, rows):
+    real = getattr(chains, form)
+    monkeypatch.setattr(chains, form, lambda i, j, k, d: real(i, j, k, d) + (k >= 2))
+    res = sweeps.sweep_o3_chains(200, seed=20240817)
+    assert not res.ok
+    assert res.cases == 408
+    assert res.detail.endswith(f": {name} recurrence broke")
+
+
+# the walk's top stage is checked against the paper's stage-a formula, and
+# the detail shows the walk's exponent and the formula's
+@pytest.mark.parametrize("name, form, walk, rows", FAMILIES, ids=[f[1] for f in FAMILIES])
+def test_o3_sweep_catches_a_top_stage_row_off_by_one(monkeypatch, name, form, walk, rows):
+    real = getattr(chains, walk)
+
+    def raised_top(case):
+        stages = real(case)
+        top = stages[-1]
+        raised = tuple((ij, e + 1) for ij, e in getattr(top, rows))
+        return stages[:-1] + (top._replace(**{rows: raised}),)
+
+    monkeypatch.setattr(chains, walk, raised_top)
+    res = sweeps.sweep_o3_chains(200, seed=20240817)
+    assert not res.ok
+    assert res.cases == 408
+    found = re.fullmatch(rf"\d+ failed, first: .*: top-stage {name} (\S+) != (\S+)",
+                         res.detail)
+    assert found
+    assert Fraction(found[1]) == Fraction(found[2]) + 1
 
 
 def test_runner_counts_every_case_after_a_failure(monkeypatch):
