@@ -26,7 +26,11 @@ Every chain weight is a half-integer, so the walks weigh monomials in
 doubled weights (x -> 1, z -> 2, y, u, w -> 2d-1, 2d+1 or 2d+3) and do
 integer work per stage; Fractions appear only in the stage fields.
 beta_k, gamma_k, delta_k, beta_k_b and gamma_k_b keep the exact rational
-closed forms the walks are checked against.
+closed forms the walks are checked against.  At a fixed parity p of the
+stage k = 2m + p each of those exponents moves by a constant every two
+stages, so both walks compute all five families by one row rule
+(``_rows_at``): a row (monomial, b, s, c), built once per parity, has
+exponent b + m s and doubled weight c + 2 (b + m s).
 
 Each shape's rules are attributes of its record class (O3CaseA lists
 them): its weight offsets, its certified y-term count, its depth terms,
@@ -175,20 +179,6 @@ def gamma_k_b(i: int, j: int, k: int, d: int) -> int:
     return j + 1 + k * (i - d)
 
 
-def _lines_a(case: O3CaseA):
-    """Shape-A z-exponents as affine functions base + k * slope of the stage.
-
-    One (monomial, base, slope, x-degree) row per first-support term (beta)
-    and per second-support term (2 gamma, which also gains k mod 2), and
-    the slope of 2 delta (which loses k mod 2; its base is 0).
-    """
-    d = case.d
-    beta = [((i, j), j, i - 2 * d, 2 * i) for i, j in sorted(case.supp_a)]
-    gamma2 = [((i, j), 2 * j, 2 * i + 1 - 2 * d, 2 * i + 1)
-              for i, j in sorted(case.supp_b)]
-    return beta, gamma2, 2 * case.alpha - 1 - 2 * d
-
-
 def _lines_b(case: O3CaseB):
     """Shape-B z-exponents as (monomial, base, slope, x-degree) rows: the
     first-equation terms x^(2i) z^j, then the second-equation x^(2i+1)."""
@@ -260,7 +250,7 @@ def chain_weights(case, k: int) -> tuple[Fraction, ...]:
     Shape A orders the coordinates (x, y, z, u), shape B (x, y, z, u, w);
     x and z always carry 1/2 and 1.
     """
-    return tuple(Fraction(w, 2) for w in _doubled_weights(case, k))
+    return tuple(Fraction(w, 2) for w in _doubled_weights(case, _int(k, "stage")))
 
 
 class ChainStage(
@@ -292,16 +282,30 @@ def _stage_range(case, k_max: int | None, pivot=None) -> int:
     return k_max
 
 
-def _rows_at(lines, k: int, wx: int, wz: int, wts: list) -> tuple:
-    """Stage-k exponents of (monomial, base, slope, x-degree) rows.
+def _rows_at(rows, m: int, wts: list) -> tuple:
+    """Exponents at stage k = 2m + p of rows (monomial, b, s, c) built for
+    the parity p; appends each row's doubled weight c + 2 e to wts.
 
-    Appends each row's doubled weight x-degree * wx + exponent * wz to wts.
+    Each closed form is affine in k, or half of an affine form with a
+    (k mod 2) term, so at a fixed parity it is b + m s, with b its value
+    at k = p and s its change over two stages.  With t = 2 alpha - 1 - 2d:
+
+        family                  closed form                b                   s
+        shape A x^(2i) z^j      j + k (i - 2d)             j + p (i - 2d)      2 (i - 2d)
+        shape A u x^(2i+1) z^j  (2j + k (2i+1-2d) + p)/2   j + p (i + 1 - d)   2i + 1 - 2d
+        shape A y x^(2 alpha-1) (k t - p) / 2              p (t - 1) / 2       t
+        shape B first x^(2i)    j + k (i - 2d - 1)         j + p (i - 2d - 1)  2 (i - 2d - 1)
+        shape B second x^(2i+1) j + 1 + k (i - d)          j + 1 + p (i - d)   2 (i - d)
+
+    (t is odd, so (t - 1) / 2 is exact.)  x weighs 1 and z weighs 2, so a
+    row weighs c + 2 e, where c is the row's x-degree plus, for shape A's
+    u- and y-terms, the doubled weight of u or y at parity p.
     """
     exps = []
-    for ij, base, slope, x_deg in lines:
-        e = base + k * slope
+    for ij, b, s, c in rows:
+        e = b + m * s
         exps.append((ij, e))
-        wts.append(x_deg * wx + e * wz)
+        wts.append(c + 2 * e)
     return tuple(exps)
 
 
@@ -313,18 +317,18 @@ def chain_simulate(case: O3CaseA, k_max: int | None = None) -> tuple[ChainStage,
     when missing).  check_constraints and the pivot then certify that every
     stage below a has equation weight exactly 2d, witnessed by the parity
     lead and by x^(4d).  In doubled weights (x -> 1, z -> 2, target 4d),
-    with m = k + 1 and 1 <= m <= a for the stages k < a:
+    with n = k + 1 and 1 <= n <= a for the stages k < a:
 
     * the lead (y^2 z at even k, u^2 z at odd k) weighs 4d and the other
       built-in monomial 4d + 2;
-    * a beta term weighs 4d + 2 [m (i - 2d) + j], affine in m and >= 4d at
-      m = 0 (j >= 0) and at m = a (the first wall); the pivot weighs 4d;
-    * a gamma term weighs 4d + m (2i + 1 - 2d) + 2j + [k even].  The
-      affine part m (2i + 1 - 2d) + 2j is >= 0 at m = 0 and >= -1 at
-      m = a by the second wall; an integer line that falls is then
-      >= 0 up to m = a - 1, which bounds every odd k (a is odd), and at
+    * a beta term weighs 4d + 2 [n (i - 2d) + j], affine in n and >= 4d at
+      n = 0 (j >= 0) and at n = a (the first wall); the pivot weighs 4d;
+    * a gamma term weighs 4d + n (2i + 1 - 2d) + 2j + [k even].  The
+      affine part n (2i + 1 - 2d) + 2j is >= 0 at n = 0 and >= -1 at
+      n = a by the second wall; an integer line that falls is then
+      >= 0 up to n = a - 1, which bounds every odd k (a is odd), and at
       even k the [k even] adds the missing 1;
-    * the y-term weighs 4d + m (2 alpha - 1 - 2d) at odd k and one less at
+    * the y-term weighs 4d + n (2 alpha - 1 - 2d) at odd k and one less at
       even k, and the alpha wall makes that slope >= 1.
 
     So the walk reports what it measures: sigma_weight 2d and both
@@ -333,57 +337,57 @@ def chain_simulate(case: O3CaseA, k_max: int | None = None) -> tuple[ChainStage,
     The walk weighs monomials in doubled weights, so every stage is
     integer work.  Everything that depends only on the parity of k -- the
     weights, the built-in monomials' weights, the lead and its slot, the
-    witness tuples and the Fraction stage fields -- is built once before
-    the loop and shared by the stages that hit the threshold; each stage
-    is one tuple built straight from its fields.
+    witness tuples, the exponent rows of _rows_at and the Fraction stage
+    fields -- is built once before the loop and shared by the stages that
+    hit the threshold; each stage is one tuple built straight from its
+    fields.
     """
-    d = case.d
+    d, alpha = case.d, case.alpha
     pivot = (2 * d, 0)
     k_max = _stage_range(case, k_max, pivot)
-    beta, gamma2, delta2_slope = _lines_a(case)
-    y_x_deg = 2 * case.alpha - 1  # x-degree of the y-term
+    supp_a, supp_b = sorted(case.supp_a), sorted(case.supp_b)
+    t = 2 * alpha - 1 - 2 * d  # the y-term's slope over two stages
     target = 4 * d
     sigma_weight = Fraction(target, 2)
-    # per parity: the doubled weights, the weights of the two built-in
-    # monomials (z multiplies u^2 at odd k and y^2 at even k), the stage
-    # fields shared by every stage of that parity, and the witnesses.
-    # These are the parity lead (y^2 z at even k, u^2 z at odd k: slot 1
-    # or 0 of the weight list) and the pivot x^(4d) z^0, at a fixed slot
-    # after the built-ins; witnesses[lead hits][pivot hits] names them.
+    # per parity: the weights of the two built-in monomials (z multiplies
+    # u^2 at odd k and y^2 at even k), the stage fields shared by every
+    # stage of that parity, the witnesses, and the beta, gamma and y-term
+    # rows.  The witnesses are the parity lead (y^2 z at even k, u^2 z at
+    # odd k: slot 1 or 0 of the weight list) and the pivot x^(4d) z^0, at
+    # a fixed slot after the built-ins; witnesses[lead hits][pivot hits]
+    # names them.
     pivot_name = f"x{4 * d}z0"
-    pivot_slot = 2 + sorted(case.supp_a).index(pivot)
+    pivot_slot = 2 + supp_a.index(pivot)
     per_parity = []
-    for odd, lead, lead_slot in ((0, "y2z", 1), (1, "u2z", 0)):
-        ws = _doubled_weights(case, odd)
-        wx, wy, wz, wu = ws
+    for p, lead, lead_slot in ((0, "y2z", 1), (1, "u2z", 0)):
+        ws = _doubled_weights(case, p)
+        _, wy, wz, wu = ws
         per_parity.append((
-            ws,
-            (2 * wu + (wz if odd else 0), 2 * wy + (0 if odd else wz)),
+            (2 * wu + (wz if p else 0), 2 * wy + (0 if p else wz)),
             tuple(Fraction(w, 2) for w in ws),
             lead,
             lead_slot,
             Fraction(sum(ws) - target - 2, 2),
             (((), (pivot_name,)), ((lead,), (lead, pivot_name))),
+            [((i, j), j + p * (i - 2 * d), 2 * (i - 2 * d), 2 * i) for i, j in supp_a],
+            [((i, j), j + p * (i + 1 - d), 2 * i + 1 - 2 * d, wu + 2 * i + 1)
+             for i, j in supp_b],
+            [(None, p * (t - 1) // 2, t, wy + 2 * alpha - 1)],
         ))
     new = tuple.__new__
     stages = []
     append = stages.append
     for k in range(k_max + 1):
-        odd = k % 2
-        (wx, wy, wz, wu), built_in, weights, lead, lead_slot, disc, witnesses = (
-            per_parity[odd])
+        m = k >> 1
+        built_in, weights, lead, lead_slot, disc, witnesses, beta, gamma, y_term = (
+            per_parity[k & 1])
         wts = list(built_in)
-        a_exps = _rows_at(beta, k, wx, wz, wts)
-        b_exps = []
-        for ij, base, slope, x_deg in gamma2:
-            g = (base + k * slope + odd) // 2
-            b_exps.append((ij, g))
-            wts.append(wu + x_deg * wx + g * wz)
-        dl = (k * delta2_slope - odd) // 2
-        wts.append(wy + y_x_deg * wx + dl * wz)
+        a_exps = _rows_at(beta, m, wts)
+        b_exps = _rows_at(gamma, m, wts)
+        ((_, dl),) = _rows_at(y_term, m, wts)
         low = min(wts)
         append(new(ChainStage, (
-            k, weights, lead, a_exps, tuple(b_exps), dl,
+            k, weights, lead, a_exps, b_exps, dl,
             sigma_weight if low == target else Fraction(low, 2),
             disc,
             witnesses[wts[lead_slot] == low][wts[pivot_slot] == low],
@@ -409,43 +413,45 @@ def chain_stages_b(case: O3CaseB, k_max: int | None = None) -> tuple[ChainStageB
     check_constraints certifies that every stage below a has weights 2d+1
     and (2d+1)/2.  In doubled weights the thresholds are 4d+2 and 2d+1,
     which u^2, y w and x^(2d+1) reach at every stage.  A support row of
-    either equation weighs its threshold plus 2 (base + m slope), twice
-    its own exponent at stage m = k + 1, and check_constraints keeps that
+    either equation weighs its threshold plus 2 (base + n slope), twice
+    its own exponent at stage n = k + 1, and check_constraints keeps that
     exponent >= 0 through stage a; the other built-in monomials weigh
     more.  As in chain_simulate the walk does integer work per stage,
-    builds the weights, built-in weights and Fraction stage fields once
-    per parity, and builds each stage straight from its fields.
+    builds the weights, built-in weights, rows and Fraction stage fields
+    once per parity, and builds each stage straight from its fields.
     """
     d = case.d
     k_max = _stage_range(case, k_max)
-    first, second = _lines_b(case)
     t1, t2 = 4 * d + 2, 2 * d + 1
     wt_first, wt_second = Fraction(t1, 2), Fraction(t2, 2)
     # per parity: the doubled weights, the stage fields shared by the
-    # stages that reach both thresholds, and the weights of the built-in
+    # stages that reach both thresholds, the weights of the built-in
     # monomials u^2, y w (first equation) and y, x^(2d+1), w (second;
-    # z multiplies y at even k and w at odd k)
+    # z multiplies y at even k and w at odd k), and the rows of both
+    # equations, read off _lines_b: x weighs 1, so c is the x-degree
     per_parity = []
-    for odd in (0, 1):
-        ws = _doubled_weights(case, odd)
+    for p in (0, 1):
+        ws = _doubled_weights(case, p)
         wx, wy, wz, wu, ww = ws
         per_parity.append((
             ws,
             tuple(Fraction(w, 2) for w in ws),
             Fraction(sum(ws) - t1 - t2 - 2, 2),
             (2 * wu, wy + ww),
-            (wy + (0 if odd else wz), (2 * d + 1) * wx, ww + (wz if odd else 0)),
+            (wy + (0 if p else wz), (2 * d + 1) * wx, ww + (wz if p else 0)),
+            *([(ij, base + p * slope, 2 * slope, x_deg) for ij, base, slope, x_deg in lines]
+              for lines in _lines_b(case)),
         ))
     new = tuple.__new__
     stages = []
     append = stages.append
     for k in range(k_max + 1):
-        doubled, weights, disc, built_in1, built_in2 = per_parity[k % 2]
-        wx, wz = doubled[0], doubled[2]
+        m = k >> 1
+        doubled, weights, disc, built_in1, built_in2, first, second = per_parity[k & 1]
         wts1 = list(built_in1)
-        p_exps = _rows_at(first, k, wx, wz, wts1)
+        p_exps = _rows_at(first, m, wts1)
         wts2 = list(built_in2)
-        q_exps = _rows_at(second, k, wx, wz, wts2)
+        q_exps = _rows_at(second, m, wts2)
         w1, w2 = min(wts1), min(wts2)
         if w1 == t1 and w2 == t2:
             append(new(ChainStageB, (

@@ -72,7 +72,7 @@ def axial_weight(g: CARGerm) -> int:
 
 def nu(g: CARGerm, s: int) -> int:
     """Weighted support minimum nu_s = min s*i + j."""
-    if s < 1:
+    if _int(s, "slope") < 1:
         raise InvalidParameter("slope must be >= 1")
     return min(s * i + j for i, j in g.support)
 
@@ -122,7 +122,7 @@ def blowup_step(g: CARGerm, r1: int, r2: int) -> BlowupResult:
     if g.r == 1:
         raise InvalidSplit("Gorenstein germ admits no depth-one blow-up")
     n1 = nu(g, 1)
-    if r1 < 1 or r2 < 1:
+    if min(_int(r1, "r1", InvalidSplit), _int(r2, "r2", InvalidSplit)) < 1:
         raise InvalidSplit(f"split ({r1}, {r2}) must be positive")
     if r1 + r2 != g.r * n1:
         raise InvalidSplit(

@@ -62,8 +62,12 @@ class ENPoint(_Record, namedtuple("ENPoint", "r w0")):
 
 
 def canonical_degree(points) -> Fraction:
-    """K_X . C = -1 + sum of w_P(0); flipping germs give a negative value."""
-    return Fraction(-1) + sum((Fraction(p.w0) for p in points), Fraction(0))
+    """K_X . C = -1 + sum of w_P(0); flipping germs give a negative value.
+    points must be a collection of ENPoints (InvalidCaseData otherwise)."""
+    try:
+        return Fraction(-1) + sum((p.w0 for p in points), Fraction(0))
+    except (TypeError, AttributeError):  # not a collection, or not of points
+        raise InvalidCaseData(f"points must be ENPoints, not {points!r}") from None
 
 
 def _not_ints(cls, values) -> InvalidCaseData:

@@ -10,6 +10,8 @@ import re
 import sys
 from fractions import Fraction
 
+from .errors import InvalidParameter, _rational
+
 # an optional "-" and ASCII digits only: int() and Fraction() alone also
 # take "1_0", " 7", "+7", other scripts' digits and, for Fraction, "1.5";
 # each run of digits is held to the interpreter's int-string digit limit
@@ -48,8 +50,9 @@ def parse_rat(value):
 
 
 def format_rat(q):
-    """Render a Fraction as "p/q", or "p" when the denominator is 1."""
-    q = Fraction(q)
+    """Render an int or a Fraction as "p/q", or "p" when the denominator
+    is 1; anything else is an InvalidParameter."""
+    q = _rational(q, "rational", InvalidParameter)
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"

@@ -35,7 +35,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .baskets import Basket, BasketEntry, CyclicQuotient, normalize_cyclic
-from .errors import InvalidParameter, _Record, _rational
+from .errors import InvalidParameter, _Record, _int, _rational
 
 E1_A4 = "E1_a4"
 E1_A2 = "E1_a2"
@@ -85,7 +85,7 @@ def delta_chi(a_over_n, e3, basket_y: Basket, basket_x: Basket) -> Fraction:
 
 def cd2_basket(aw: int) -> Basket:
     """Basket of a cD/2 point of axial weight aw: aw copies of (1, 2)."""
-    if aw < 1:
+    if _int(aw, "axial weight") < 1:
         raise InvalidParameter("axial weight must be >= 1")
     return Basket([(1, 2, aw)])
 
@@ -164,7 +164,7 @@ def _family_check(case: ContractionCase, aw: int | None) -> CaseDepthReport:
     """E1/E2: aw lies within the classical sufficient bound, and dep(X) <=
     2 aw by the cD/2 depth bound."""
     *_, bound, dep_y = _closed_forms(case)
-    if aw is None or aw < 1:
+    if aw is None or _int(aw, "aw") < 1:
         raise InvalidParameter(f"{case.tag} needs the axial weight aw >= 1")
     if aw > bound:
         raise InvalidParameter(f"aw = {aw} exceeds the admissible bound {bound}")

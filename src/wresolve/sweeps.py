@@ -442,26 +442,30 @@ def _check_depth_identity(case, dep_q3: int) -> str | None:
     return None
 
 
-def _family_failure(name, case, support, form, offset, step, rows, top):
+def _family_failure(name, case, support, form, offset, step, stages, field, top):
     """The first failure of one family of chain z-exponents, or None.
 
     The closed form ``form(i, j, k, d)`` of each (i, j) of the support is
     j + offset at stage 0 (the germ itself) and steps by i + step[k % 2]
-    from stage k to k + 1, the paper's recurrence; each top-stage row
-    ((i, j), e) of the walk reads ``top(i, j)``, the stage-a formula."""
-    d = case.d
+    from stage k to k + 1, the paper's recurrence.  Each row ((i, j), e)
+    of the walk's stage field reads ``form(i, j, k, d)`` at every stage k
+    below a, and ``top(i, j)``, the stage-a formula, at the top stage."""
+    a, d = case.a, case.d
     for i, j in support:
         if form(i, j, 0, d) != j + offset:
             return f"stage-0 {name} mismatch"
-    for k in range(case.a):
+    for k in range(a):
         want = step[k % 2]
         for i, j in support:
             if form(i, j, k + 1, d) - form(i, j, k, d) != i + want:
                 return f"{name} recurrence broke"
-    for (i, j), e in rows:
-        want = top(i, j)
-        if e != want:
-            return f"top-stage {name} {e} != {want}"
+    for st in stages:
+        k = st.k
+        for (i, j), e in getattr(st, field):
+            want = top(i, j) if k == a else form(i, j, k, d)
+            if e != want:
+                return (f"top-stage {name} {e} != {want}" if k == a
+                        else f"stage {k} {name} {e} != {want}")
     return None
 
 
@@ -478,13 +482,12 @@ def _check_case_a(case: chains.O3CaseA, dep_q3: int) -> str | None:
             return f"stage {st.k} discrepancy {st.discrepancy}"
         if not st.witnesses:
             return f"stage {st.k} lost its weight witnesses"
-    top = stages[-1]
     failure = _family_failure(
         "beta", case, case.supp_a, chains.beta_k, 0, (-2 * d, -2 * d),
-        top.a_exponents, lambda i, j: a * i + j - r - 1,
+        stages, "a_exponents", lambda i, j: a * i + j - r - 1,
     ) or _family_failure(
         "gamma", case, case.supp_b, chains.gamma_k, 0, (1 - d, -d),
-        top.b_exponents, lambda i, j: Fraction((2 * i + 1) * a + 2 * j - r, 2),
+        stages, "b_exponents", lambda i, j: Fraction((2 * i + 1) * a + 2 * j - r, 2),
     )
     if failure:
         return failure
@@ -509,19 +512,19 @@ def _check_case_b(case: chains.O3CaseB, dep_q3: int) -> str | None:
         if st.discrepancy != Fraction(1, 2):
             return f"stage {st.k} discrepancy {st.discrepancy}"
     # stage 0 is the germ itself: x^(2i) z^j and x^(2i+1) z^(j+1)
-    top = stages[-1]
     return _family_failure(
         "first exponent", case, case.supp_a, chains.beta_k_b, 0,
-        (-2 * d - 1, -2 * d - 1), top.p_exponents, lambda i, j: a * i + j - r - 2,
+        (-2 * d - 1, -2 * d - 1), stages, "p_exponents", lambda i, j: a * i + j - r - 2,
     ) or _family_failure(
         "second exponent", case, case.supp_b, chains.gamma_k_b, 1, (-d, -d),
-        top.q_exponents, lambda i, j: j + 1 + a * (i - d),
+        stages, "q_exponents", lambda i, j: j + 1 + a * (i - d),
     ) or _check_depth_identity(case, dep_q3)
 
 
 def sweep_o3_chains(cases_per_shape: int, seed: int) -> SweepResult:
     """Randomized chain data for both shapes: recurrences, nonnegativity,
-    stage weights, top-stage exponents, and the depth identity."""
+    stage weights, every stage's exponents (the closed forms below stage
+    a, the stage-a formulas at the top), and the depth identity."""
     def cases():
         rng = random.Random(seed)
         combos = [(a, d) for a in (3, 5, 7, 9) for d in (1, 2, 3)]

@@ -6,7 +6,9 @@ the chain walks, the depth identity and the depth searches: one float
 and one bool each.  Every rational input refuses a float, a bool or a
 str: one input of each per field.  And the record probe: any odd value in
 any one field of a validating record builds it or raises a domain error,
-through the constructor, ``_replace`` and ``_make`` alike."""
+through the constructor, ``_replace`` and ``_make`` alike; the function
+probe does the same for the scalar arguments of the functions outside
+the chain closed forms."""
 
 from fractions import Fraction
 
@@ -14,9 +16,23 @@ import pytest
 
 import wresolve
 from wresolve.baskets import CD2, Basket, BasketEntry, CyclicQuotient, TerminalClass
-from wresolve.chains import O3CaseA, O3CaseB, chain_simulate, chain_stages_b, depth_identity
+from wresolve.chains import (
+    O3CaseA,
+    O3CaseB,
+    chain_simulate,
+    chain_stages_b,
+    chain_weights,
+    depth_identity,
+)
 from wresolve.errors import InvalidCaseData, InvalidParameter, WresolveError
-from wresolve.germs import CARGerm, DepthBound, cyclic_depth_search, depth_search
+from wresolve.germs import (
+    CARGerm,
+    DepthBound,
+    blowup_step,
+    cyclic_depth_search,
+    depth_search,
+    nu,
+)
 from wresolve.neighborhoods import (
     ENPoint,
     ExceptionalIAIACase,
@@ -25,9 +41,18 @@ from wresolve.neighborhoods import (
     ICCase,
     IIBCase,
     SemistableIAIACase,
+    canonical_degree,
     key_check,
 )
-from wresolve.riemannroch import E2, ContractionCase, delta_chi
+from wresolve.rationals import format_rat
+from wresolve.riemannroch import (
+    E1_A4,
+    E2,
+    ContractionCase,
+    case_depth_check,
+    cd2_basket,
+    delta_chi,
+)
 from wresolve.traces import FLOP, FactorizationTrace, TraceStep
 
 
@@ -340,3 +365,56 @@ def test_replace_and_make_build_through_the_constructor(record, fields):
     # and _make keeps namedtuple's length check
     with pytest.raises(TypeError):
         record._make((*base, None))
+
+
+# The function probe: each scalar argument below, in turn set to each odd
+# value of the record probe, from one valid call.  The call answers or
+# raises a domain error, and no answer holds a float or a bool: a float
+# or a bool is refused, not carried into the answer.  A report's verdict
+# ``ok`` is the one bool an answer may hold.
+GERM = CARGerm(5, 2, {(0, 2), (1, 1)})
+CALLS = [  # (function, valid args, the position probed, the argument's name)
+    (nu, (GERM, 1), 1, "s"),
+    (blowup_step, (GERM, 2, 8), 1, "r1"),
+    (blowup_step, (GERM, 2, 8), 2, "r2"),
+    (case_depth_check, (ContractionCase(E1_A4, 9), 2), 1, "aw"),
+    (cd2_basket, (3,), 0, "aw"),
+    (chain_weights, (O3CaseA(3, 1, 2, {(2, 0)}), 1), 1, "k-A"),
+    (chain_weights, (O3CaseB(3, 1), 1), 1, "k-B"),
+    (format_rat, (Fraction(1, 2),), 0, "q"),
+    (canonical_degree, ([ENPoint(3, Fraction(1, 3))],), 0, "points"),
+]
+
+
+def _leaves(value):
+    """The scalars an answer holds: its items, through tuples, lists, sets
+    and dicts, and its fields but a report's verdict ok."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    elif hasattr(value, "_fields"):
+        value = [v for name, v in zip(value._fields, value) if name != "ok"]
+    if isinstance(value, (tuple, list, set, frozenset)):
+        for item in value:
+            yield from _leaves(item)
+    else:
+        yield value
+
+
+@pytest.mark.parametrize("function, args, position, name", CALLS,
+                         ids=[f"{f.__name__}-{name}" for f, *_, name in CALLS])
+def test_an_odd_argument_answers_or_raises_a_domain_error(function, args, position, name):
+    function(*args)
+    bad = []
+    for odd in ODD:
+        call = list(args)
+        call[position] = odd
+        try:
+            answer = function(*call)
+        except WresolveError:
+            continue
+        except Exception as exc:
+            bad.append((odd, type(exc).__name__))
+            continue
+        if any(type(v) in (float, bool) for v in _leaves(answer)):
+            bad.append((odd, answer))
+    assert bad == []

@@ -426,12 +426,25 @@ def _parity_swapped(weights):
     return lambda case, k: weights(case, k + 1)
 
 
-def _beta_lowered(lines):
+def _rows_moved(walk, field, by):
+    # the walk with each row ((i, j), e) of the stage field moved to
+    # e + by(k) at stage k
+    def moved(case, k_max=None):
+        return tuple(
+            st._replace(**{field: tuple((ij, e + by(st.k)) for ij, e in getattr(st, field))})
+            for st in walk(case, k_max))
+    return moved
+
+
+def _beta_lowered(walk):
     # every beta row one lower: the pivot exponent is -1 from stage 0
-    def lowered(case):
-        beta, gamma2, delta2_slope = lines(case)
-        return [(ij, base - 1, s, x) for ij, base, s, x in beta], gamma2, delta2_slope
-    return lowered
+    return _rows_moved(walk, "a_exponents", lambda k: -1)
+
+
+def _gamma_raised_at_even_stages(walk):
+    # every gamma row one higher at even k: wrong below the top stage only,
+    # since a is odd
+    return _rows_moved(walk, "b_exponents", lambda k: 1 - k % 2)
 
 
 # the first shape-A case of seed 20240817 and its endpoint depth, and the
@@ -445,13 +458,16 @@ FIRST_B_GAMMA = ("O3CaseB(a=3, d=1, supp_a=frozenset(), "
                  "supp_b=frozenset({(2, 3), (1, 3), (3, 4), (3, 0)})), 11")
 
 
-# the sweep checks the weights and exponents the walks measure, so a broken
-# walk shows up as a failed sweep, not as an exception from the walk
+# the sweep checks the weights and exponents the walks measure at every
+# stage, so a broken walk shows up as a failed sweep, not as an exception
+# from the walk
 @pytest.mark.parametrize("name, wrong, detail", [
     ("_doubled_weights", _parity_swapped, f"24 failed, first: {FIRST_A}: stage 0 weight 1"),
-    ("_lines_a", _beta_lowered,
+    ("chain_simulate", _beta_lowered,
      f"12 failed, first: {FIRST_A}: negative exponent at stage 0"),
-], ids=["weights", "exponents"])
+    ("chain_simulate", _gamma_raised_at_even_stages,
+     f"8 failed, first: {FIRST_A}: stage 0 gamma 3 != 2"),
+], ids=["weights", "exponents", "even-stages"])
 def test_o3_sweep_reports_a_broken_walk(monkeypatch, name, wrong, detail):
     monkeypatch.setattr(chains, name, wrong(getattr(chains, name)))
     res = sweeps.sweep_o3_chains(12, seed=20240817)
