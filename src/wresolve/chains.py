@@ -288,14 +288,15 @@ def _rows_at(rows, m: int, wts: list) -> tuple:
 
     Each closed form is affine in k, or half of an affine form with a
     (k mod 2) term, so at a fixed parity it is b + m s, with b its value
-    at k = p and s its change over two stages.  With t = 2 alpha - 1 - 2d:
+    at k = p and s its change over two stages.  With t_i = 2i + 1 - 2d
+    and t = 2 alpha - 1 - 2d:
 
-        family                  closed form                b                   s
-        shape A x^(2i) z^j      j + k (i - 2d)             j + p (i - 2d)      2 (i - 2d)
-        shape A u x^(2i+1) z^j  (2j + k (2i+1-2d) + p)/2   j + p (i + 1 - d)   2i + 1 - 2d
-        shape A y x^(2 alpha-1) (k t - p) / 2              p (t - 1) / 2       t
-        shape B first x^(2i)    j + k (i - 2d - 1)         j + p (i - 2d - 1)  2 (i - 2d - 1)
-        shape B second x^(2i+1) j + 1 + k (i - d)          j + 1 + p (i - d)   2 (i - d)
+        shape, term           closed form               b                   s
+        A  x^(2i) z^j         j + k (i - 2d)            j + p (i - 2d)      2 (i - 2d)
+        A  u x^(2i+1) z^j     (2j + k t_i + p) / 2      j + p (i + 1 - d)   t_i
+        A  y x^(2 alpha - 1)  (k t - p) / 2             p (t - 1) / 2       t
+        B  x^(2i) z^j         j + k (i - 2d - 1)        j + p (i - 2d - 1)  2 (i - 2d - 1)
+        B  x^(2i+1) z^(j+1)   j + 1 + k (i - d)         j + 1 + p (i - d)   2 (i - d)
 
     (t is odd, so (t - 1) / 2 is exact.)  x weighs 1 and z weighs 2, so a
     row weighs c + 2 e, where c is the row's x-degree plus, for shape A's

@@ -413,8 +413,8 @@ def test_an_odd_argument_answers_or_raises_a_domain_error(function, args, positi
         except WresolveError:
             continue
         except Exception as exc:
-            bad.append((odd, type(exc).__name__))
+            bad.append((name, odd, type(exc).__name__))
             continue
         if any(type(v) in (float, bool) for v in _leaves(answer)):
-            bad.append((odd, answer))
+            bad.append((name, odd, answer))
     assert bad == []
