@@ -18,14 +18,18 @@ shape-A pivot x^(4d)) is the one certificate of the chain: it keeps every
 exponent a nonnegative integer through stage a, and it makes the equation
 weight of every stage below the top come out at the fixed threshold (2d
 for shape A; 2d+1 and (2d+1)/2 for the two shape-B equations).  The walks
-report the weights they measure, each blow-up has discrepancy 1/2, and
-the stage-a exponents are the germ data of the singular point the chain
-ends on.
+report the weights they measure.  Every stage's discrepancy, stage a
+included, is the weighted blow-up's: the weights' sum less the equation
+weights, less 1 (sum w - w(f) - 1 for the shape-A hypersurface, sum w -
+w(f1) - w(f2) - 1 for the shape-B germ).  Below the top that is 1/2; at
+stage a the equation weight may fall below its threshold and the
+discrepancy rises with it.  The stage-a exponents are the germ data of
+the singular point the chain ends on.
 
 Every chain weight is a half-integer, so the walks weigh monomials in
 doubled weights (x -> 1, z -> 2, y, u, w -> 2d-1, 2d+1 or 2d+3) and do
 integer work per stage; Fractions appear only in the stage fields.
-beta_k, gamma_k, delta_k, beta_k_b and gamma_k_b keep the exact rational
+beta_k, gamma_k, delta_k, beta_k_b and gamma_k_b keep the exact integer
 closed forms the walks are checked against.  At a fixed parity p of the
 stage k = 2m + p each of those exponents moves by a constant every two
 stages, so both walks compute all five families by one row rule
@@ -157,16 +161,18 @@ def beta_k(i: int, j: int, k: int, d: int) -> int:
     return k * (i - 2 * d) + j
 
 
-def gamma_k(i: int, j: int, k: int, d: int) -> Fraction:
+def gamma_k(i: int, j: int, k: int, d: int) -> int:
     """Stage-k z-exponent on the shape-A term u x^(2i+1) z^j:
-    k (2i + 1) / 2 - k d + j + (k mod 2) / 2, over the denominator 2."""
-    return Fraction(k * (2 * i + 1) - 2 * k * d + 2 * j + k % 2, 2)
+    k (2i + 1) / 2 - k d + j + (k mod 2) / 2, as an int: the numerator
+    over 2 is even (see nonnegativity_check), so halving it is exact."""
+    return (k * (2 * i + 1) - 2 * k * d + 2 * j + k % 2) // 2
 
 
-def delta_k(k: int, alpha: int, d: int) -> Fraction:
+def delta_k(k: int, alpha: int, d: int) -> int:
     """Stage-k z-exponent on the shape-A term y x^(2 alpha - 1):
-    k (2 alpha - 1) / 2 - k d - (k mod 2) / 2, over the denominator 2."""
-    return Fraction(k * (2 * alpha - 1) - 2 * k * d - k % 2, 2)
+    k (2 alpha - 1) / 2 - k d - (k mod 2) / 2, as an int, halved exactly
+    as gamma_k is."""
+    return (k * (2 * alpha - 1) - 2 * k * d - k % 2) // 2
 
 
 def beta_k_b(i: int, j: int, k: int, d: int) -> int:
@@ -265,6 +271,10 @@ class ChainStage(
     __slots__ = ()
 
 
+# the discrepancy of every stage at its thresholds, shared by those stages
+_HALF = Fraction(1, 2)
+
+
 def _stage_range(case, k_max: int | None, pivot=None) -> int:
     """The prologue of both walks, and the last stage they walk to.
 
@@ -334,6 +344,9 @@ def chain_simulate(case: O3CaseA, k_max: int | None = None) -> tuple[ChainStage,
 
     So the walk reports what it measures: sigma_weight 2d and both
     witnesses below a, and at stage a the germ data of the endpoint.
+    Every stage's discrepancy is sum w - sigma_weight - 1: the shared 1/2
+    at the threshold, and (sum of doubled weights - 2 - low) / 2, for the
+    lowest doubled monomial weight low, where stage a leaves it.
 
     The walk weighs monomials in doubled weights, so every stage is
     integer work.  Everything that depends only on the parity of k -- the
@@ -352,11 +365,12 @@ def chain_simulate(case: O3CaseA, k_max: int | None = None) -> tuple[ChainStage,
     sigma_weight = Fraction(target, 2)
     # per parity: the weights of the two built-in monomials (z multiplies
     # u^2 at odd k and y^2 at even k), the stage fields shared by every
-    # stage of that parity, the witnesses, and the beta, gamma and y-term
-    # rows.  The witnesses are the parity lead (y^2 z at even k, u^2 z at
-    # odd k: slot 1 or 0 of the weight list) and the pivot x^(4d) z^0, at
-    # a fixed slot after the built-ins; witnesses[lead hits][pivot hits]
-    # names them.
+    # stage of that parity, the doubled weights' sum less 2 (a stage off
+    # the threshold measures its discrepancy from it), the witnesses, and
+    # the beta, gamma and y-term rows.  The witnesses are the parity lead
+    # (y^2 z at even k, u^2 z at odd k: slot 1 or 0 of the weight list)
+    # and the pivot x^(4d) z^0, at a fixed slot after the built-ins;
+    # witnesses[lead hits][pivot hits] names them.
     pivot_name = f"x{4 * d}z0"
     pivot_slot = 2 + supp_a.index(pivot)
     per_parity = []
@@ -368,7 +382,7 @@ def chain_simulate(case: O3CaseA, k_max: int | None = None) -> tuple[ChainStage,
             tuple(Fraction(w, 2) for w in ws),
             lead,
             lead_slot,
-            Fraction(sum(ws) - target - 2, 2),
+            sum(ws) - 2,
             (((), (pivot_name,)), ((lead,), (lead, pivot_name))),
             [((i, j), j + p * (i - 2 * d), 2 * (i - 2 * d), 2 * i) for i, j in supp_a],
             [((i, j), j + p * (i + 1 - d), 2 * i + 1 - 2 * d, wu + 2 * i + 1)
@@ -380,17 +394,18 @@ def chain_simulate(case: O3CaseA, k_max: int | None = None) -> tuple[ChainStage,
     append = stages.append
     for k in range(k_max + 1):
         m = k >> 1
-        built_in, weights, lead, lead_slot, disc, witnesses, beta, gamma, y_term = (
+        built_in, weights, lead, lead_slot, rest, witnesses, beta, gamma, y_term = (
             per_parity[k & 1])
         wts = list(built_in)
         a_exps = _rows_at(beta, m, wts)
         b_exps = _rows_at(gamma, m, wts)
         ((_, dl),) = _rows_at(y_term, m, wts)
         low = min(wts)
+        at = low == target
         append(new(ChainStage, (
             k, weights, lead, a_exps, b_exps, dl,
-            sigma_weight if low == target else Fraction(low, 2),
-            disc,
+            sigma_weight if at else Fraction(low, 2),
+            _HALF if at else Fraction(rest - low, 2),
             witnesses[wts[lead_slot] == low][wts[pivot_slot] == low],
         )))
     return tuple(stages)
@@ -417,27 +432,29 @@ def chain_stages_b(case: O3CaseB, k_max: int | None = None) -> tuple[ChainStageB
     either equation weighs its threshold plus 2 (base + n slope), twice
     its own exponent at stage n = k + 1, and check_constraints keeps that
     exponent >= 0 through stage a; the other built-in monomials weigh
-    more.  As in chain_simulate the walk does integer work per stage,
-    builds the weights, built-in weights, rows and Fraction stage fields
-    once per parity, and builds each stage straight from its fields.
+    more.  Every stage's discrepancy is sum w - wt_first - wt_second - 1:
+    the shared 1/2 at the thresholds, and measured from the two weights
+    where stage a leaves them.  As in chain_simulate the walk does integer
+    work per stage, builds the weights, built-in weights, rows and Fraction
+    stage fields once per parity, and builds each stage straight from its
+    fields.
     """
     d = case.d
     k_max = _stage_range(case, k_max)
     t1, t2 = 4 * d + 2, 2 * d + 1
     wt_first, wt_second = Fraction(t1, 2), Fraction(t2, 2)
-    # per parity: the doubled weights, the stage fields shared by the
-    # stages that reach both thresholds, the weights of the built-in
-    # monomials u^2, y w (first equation) and y, x^(2d+1), w (second;
-    # z multiplies y at even k and w at odd k), and the rows of both
-    # equations, read off _lines_b: x weighs 1, so c is the x-degree
+    # per parity: the doubled weights' sum less 2, the weights, the
+    # weights of the built-in monomials u^2, y w (first equation) and y,
+    # x^(2d+1), w (second; z multiplies y at even k and w at odd k), and
+    # the rows of both equations, read off _lines_b: x weighs 1, so c is
+    # the x-degree
     per_parity = []
     for p in (0, 1):
         ws = _doubled_weights(case, p)
         wx, wy, wz, wu, ww = ws
         per_parity.append((
-            ws,
+            sum(ws) - 2,
             tuple(Fraction(w, 2) for w in ws),
-            Fraction(sum(ws) - t1 - t2 - 2, 2),
             (2 * wu, wy + ww),
             (wy + (0 if p else wz), (2 * d + 1) * wx, ww + (wz if p else 0)),
             *([(ij, base + p * slope, 2 * slope, x_deg) for ij, base, slope, x_deg in lines]
@@ -448,7 +465,7 @@ def chain_stages_b(case: O3CaseB, k_max: int | None = None) -> tuple[ChainStageB
     append = stages.append
     for k in range(k_max + 1):
         m = k >> 1
-        doubled, weights, disc, built_in1, built_in2, first, second = per_parity[k & 1]
+        rest, weights, built_in1, built_in2, first, second = per_parity[k & 1]
         wts1 = list(built_in1)
         p_exps = _rows_at(first, m, wts1)
         wts2 = list(built_in2)
@@ -456,11 +473,11 @@ def chain_stages_b(case: O3CaseB, k_max: int | None = None) -> tuple[ChainStageB
         w1, w2 = min(wts1), min(wts2)
         if w1 == t1 and w2 == t2:
             append(new(ChainStageB, (
-                k, weights, p_exps, q_exps, wt_first, wt_second, disc)))
+                k, weights, p_exps, q_exps, wt_first, wt_second, _HALF)))
         else:
             append(new(ChainStageB, (
                 k, weights, p_exps, q_exps, Fraction(w1, 2), Fraction(w2, 2),
-                Fraction(sum(doubled) - w1 - w2 - 2, 2))))
+                Fraction(rest - w1 - w2, 2))))
     return tuple(stages)
 
 

@@ -3,18 +3,20 @@ suite's acceptance gate.
 
 Each sweep cross-checks one family of claims by an independent route
 (closed formula against exhaustive search, threshold bound against a
-linear scan, simulated chain stages against closed-form exponents) and
-reports a SweepResult. A sweep is a stream of cases, each a
-``(check, *args)`` tuple, fed to one runner that calls ``check(*args)``,
-times and counts them. A check returns what broke, or None; one that
-raises fails its case, and the next case runs. A raise while the stream
-is set up or makes a case ends the sweep as a failure at that case's
-number, so no sweep function raises. The runner names a failing case by
-the repr of its args, so a check never names its own case; what several
-cases share (the per-run cache of corr(X), the mutants a trace end depth
-accepts) goes in as a keyword bound by ``functools.partial`` and is not
-part of the name. Everything is deterministic; the randomized sweeps take
-an explicit seed.
+linear scan, simulated chain stages against closed-form exponents, shape
+A's y-term included, and against the discrepancy sum w - (equation
+weights) - 1 of every stage, stage a included) and reports a
+SweepResult. A sweep is a stream of cases, each a ``(check, *args)``
+tuple, fed to one runner that calls ``check(*args)``, times and counts
+them. A check returns what broke, or None; one that raises fails its
+case, and the next case runs. A raise while the stream is set up or
+makes a case ends the sweep as a failure at that case's number, so no
+sweep function raises. The runner names a failing case by the repr of
+its args, so a check never names its own case; what several cases share
+(the per-run cache of corr(X), the mutants a trace end depth accepts)
+goes in as a keyword bound by ``functools.partial`` and is not part of
+the name. Everything is deterministic; the randomized sweeps take an
+explicit seed.
 
 The sweeps share no state, so ``run_all`` spreads them over the CPUs the
 process may use, in forked children with a fixed split, and returns the
@@ -442,14 +444,14 @@ def _check_depth_identity(case, dep_q3: int) -> str | None:
     return None
 
 
-def _family_failure(name, case, support, form, offset, step, stages, field, top):
+def _family_failure(case, stages, rows, name, support, form, offset, step, top):
     """The first failure of one family of chain z-exponents, or None.
 
     The closed form ``form(i, j, k, d)`` of each (i, j) of the support is
     j + offset at stage 0 (the germ itself) and steps by i + step[k % 2]
     from stage k to k + 1, the paper's recurrence.  Each row ((i, j), e)
-    of the walk's stage field reads ``form(i, j, k, d)`` at every stage k
-    below a, and ``top(i, j)``, the stage-a formula, at the top stage."""
+    that ``rows`` reads off a walk's stage is ``form(i, j, k, d)`` at every
+    stage k below a, and ``top(i, j)``, the stage-a formula, at the top."""
     a, d = case.a, case.d
     for i, j in support:
         if form(i, j, 0, d) != j + offset:
@@ -461,7 +463,7 @@ def _family_failure(name, case, support, form, offset, step, stages, field, top)
                 return f"{name} recurrence broke"
     for st in stages:
         k = st.k
-        for (i, j), e in getattr(st, field):
+        for (i, j), e in rows(st):
             want = top(i, j) if k == a else form(i, j, k, d)
             if e != want:
                 return (f"top-stage {name} {e} != {want}" if k == a
@@ -469,62 +471,68 @@ def _family_failure(name, case, support, form, offset, step, stages, field, top)
     return None
 
 
-def _check_case_a(case: chains.O3CaseA, dep_q3: int) -> str | None:
-    a, d, alpha, r = case.a, case.d, case.alpha, case.r
-    stages = chains.chain_simulate(case)
-    for st in stages:
-        if st.y_exponent < 0 or any(e < 0 for _, e in st.a_exponents + st.b_exponents):
-            return f"negative exponent at stage {st.k}"
-    for st in stages[:-1]:
-        if st.sigma_weight != 2 * d:
-            return f"stage {st.k} weight {st.sigma_weight}"
-        if st.discrepancy != Fraction(1, 2):
-            return f"stage {st.k} discrepancy {st.discrepancy}"
-        if not st.witnesses:
-            return f"stage {st.k} lost its weight witnesses"
-    failure = _family_failure(
-        "beta", case, case.supp_a, chains.beta_k, 0, (-2 * d, -2 * d),
-        stages, "a_exponents", lambda i, j: a * i + j - r - 1,
-    ) or _family_failure(
-        "gamma", case, case.supp_b, chains.gamma_k, 0, (1 - d, -d),
-        stages, "b_exponents", lambda i, j: Fraction((2 * i + 1) * a + 2 * j - r, 2),
-    )
-    if failure:
-        return failure
-    for k in range(a):
-        want = alpha - 1 - d if k % 2 == 0 else alpha - d
-        if chains.delta_k(k + 1, alpha, d) - chains.delta_k(k, alpha, d) != want:
-            return "delta recurrence broke"
-    if chains.delta_k(a, alpha, d) != Fraction(2 * a * alpha - a - r - 2, 2):
-        return "closed form for delta(a) broke"
-    return _check_depth_identity(case, dep_q3)
-
-
-def _check_case_b(case: chains.O3CaseB, dep_q3: int) -> str | None:
+def _o3_rules(case):
+    """A chain shape's rules, as _check_case reads them: its walk (looked
+    up on chains at each call), the stage fields of its equation weights
+    and their values below the top stage, whether a stage below the top
+    names a weight witness, and its exponent families.  A family is the
+    arguments of _family_failure after the stages: the reader of its rows
+    off a stage, its name in failures, its support, its closed form, the
+    form's stage-0 offset, its steps by parity and its stage-a formula.
+    Shape A's y-term is the family of the one row (alpha, 0)."""
     a, d, r = case.a, case.d, case.r
-    stages = chains.chain_stages_b(case)
+    if type(case) is chains.O3CaseB:
+        # stage 0 is the germ itself: x^(2i) z^j and x^(2i+1) z^(j+1)
+        return chains.chain_stages_b, ("wt_first", "wt_second"), (
+            2 * d + 1, Fraction(2 * d + 1, 2)), False, (
+            (lambda st: st.p_exponents, "first exponent", case.supp_a, chains.beta_k_b, 0,
+             (-2 * d - 1, -2 * d - 1), lambda i, j: a * i + j - r - 2),
+            (lambda st: st.q_exponents, "second exponent", case.supp_b, chains.gamma_k_b, 1,
+             (-d, -d), lambda i, j: j + 1 + a * (i - d)))
+    y_term = (case.alpha, 0)
+    return chains.chain_simulate, ("sigma_weight",), (2 * d,), True, (
+        (lambda st: st.a_exponents, "beta", case.supp_a, chains.beta_k, 0, (-2 * d, -2 * d),
+         lambda i, j: a * i + j - r - 1),
+        (lambda st: st.b_exponents, "gamma", case.supp_b, chains.gamma_k, 0, (1 - d, -d),
+         lambda i, j: ((2 * i + 1) * a + 2 * j - r) // 2),
+        (lambda st: ((y_term, st.y_exponent),), "delta", (y_term,),
+         lambda alpha, _, k, d: chains.delta_k(k, alpha, d), 0, (-1 - d, -d),
+         lambda alpha, _: (2 * a * alpha - a - r - 2) // 2))
+
+
+def _check_case(case, dep_q3: int) -> str | None:
+    """One chain case of either shape, by its _o3_rules.  At each stage:
+    nonnegative exponents; below the top, the threshold weights, the
+    discrepancy 1/2 and (shape A) a weight witness; at the top, the
+    discrepancy sum w - (equation weights) - 1 from the stage's own
+    fields.  Then every exponent family, and the depth identity."""
+    walk, fields, wants, witnessed, families = _o3_rules(case)
+    stages = walk(case)
+    half = Fraction(1, 2)
     for st in stages:
-        if any(e < 0 for _, e in st.p_exponents + st.q_exponents):
-            return f"negative exponent at stage {st.k}"
-    for st in stages[:-1]:
-        if st.wt_first != 2 * d + 1 or st.wt_second != Fraction(2 * d + 1, 2):
-            return f"stage {st.k} weights broke"
-        if st.discrepancy != Fraction(1, 2):
-            return f"stage {st.k} discrepancy {st.discrepancy}"
-    # stage 0 is the germ itself: x^(2i) z^j and x^(2i+1) z^(j+1)
-    return _family_failure(
-        "first exponent", case, case.supp_a, chains.beta_k_b, 0,
-        (-2 * d - 1, -2 * d - 1), stages, "p_exponents", lambda i, j: a * i + j - r - 2,
-    ) or _family_failure(
-        "second exponent", case, case.supp_b, chains.gamma_k_b, 1, (-d, -d),
-        stages, "q_exponents", lambda i, j: j + 1 + a * (i - d),
-    ) or _check_depth_identity(case, dep_q3)
+        k, weights = st.k, [getattr(st, field) for field in fields]
+        top = k == case.a
+        if any(e < 0 for rows, *_ in families for _, e in rows(st)):
+            return f"negative exponent at stage {k}"
+        for w, want in zip(weights, () if top else wants):
+            if w != want:
+                return f"stage {k} weight {w}"
+        if st.discrepancy != (sum(st.weights) - sum(weights) - 1 if top else half):
+            return f"stage {k} discrepancy {st.discrepancy}"
+        if witnessed and not top and not st.witnesses:
+            return f"stage {k} lost its weight witnesses"
+    for family in families:
+        if failure := _family_failure(case, stages, *family):
+            return failure
+    return _check_depth_identity(case, dep_q3)
 
 
 def sweep_o3_chains(cases_per_shape: int, seed: int) -> SweepResult:
     """Randomized chain data for both shapes: recurrences, nonnegativity,
-    stage weights, every stage's exponents (the closed forms below stage
-    a, the stage-a formulas at the top), and the depth identity."""
+    stage weights, every stage's discrepancy (1/2 below stage a, sum w -
+    (equation weights) - 1 at the top), every stage's exponents, shape
+    A's y-term included (the closed forms below stage a, the stage-a
+    formulas at the top), and the depth identity."""
     def cases():
         rng = random.Random(seed)
         combos = [(a, d) for a in (3, 5, 7, 9) for d in (1, 2, 3)]
@@ -532,8 +540,8 @@ def sweep_o3_chains(cases_per_shape: int, seed: int) -> SweepResult:
         # each case, then its endpoint depth: one stream of draws
         for a, d in combos:
             for _ in range(per_combo):
-                yield _check_case_a, random_case_a(rng, a, d), _below(rng, 13)
-                yield _check_case_b, random_case_b(rng, a, d), _below(rng, 13)
+                yield _check_case, random_case_a(rng, a, d), _below(rng, 13)
+                yield _check_case, random_case_b(rng, a, d), _below(rng, 13)
 
     return _run("o3-chain-calculus", cases)
 

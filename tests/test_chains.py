@@ -163,6 +163,8 @@ def test_chain_simulate_top_stage_unconstrained():
     stages = chain_simulate(case)
     assert [st.sigma_weight for st in stages] == [2, 2, 2, 0]
     assert stages[3].witnesses == ()
+    # the discrepancy is measured as well: sum w - sigma - 1 = 7/2 - 0 - 1
+    assert [st.discrepancy for st in stages] == [Fraction(1, 2)] * 3 + [Fraction(5, 2)]
 
 
 def test_chain_simulate_needs_pivot():
@@ -403,7 +405,7 @@ def _simulate_by_fractions(case, k_max=None):
         stages.append(ChainStage(
             k=k, weights=w, lead=lead, a_exponents=tuple(a_exps),
             b_exponents=tuple(b_exps), y_exponent=dl, sigma_weight=sigma_wt,
-            discrepancy=sum(w) - target - 1, witnesses=witnesses,
+            discrepancy=sum(w) - sigma_wt - 1, witnesses=witnesses,
         ))
     return tuple(stages)
 
@@ -621,8 +623,8 @@ def test_constraints_certify_the_walks():
 
 
 def test_closed_forms_equal_the_paper_terms():
-    # gamma_k and delta_k build one Fraction over the denominator 2; the
-    # paper writes them term by term
+    # gamma_k and delta_k halve one even numerator into an int; the paper
+    # writes them term by term
     half = Fraction(1, 2)
     for k in range(13):
         odd = half if k % 2 else Fraction(0)
@@ -631,7 +633,8 @@ def test_closed_forms_equal_the_paper_terms():
                 for j in range(9):
                     paper = Fraction(k * (2 * i + 1), 2) - k * d + j + odd
                     assert gamma_k(i, j, k, d) == paper
+                    assert type(gamma_k(i, j, k, d)) is int
             for alpha in range(9):
                 paper = Fraction(k * (2 * alpha - 1), 2) - k * d - odd
                 assert delta_k(k, alpha, d) == paper
-                assert type(delta_k(k, alpha, d)) is Fraction
+                assert type(delta_k(k, alpha, d)) is int

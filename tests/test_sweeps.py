@@ -174,7 +174,7 @@ def test_run_all_quick():
 
 QUICK = dict(cyclic_max=6, germ_r_max=3, rr_max=10, en_r_max=15, semi_max=8,
              iib_max=11, o3_cases=6, trace_count=100)
-# all 13: two cyclic checks and three o3 ones among them
+# all 12: two cyclic checks and two o3 ones among them
 CHECKS = sorted(name for name in vars(sweeps) if name.startswith("_check_"))
 
 
@@ -476,6 +476,35 @@ def test_o3_sweep_reports_a_broken_walk(monkeypatch, name, wrong, detail):
     assert res.detail == detail
 
 
+def _raised(walk, field, top_only):
+    # the walk with the stage field one higher at every stage, or at the
+    # top stage k = a only
+    def raised(case, k_max=None):
+        return tuple(st._replace(**{field: getattr(st, field) + 1})
+                     if st.k == case.a or not top_only else st
+                     for st in walk(case, k_max))
+    return raised
+
+
+# the sweep checks the top stage's discrepancy against sum w - (equation
+# weights) - 1 and shape A's y-term against delta_k at every stage, so a
+# walk off in either fails it
+@pytest.mark.parametrize("walk, field, top_only, detail", [
+    ("chain_simulate", "discrepancy", True,
+     f"12 failed, first: {FIRST_A}: stage 3 discrepancy 3/2"),
+    ("chain_stages_b", "discrepancy", True,
+     f"12 failed, first: {FIRST_B_GAMMA}: stage 3 discrepancy 3/2"),
+    ("chain_simulate", "y_exponent", False, f"12 failed, first: {FIRST_A}: stage 0 delta 1 != 0"),
+    ("chain_simulate", "y_exponent", True, f"12 failed, first: {FIRST_A}: top-stage delta 5 != 4"),
+], ids=["top-discrepancy-a", "top-discrepancy-b", "y-term", "top-y-term"])
+def test_o3_sweep_catches_a_walk_off_in_discrepancy_or_y_term(
+        monkeypatch, walk, field, top_only, detail):
+    monkeypatch.setattr(chains, walk, _raised(getattr(chains, walk), field, top_only))
+    res = sweeps.sweep_o3_chains(12, seed=20240817)
+    assert (res.ok, res.cases) == (False, 24)
+    assert res.detail == detail
+
+
 # each closed form is anchored at stage 0 as well as checked through its
 # per-stage differences, so one shifted by a constant fails the sweep
 @pytest.mark.parametrize("name, detail", [
@@ -484,7 +513,8 @@ def test_o3_sweep_reports_a_broken_walk(monkeypatch, name, wrong, detail):
     ("beta_k_b", f"163 failed, first: {FIRST_B_BETA}: stage-0 first exponent mismatch"),
     ("gamma_k_b",
      f"155 failed, first: {FIRST_B_GAMMA}: stage-0 second exponent mismatch"),
-], ids=["beta_k", "gamma_k", "beta_k_b", "gamma_k_b"])
+    ("delta_k", f"204 failed, first: {FIRST_A}: stage-0 delta mismatch"),
+], ids=["beta_k", "gamma_k", "beta_k_b", "gamma_k_b", "delta_k"])
 def test_o3_sweep_catches_a_shifted_closed_form(monkeypatch, name, detail):
     form = getattr(chains, name)
     monkeypatch.setattr(chains, name, lambda *args: form(*args) + 1)
@@ -494,8 +524,9 @@ def test_o3_sweep_catches_a_shifted_closed_form(monkeypatch, name, detail):
     assert res.detail == detail
 
 
-# the four families of chain exponents: the name the sweep gives each, its
-# closed form, and the walk and stage field that hold its rows
+# the four support families of chain exponents: the name the sweep gives
+# each, its closed form, and the walk and stage field that hold its rows
+# (shape A's y-term, the fifth family, has one row and its own mutants)
 FAMILIES = [
     ("beta", "beta_k", "chain_simulate", "a_exponents"),
     ("gamma", "gamma_k", "chain_simulate", "b_exponents"),

@@ -33,7 +33,7 @@ PINNED = {
     "blowup": "c948b35c100a9df9f66c3e8924a71da74ea1734e1ae4629ff72d1d74d56490b5",
     "en": "48390d74b49935c8017156b1a8a41f8539328f43eb9e95b31c50d7c44c85dc5d",
     "rr": "ae5c18741bc2ea06d65333ef5956548f40b5a21246b16bf638c38c78f4036bc0",
-    "o3": "698abf1733e66cb3998a07a44d36dc8c92c23d2c71e3e16375ec422206873747",
+    "o3": "c1671d9f9eddc9c8e1b6cf4d82047daf44aacf8a400f3acf8c4c0286b83456a0",
     "trace": "de006ba5dfa1b168377ccae6513eea641eaec791222d1f496e6b08f65a336852",
     "verify": "83e16ee29ff5f687492d857aa2be1f90e46561919a562549ec73291aea1a88d4",
 }
