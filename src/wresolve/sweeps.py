@@ -471,24 +471,16 @@ def _family_failure(case, stages, rows, name, support, form, offset, step, top):
     return None
 
 
-def _o3_rules(case):
-    """A chain shape's rules, as _check_case reads them: its walk (looked
-    up on chains at each call), the stage fields of its equation weights
-    and their values below the top stage, whether a stage below the top
-    names a weight witness, and its exponent families.  A family is the
+def _rules_a(case):
+    """Shape A's rules, as _chain_failure reads them: its walk (looked up
+    on chains at each call), the stage fields of its equation weights and
+    their values below the top stage, whether a stage below the top names
+    a weight witness, and its exponent families.  A family is the
     arguments of _family_failure after the stages: the reader of its rows
     off a stage, its name in failures, its support, its closed form, the
     form's stage-0 offset, its steps by parity and its stage-a formula.
-    Shape A's y-term is the family of the one row (alpha, 0)."""
+    The y-term is the family of the one row (alpha, 0)."""
     a, d, r = case.a, case.d, case.r
-    if type(case) is chains.O3CaseB:
-        # stage 0 is the germ itself: x^(2i) z^j and x^(2i+1) z^(j+1)
-        return chains.chain_stages_b, ("wt_first", "wt_second"), (
-            2 * d + 1, Fraction(2 * d + 1, 2)), False, (
-            (lambda st: st.p_exponents, "first exponent", case.supp_a, chains.beta_k_b, 0,
-             (-2 * d - 1, -2 * d - 1), lambda i, j: a * i + j - r - 2),
-            (lambda st: st.q_exponents, "second exponent", case.supp_b, chains.gamma_k_b, 1,
-             (-d, -d), lambda i, j: j + 1 + a * (i - d)))
     y_term = (case.alpha, 0)
     return chains.chain_simulate, ("sigma_weight",), (2 * d,), True, (
         (lambda st: st.a_exponents, "beta", case.supp_a, chains.beta_k, 0, (-2 * d, -2 * d),
@@ -500,13 +492,25 @@ def _o3_rules(case):
          lambda alpha, _: (2 * a * alpha - a - r - 2) // 2))
 
 
-def _check_case(case, dep_q3: int) -> str | None:
-    """One chain case of either shape, by its _o3_rules.  At each stage:
-    nonnegative exponents; below the top, the threshold weights, the
-    discrepancy 1/2 and (shape A) a weight witness; at the top, the
-    discrepancy sum w - (equation weights) - 1 from the stage's own
-    fields.  Then every exponent family, and the depth identity."""
-    walk, fields, wants, witnessed, families = _o3_rules(case)
+def _rules_b(case):
+    """Shape B's rules, laid out as _rules_a's; stage 0 is the germ
+    itself, x^(2i) z^j and x^(2i+1) z^(j+1)."""
+    a, d, r = case.a, case.d, case.r
+    return chains.chain_stages_b, ("wt_first", "wt_second"), (
+        2 * d + 1, Fraction(2 * d + 1, 2)), False, (
+        (lambda st: st.p_exponents, "first exponent", case.supp_a, chains.beta_k_b, 0,
+         (-2 * d - 1, -2 * d - 1), lambda i, j: a * i + j - r - 2),
+        (lambda st: st.q_exponents, "second exponent", case.supp_b, chains.gamma_k_b, 1,
+         (-d, -d), lambda i, j: j + 1 + a * (i - d)))
+
+
+def _chain_failure(case, dep_q3: int, rules) -> str | None:
+    """The first failure of one chain case by its shape's rules, or None.
+    At each stage: nonnegative exponents; below the top, the threshold
+    weights, the discrepancy 1/2 and (shape A) a weight witness; at the
+    top, the discrepancy sum w - (equation weights) - 1 from the stage's
+    own fields.  Then every exponent family, and the depth identity."""
+    walk, fields, wants, witnessed, families = rules
     stages = walk(case)
     half = Fraction(1, 2)
     for st in stages:
@@ -527,6 +531,14 @@ def _check_case(case, dep_q3: int) -> str | None:
     return _check_depth_identity(case, dep_q3)
 
 
+def _check_case_a(case, dep_q3: int) -> str | None:
+    return _chain_failure(case, dep_q3, _rules_a(case))
+
+
+def _check_case_b(case, dep_q3: int) -> str | None:
+    return _chain_failure(case, dep_q3, _rules_b(case))
+
+
 def sweep_o3_chains(cases_per_shape: int, seed: int) -> SweepResult:
     """Randomized chain data for both shapes: recurrences, nonnegativity,
     stage weights, every stage's discrepancy (1/2 below stage a, sum w -
@@ -540,8 +552,8 @@ def sweep_o3_chains(cases_per_shape: int, seed: int) -> SweepResult:
         # each case, then its endpoint depth: one stream of draws
         for a, d in combos:
             for _ in range(per_combo):
-                yield _check_case, random_case_a(rng, a, d), _below(rng, 13)
-                yield _check_case, random_case_b(rng, a, d), _below(rng, 13)
+                yield _check_case_a, random_case_a(rng, a, d), _below(rng, 13)
+                yield _check_case_b, random_case_b(rng, a, d), _below(rng, 13)
 
     return _run("o3-chain-calculus", cases)
 

@@ -174,7 +174,7 @@ def test_run_all_quick():
 
 QUICK = dict(cyclic_max=6, germ_r_max=3, rr_max=10, en_r_max=15, semi_max=8,
              iib_max=11, o3_cases=6, trace_count=100)
-# all 12: two cyclic checks and two o3 ones among them
+# all 13: two cyclic checks and three o3 ones among them
 CHECKS = sorted(name for name in vars(sweeps) if name.startswith("_check_"))
 
 
