@@ -26,6 +26,12 @@ from .rationals import format_rat, parse_int, parse_rat
 
 MAX_SAFE_INT = 2**53
 
+# the most stages an o3 request may walk (kMax if given, else a): the
+# largest accepted requests (a = 9999, six or seven support rows) answered
+# in 0.39-0.53 s in a fresh process on a 2-vCPU host, and 30,001 stages in
+# 1.0-1.6 s
+O3_MAX_STAGES = 10_000
+
 # the verify flags: one --flag-name per run_all parameter, in its order (a
 # test checks this against the signature); their defaults are run_all's
 _VERIFY_FLAGS = (
@@ -360,6 +366,11 @@ def _cmd_o3(obj):
     # read last; each shape's stages have their own payload
     cls = shapes[shape]
     case = cls(a, d, *(_field(obj, name) for name in cls._fields[2:-2]), supp_a, supp_b)
+    stages = a if k_max is None else k_max
+    if stages > O3_MAX_STAGES:
+        raise InvalidParameter(
+            f"o3 walks at most {O3_MAX_STAGES} stages, not {stages}: "
+            f"give a kMax up to {O3_MAX_STAGES}")
     stage_payload = globals()["_stage_payload_" + shape.lower()]
     return {
         "case": shape,

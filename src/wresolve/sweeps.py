@@ -109,8 +109,9 @@ def _below(rng: random.Random, n: int) -> int:
     same bits from rng's stream, and returns the same value, as
     ``rng.randrange(n)``; ``a + _below(rng, b - a + 1)`` is
     ``rng.randint(a, b)`` and ``seq[_below(rng, len(seq))]`` is
-    ``rng.choice(seq)``.  The randomized sweeps draw through it and see
-    the streams those calls would give."""
+    ``rng.choice(seq)``.  The randomized sweeps draw through it, or
+    (``random_trace``'s steps) run the same loop inline, and see the
+    streams those calls would give."""
     k = n.bit_length()
     r = rng.getrandbits(k)
     while r >= n:
@@ -558,35 +559,62 @@ def sweep_o3_chains(cases_per_shape: int, seed: int) -> SweepResult:
     return _run("o3-chain-calculus", cases)
 
 
-# the kinds a generated step picks from, at depth 0 and above it
-_KINDS_AT_ZERO = (traces.FLOP, traces.DIV_TO_POINT, traces.DIV_TO_CURVE,
-                  traces.BLOWDOWN_LCI)
-_KINDS_ABOVE_ZERO = (traces.FLOP, traces.DIV_TO_POINT, traces.DIV_TO_CURVE,
-                     traces.FLIP, traces.WEXTRACTION)
+def _moves_at(dep: int):
+    """The moves of a generated step from depth dep: the number of kinds
+    there and its draw width, then per kind (in draw order) the number of
+    its after-depths, their draw width and one TraceStep per after-depth,
+    in order.  A Flop keeps dep and a blow-down to an LCI curve keeps the
+    Gorenstein terminus 0: neither draws, so its width is 0."""
+    kinds = (traces.FLOP, traces.DIV_TO_POINT, traces.DIV_TO_CURVE) + (
+        (traces.FLIP, traces.WEXTRACTION) if dep else (traces.BLOWDOWN_LCI,))
+    afters = {
+        traces.FLOP: range(dep, dep + 1),
+        traces.FLIP: range(dep),
+        traces.WEXTRACTION: range(dep - 1, dep + 3),
+        traces.DIV_TO_POINT: range(max(0, dep - 1), dep + 3),
+        traces.DIV_TO_CURVE: range(dep + 1),
+        traces.BLOWDOWN_LCI: range(1),
+    }
+    rows = []
+    for kind in kinds:
+        depths = afters[kind]
+        fixed = kind in (traces.FLOP, traces.BLOWDOWN_LCI)
+        rows.append((len(depths), 0 if fixed else len(depths).bit_length(),
+                     tuple(traces.TraceStep(kind, dep, after) for after in depths)))
+    return len(kinds), len(kinds).bit_length(), tuple(rows)
 
 
-def random_trace(rng: random.Random):
-    """A valid trace of 1 to 12 steps from a depth of at most 10."""
+def random_trace(rng: random.Random, moves: dict | None = None):
+    """A valid trace of 1 to 12 steps from a depth of at most 10.
+
+    Each step draws its kind, then its after-depth, from ``moves``, a
+    table from depth to ``_moves_at(depth)`` filled the first time a trace
+    reaches that depth; without a table the call makes a fresh one.  Both
+    draws are ``_below``'s rejection loop written out on
+    ``rng.getrandbits`` (a width of 0 takes no bits), so a trace takes the
+    same bits, and is the same trace, as with ``randint`` and ``choice``.
+    A step is the table's prebuilt TraceStep, so the steps one table
+    gives are built once each, through the constructor."""
+    if moves is None:
+        moves = {}
+    bits = rng.getrandbits
     dep = _below(rng, 11)
     steps = []
     for _ in range(1 + _below(rng, 12)):
-        kinds = _KINDS_ABOVE_ZERO if dep else _KINDS_AT_ZERO
-        kind = kinds[_below(rng, len(kinds))]
-        if kind == traces.FLOP:
-            after = dep
-        elif kind == traces.FLIP:
-            after = _below(rng, dep)
-        elif kind == traces.WEXTRACTION:
-            after = dep - 1 + _below(rng, 4)
-        elif kind == traces.DIV_TO_POINT:
-            low = max(0, dep - 1)
-            after = low + _below(rng, dep + 3 - low)
-        elif kind == traces.DIV_TO_CURVE:
-            after = _below(rng, dep + 1)
-        else:  # BLOWDOWN_LCI keeps the Gorenstein terminus
-            after = 0
-        steps.append(traces.TraceStep(kind, dep, after))
-        dep = after
+        try:
+            n, k, kinds = moves[dep]
+        except KeyError:
+            n, k, kinds = moves[dep] = _moves_at(dep)
+        r = bits(k)
+        while r >= n:
+            r = bits(k)
+        n, k, row = kinds[r]
+        r = bits(k)
+        while r >= n:
+            r = bits(k)
+        step = row[r]
+        steps.append(step)
+        dep = step.dep_after
     return traces.FactorizationTrace(tuple(steps))
 
 
@@ -633,10 +661,14 @@ def sweep_trace_rules(n_traces: int, seed: int) -> SweepResult:
     carries never decides ``ok``), and ``random_trace`` never yields an
     empty trace.  So each end depth's mutants are checked once, on its
     first trace, and later traces ending there reuse the first accepted
-    mutant (or None) from ``accepted``."""
+    mutant (or None) from ``accepted``.  The traces draw their steps from
+    one table of moves per run, bound like ``accepted``, so a run builds
+    each step of a depth it reaches once, and nothing is kept from one
+    run to the next."""
     def cases():
         check = functools.partial(_check_trace, accepted={})
-        traced = map(random_trace, itertools.repeat(random.Random(seed), n_traces))
+        draw = functools.partial(random_trace, moves={})
+        traced = map(draw, itertools.repeat(random.Random(seed), n_traces))
         return zip(itertools.repeat(check), traced)
 
     return _run("trace-rule-metamorphic", cases)

@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -316,6 +317,28 @@ def test_o3_constraint_violation(capsys):
 def test_o3_schema(capsys):
     code, payload = run_json(capsys, ["o3", '{"case":"C","a":3,"d":1}'])
     assert code == 1
+
+
+# an o3 request walks kMax stages, else a; above cli.O3_MAX_STAGES it is
+# refused before the walk, and a kMax within the ceiling answers any a
+@pytest.mark.parametrize("shape", [{"case": "A", "alpha": 2, "suppA": [[2, 0]]},
+                                   {"case": "B"}], ids=["A", "B"])
+def test_o3_stage_ceiling(capsys, shape):
+    ceiling = cli.O3_MAX_STAGES
+    for a, k_max in [(10**19 + 1, None), (ceiling + 1, None), (ceiling + 3, ceiling + 1)]:
+        doc = {**shape, "a": a, "d": 1} | ({} if k_max is None else {"kMax": k_max})
+        start = time.perf_counter()
+        code, payload = run_json(capsys, ["o3", json.dumps(doc)])
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert payload["error"] == {
+            "type": "InvalidParameter",
+            "message": f"o3 walks at most {ceiling} stages, not {k_max or a}: "
+                       f"give a kMax up to {ceiling}"}
+    code, payload = run_json(capsys, ["o3", json.dumps({**shape, "a": 10**19 + 1, "d": 1,
+                                                        "kMax": 3})])
+    assert code == 0
+    assert [stage["k"] for stage in payload["stages"]] == [0, 1, 2, 3]
 
 
 def test_trace_valid(capsys):

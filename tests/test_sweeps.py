@@ -718,3 +718,45 @@ def test_below_is_randrange():
         for _ in range(50):
             assert sweeps._below(ours, n) == ref.randrange(n)
     assert ours.getstate() == ref.getstate()
+
+
+# one table of moves serves all the traces of a run: a step the run draws
+# again is the TraceStep it built the first time
+def test_equal_drawn_steps_are_one_object():
+    rng, moves, first = random.Random(8), {}, {}
+    for _ in range(2000):
+        for step in sweeps.random_trace(rng, moves).steps:
+            assert first.setdefault(step, step) is step
+    built = {id(step) for _, _, kinds in moves.values() for _, _, row in kinds for step in row}
+    assert set(map(id, first.values())) <= built
+    assert max(moves) <= 34
+
+
+# the after-depths _randint_trace draws from, per kind, at depth dep
+def _randint_afters(kind, dep):
+    return {
+        traces.FLOP: [dep],
+        traces.FLIP: range(0, dep),
+        traces.WEXTRACTION: range(dep - 1, dep + 3),
+        traces.DIV_TO_POINT: range(max(0, dep - 1), dep + 3),
+        traces.DIV_TO_CURVE: range(0, dep + 1),
+        traces.BLOWDOWN_LCI: [0],
+    }[kind]
+
+
+# a trace starts at depth 10 or less and takes at most 12 steps of at most
+# +2 each, so the table of moves has no depth above 34
+@pytest.mark.parametrize("dep", range(35))
+def test_move_table_holds_the_checked_steps_of_each_depth(dep):
+    n, width, kinds = sweeps._moves_at(dep)
+    want = [traces.FLOP, traces.DIV_TO_POINT, traces.DIV_TO_CURVE]
+    want += [traces.FLIP, traces.WEXTRACTION] if dep else [traces.BLOWDOWN_LCI]
+    assert (n, width, len(kinds)) == (len(want), len(want).bit_length(), len(want))
+    for kind, (count, bits, row) in zip(want, kinds):
+        afters = _randint_afters(kind, dep)
+        drawn = kind not in (traces.FLOP, traces.BLOWDOWN_LCI)
+        assert (count, bits) == (len(afters), len(afters).bit_length() if drawn else 0)
+        assert row == tuple(traces.TraceStep(kind, dep, after) for after in afters)
+        for step in row:
+            assert type(step) is traces.TraceStep
+            assert traces._check_run((step,), dep, 0)[0]
