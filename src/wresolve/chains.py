@@ -471,13 +471,11 @@ def chain_stages_b(case: O3CaseB, k_max: int | None = None) -> tuple[ChainStageB
         wts2 = list(built_in2)
         q_exps = _rows_at(second, m, wts2)
         w1, w2 = min(wts1), min(wts2)
-        if w1 == t1 and w2 == t2:
-            append(new(ChainStageB, (
-                k, weights, p_exps, q_exps, wt_first, wt_second, _HALF)))
-        else:
-            append(new(ChainStageB, (
-                k, weights, p_exps, q_exps, Fraction(w1, 2), Fraction(w2, 2),
-                Fraction(rest - w1 - w2, 2))))
+        append(new(ChainStageB, (
+            k, weights, p_exps, q_exps,
+            wt_first if w1 == t1 else Fraction(w1, 2),
+            wt_second if w2 == t2 else Fraction(w2, 2),
+            _HALF if w1 == t1 and w2 == t2 else Fraction(rest - w1 - w2, 2))))
     return tuple(stages)
 
 

@@ -31,6 +31,16 @@ MAX_SAFE_INT = 2**53
 # in 0.39-0.53 s in a fresh process on a 2-vCPU host, and 30,001 stages in
 # 1.0-1.6 s
 O3_MAX_STAGES = 10_000
+# the most stages (as above) times support rows (suppA plus suppB) an o3
+# request may walk: on a 2-vCPU shared host, a = 9999 with eight rows
+# (79,992) answered in 0.53-0.93 s in a fresh process, and with 30 rows in
+# 1.2-1.6 s
+O3_MAX_STAGE_ROWS = 80_000
+
+# the most stages a resolve walk may take (t for an index r >= 2): a deeper
+# tree overflowed the encoder's recursion limit (t = 10^4 in 0.2 s, t =
+# 10^5 in 0.6 s), and a t of 300 digits ran on without end
+RESOLVE_MAX_STAGES = 10_000
 
 # the verify flags: one --flag-name per run_all parameter, in its order (a
 # test checks this against the signature); their defaults are run_all's
@@ -250,8 +260,12 @@ def _search_limit(obj):
 def _cmd_resolve(obj):
     from . import germs
 
-    g = _parse_germ(obj)
-    tree = germs.resolution_tree(g, _search_limit(obj))
+    g, limit = _parse_germ(obj), _search_limit(obj)
+    # a walk from index r >= 2 takes t stages; index 1 takes none
+    if g.r > 1 and (t := germs.tvalue(g)) > RESOLVE_MAX_STAGES:
+        raise InvalidParameter(
+            f"resolve walks at most {RESOLVE_MAX_STAGES} stages, not t = {t}")
+    tree = germs.resolution_tree(g, limit)
     return {"dep": tree["dep"], "tree": tree}
 
 
@@ -371,6 +385,10 @@ def _cmd_o3(obj):
         raise InvalidParameter(
             f"o3 walks at most {O3_MAX_STAGES} stages, not {stages}: "
             f"give a kMax up to {O3_MAX_STAGES}")
+    if (stage_rows := stages * (len(supp_a) + len(supp_b))) > O3_MAX_STAGE_ROWS:
+        raise InvalidParameter(
+            f"o3 walks at most {O3_MAX_STAGE_ROWS} stage-rows (stages times support "
+            f"rows), not {stage_rows}: give a smaller kMax or fewer support rows")
     stage_payload = globals()["_stage_payload_" + shape.lower()]
     return {
         "case": shape,

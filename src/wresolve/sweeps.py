@@ -6,7 +6,9 @@ Each sweep cross-checks one family of claims by an independent route
 linear scan, simulated chain stages against closed-form exponents, shape
 A's y-term included, and against the discrepancy sum w - (equation
 weights) - 1 of every stage, stage a included) and reports a
-SweepResult. A sweep is a stream of cases, each a ``(check, *args)``
+SweepResult. The chain check computes each closed-form exponent once,
+holds it to the paper's recurrence, and then reads the walk's stages in
+one pass. A sweep is a stream of cases, each a ``(check, *args)``
 tuple, fed to one runner that calls ``check(*args)``, times and counts
 them. A check returns what broke, or None; one that raises fails its
 case, and the next case runs. A raise while the stream is set up or
@@ -445,42 +447,14 @@ def _check_depth_identity(case, dep_q3: int) -> str | None:
     return None
 
 
-def _family_failure(case, stages, rows, name, support, form, offset, step, top):
-    """The first failure of one family of chain z-exponents, or None.
-
-    The closed form ``form(i, j, k, d)`` of each (i, j) of the support is
-    j + offset at stage 0 (the germ itself) and steps by i + step[k % 2]
-    from stage k to k + 1, the paper's recurrence.  Each row ((i, j), e)
-    that ``rows`` reads off a walk's stage is ``form(i, j, k, d)`` at every
-    stage k below a, and ``top(i, j)``, the stage-a formula, at the top."""
-    a, d = case.a, case.d
-    for i, j in support:
-        if form(i, j, 0, d) != j + offset:
-            return f"stage-0 {name} mismatch"
-    for k in range(a):
-        want = step[k % 2]
-        for i, j in support:
-            if form(i, j, k + 1, d) - form(i, j, k, d) != i + want:
-                return f"{name} recurrence broke"
-    for st in stages:
-        k = st.k
-        for (i, j), e in rows(st):
-            want = top(i, j) if k == a else form(i, j, k, d)
-            if e != want:
-                return (f"top-stage {name} {e} != {want}" if k == a
-                        else f"stage {k} {name} {e} != {want}")
-    return None
-
-
 def _rules_a(case):
     """Shape A's rules, as _chain_failure reads them: its walk (looked up
     on chains at each call), the stage fields of its equation weights and
     their values below the top stage, whether a stage below the top names
-    a weight witness, and its exponent families.  A family is the
-    arguments of _family_failure after the stages: the reader of its rows
-    off a stage, its name in failures, its support, its closed form, the
-    form's stage-0 offset, its steps by parity and its stage-a formula.
-    The y-term is the family of the one row (alpha, 0)."""
+    a weight witness, and its exponent families.  A family is the reader
+    of its rows off a stage, its name in failures, its support, its closed
+    form, the form's stage-0 offset, its steps by parity and its stage-a
+    formula.  The y-term is the family of the one row (alpha, 0)."""
     a, d, r = case.a, case.d, case.r
     y_term = (case.alpha, 0)
     return chains.chain_simulate, ("sigma_weight",), (2 * d,), True, (
@@ -507,16 +481,34 @@ def _rules_b(case):
 
 def _chain_failure(case, dep_q3: int, rules) -> str | None:
     """The first failure of one chain case by its shape's rules, or None.
-    At each stage: nonnegative exponents; below the top, the threshold
-    weights, the discrepancy 1/2 and (shape A) a weight witness; at the
-    top, the discrepancy sum w - (equation weights) - 1 from the stage's
-    own fields.  Then every exponent family, and the depth identity."""
+
+    First the closed forms: each family's ``form(i, j, k, d)`` of each
+    (i, j) of its support, for k = 0..a, is j + offset at stage 0 (the
+    germ itself) and steps by i + step[k % 2] from stage k to k + 1, the
+    paper's recurrence; each value is computed once and kept as the
+    family's column.  Then one pass over the walk's stages: nonnegative
+    exponents; below the top, the threshold weights, the discrepancy 1/2
+    and (shape A) a weight witness; at the top, the discrepancy sum w -
+    (equation weights) - 1 from the stage's own fields; then each family's
+    rows ((i, j), e): the column's value at every stage k below a, and the
+    stage-a formula ``top_form(i, j)`` at the top.  Last, the depth
+    identity."""
     walk, fields, wants, witnessed, families = rules
-    stages = walk(case)
+    a, d = case.a, case.d
+    row_checks = []
+    for rows, name, support, form, offset, step, top_form in families:
+        row_checks.append((rows, name, top_form, column := {}))
+        for i, j in support:
+            column[i, j] = values = [form(i, j, k, d) for k in range(a + 1)]
+            want = j + offset
+            for k, e in enumerate(values):
+                if e != want:
+                    return f"{name} recurrence broke" if k else f"stage-0 {name} mismatch"
+                want += i + step[k % 2]
     half = Fraction(1, 2)
-    for st in stages:
+    for st in walk(case):
         k, weights = st.k, [getattr(st, field) for field in fields]
-        top = k == case.a
+        top = k == a
         if any(e < 0 for rows, *_ in families for _, e in rows(st)):
             return f"negative exponent at stage {k}"
         for w, want in zip(weights, () if top else wants):
@@ -526,9 +518,12 @@ def _chain_failure(case, dep_q3: int, rules) -> str | None:
             return f"stage {k} discrepancy {st.discrepancy}"
         if witnessed and not top and not st.witnesses:
             return f"stage {k} lost its weight witnesses"
-    for family in families:
-        if failure := _family_failure(case, stages, *family):
-            return failure
+        for rows, name, top_form, column in row_checks:
+            for (i, j), e in rows(st):
+                want = top_form(i, j) if top else column[i, j][k]
+                if e != want:
+                    return (f"top-stage {name} {e} != {want}" if top
+                            else f"stage {k} {name} {e} != {want}")
     return _check_depth_identity(case, dep_q3)
 
 

@@ -112,6 +112,34 @@ def test_resolve_limit_env(capsys, monkeypatch):
     assert code == 1
 
 
+def _deep_germ(t, **more):
+    # r = 2 and support {(0, t), (1, 0)}: axial weight t, a walk of t stages
+    return json.dumps({"r": 2, "beta": 1, "support": [[0, t], [1, 0]], **more})
+
+
+# a resolve walk from index r >= 2 takes t stages; above
+# cli.RESOLVE_MAX_STAGES the request is refused before the walk, limit or
+# not, and a limit below the path cost of a walk within it still stops it
+def test_resolve_stage_ceiling(capsys):
+    ceiling = cli.RESOLVE_MAX_STAGES
+    for t, more in [(ceiling + 1, {}), (10**299, {}), (ceiling + 1, {"limit": 5})]:
+        start = time.perf_counter()
+        code, payload = run_json(capsys, ["resolve", _deep_germ(t, **more)])
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert payload["error"] == {
+            "type": "InvalidParameter",
+            "message": f"resolve walks at most {ceiling} stages, not t = {t}"}
+    code, payload = run_json(capsys, ["resolve", _deep_germ(ceiling, limit=5)])
+    assert code == 2
+    assert payload["error"] == {"type": "SearchLimitExceeded",
+                                "message": "path cost 1 exceeds the ceiling 0"}
+    # an index-1 germ walks no stage, whatever its t
+    code, payload = run_json(capsys, ["resolve", json.dumps(
+        {"r": 1, "beta": 0, "support": [[0, 10**299], [1, 0]]})])
+    assert (code, payload["dep"]) == (0, 0)
+
+
 def test_blowup(capsys):
     code, payload = run_json(
         capsys, ["blowup", GERM[:-1] + ',"r1":2,"r2":8}']
@@ -339,6 +367,46 @@ def test_o3_stage_ceiling(capsys, shape):
                                                         "kMax": 3})])
     assert code == 0
     assert [stage["k"] for stage in payload["stages"]] == [0, 1, 2, 3]
+
+
+def _o3_rows(shape, rows):
+    """An o3 request of the shape, d = 1, a = 9999 and the given number of
+    support rows, split between suppA (shape A's pivot (2, 0) first) and
+    suppB."""
+    first, second = (rows + 1) // 2, rows // 2
+    supp_a = ([[2, 0]] + [[2 + x, x] for x in range(1, first)] if shape == "A"
+              else [[3 + x, x] for x in range(first)])
+    doc = {"case": shape, "a": 9999, "d": 1, "suppA": supp_a,
+           "suppB": [[1 + x, x] for x in range(second)]}
+    return doc | ({"alpha": 2} if shape == "A" else {})
+
+
+# an o3 request also walks at most cli.O3_MAX_STAGE_ROWS stages (kMax,
+# else a) times support rows; above it, it is refused before the walk
+@pytest.mark.parametrize("shape", ["A", "B"])
+def test_o3_stage_row_ceiling(capsys, shape):
+    ceiling = cli.O3_MAX_STAGE_ROWS
+    rows = 16
+    code, payload = run_json(capsys, ["o3", json.dumps(
+        _o3_rows(shape, rows) | {"kMax": ceiling // rows})])
+    assert code == 0
+    assert len(payload["stages"]) == ceiling // rows + 1
+    for doc, stage_rows in [(_o3_rows(shape, rows) | {"kMax": ceiling // rows + 1},
+                             ceiling + rows),
+                            (_o3_rows(shape, 30), 9999 * 30),
+                            (_o3_rows(shape, 200), 9999 * 200)]:
+        start = time.perf_counter()
+        code, payload = run_json(capsys, ["o3", json.dumps(doc)])
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert payload["error"] == {
+            "type": "InvalidParameter",
+            "message": f"o3 walks at most {ceiling} stage-rows (stages times support "
+                       f"rows), not {stage_rows}: give a smaller kMax or fewer support rows"}
+    # a = 9999 with seven support rows stays within it
+    code, payload = run_json(capsys, ["o3", json.dumps(_o3_rows(shape, 7))])
+    assert code == 0
+    assert len(payload["stages"]) == 10000
 
 
 def test_trace_valid(capsys):

@@ -570,6 +570,33 @@ def test_o3_sweep_catches_a_top_stage_row_off_by_one(monkeypatch, name, form, wa
     assert Fraction(found[1]) == Fraction(found[2]) + 1
 
 
+# a chain check computes each closed form once per (i, j) of its support
+# and stage k = 0..a, for the recurrence and the stage rows alike; the
+# y-term's delta_k has the one row (alpha, 0)
+@pytest.mark.parametrize("check, case, counts", [
+    (sweeps._check_case_a,
+     chains.O3CaseA(5, 2, 6, {(3, 8), (4, 0), (1, 19), (4, 1), (3, 5)},
+                    {(1, 6), (1, 8), (6, 0)}),
+     {"beta_k": 5 * 6, "gamma_k": 3 * 6, "delta_k": 6}),
+    (sweeps._check_case_b,
+     chains.O3CaseB(5, 2, {(4, 7), (5, 0), (5, 1), (4, 8)}, {(2, 0), (3, 5), (1, 4)}),
+     {"beta_k_b": 4 * 6, "gamma_k_b": 3 * 6}),
+], ids=["A", "B"])
+def test_o3_check_computes_each_closed_form_once(monkeypatch, check, case, counts):
+    calls = dict.fromkeys(["beta_k", "gamma_k", "delta_k", "beta_k_b", "gamma_k_b"], 0)
+
+    def counted(name, form):
+        def call(*args):
+            calls[name] += 1
+            return form(*args)
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(chains, name, counted(name, getattr(chains, name)))
+    assert check(case, 0) is None
+    assert {name: n for name, n in calls.items() if n} == counts
+
+
 def test_runner_counts_every_case_after_a_failure(monkeypatch):
     formula = germs.depth_formula
     monkeypatch.setattr(germs, "depth_formula", lambda g: formula(g) + 1)
