@@ -26,7 +26,8 @@ from .rationals import format_rat, parse_int, parse_rat
 
 MAX_SAFE_INT = 2**53
 
-# the most stages an o3 request may walk (kMax if given, else a): the
+# the most stages an o3 request may walk (kMax if given, else a; a kMax
+# above a is the walk's own range error, not this ceiling's): the
 # largest accepted requests (a = 9999, six or seven support rows) answered
 # in 0.39-0.53 s in a fresh process on a 2-vCPU host, and 30,001 stages in
 # 1.0-1.6 s
@@ -37,9 +38,11 @@ O3_MAX_STAGES = 10_000
 # 1.2-1.6 s
 O3_MAX_STAGE_ROWS = 80_000
 
-# the most stages a resolve walk may take (t for an index r >= 2): a deeper
-# tree overflowed the encoder's recursion limit (t = 10^4 in 0.2 s, t =
-# 10^5 in 0.6 s), and a t of 300 digits ran on without end
+# the most stages a resolve walk may take (t for an index r >= 2), so a t
+# of 300 digits, which ran on without end, is refused before the walk; a
+# walk within it still overflows the encoder's recursion limit from about
+# 985 stages in a fresh process (t = 10^4 walks every stage, then exits 2
+# with RecursionError in 0.1-0.2 s) until ROADMAP item 2's writer lifts it
 RESOLVE_MAX_STAGES = 10_000
 
 # the verify flags: one --flag-name per run_all parameter, in its order (a
@@ -249,18 +252,10 @@ def _cmd_depth(obj):
     return {"dep": germs.depth_formula(_parse_germ(obj)), "exact": True}
 
 
-def _search_limit(obj):
-    # an explicit "limit" wins; the environment is only read without one
-    if "limit" in obj:
-        return _field(obj, "limit", minimum=0)
-    env = os.environ.get("DEPTH_SEARCH_LIMIT")
-    return None if env is None else _int(env, "DEPTH_SEARCH_LIMIT", minimum=0)
-
-
 def _cmd_resolve(obj):
     from . import germs
 
-    g, limit = _parse_germ(obj), _search_limit(obj)
+    g, limit = _parse_germ(obj), _field(obj, "limit", default=None, minimum=0)
     # a walk from index r >= 2 takes t stages; index 1 takes none
     if g.r > 1 and (t := germs.tvalue(g)) > RESOLVE_MAX_STAGES:
         raise InvalidParameter(
@@ -380,7 +375,7 @@ def _cmd_o3(obj):
     # read last; each shape's stages have their own payload
     cls = shapes[shape]
     case = cls(a, d, *(_field(obj, name) for name in cls._fields[2:-2]), supp_a, supp_b)
-    stages = a if k_max is None else k_max
+    stages = a if k_max is None else min(k_max, a)
     if stages > O3_MAX_STAGES:
         raise InvalidParameter(
             f"o3 walks at most {O3_MAX_STAGES} stages, not {stages}: "

@@ -579,19 +579,17 @@ def _moves_at(dep: int):
     return len(kinds), len(kinds).bit_length(), tuple(rows)
 
 
-def random_trace(rng: random.Random, moves: dict | None = None):
+def random_trace(rng: random.Random, moves: dict):
     """A valid trace of 1 to 12 steps from a depth of at most 10.
 
-    Each step draws its kind, then its after-depth, from ``moves``, a
-    table from depth to ``_moves_at(depth)`` filled the first time a trace
-    reaches that depth; without a table the call makes a fresh one.  Both
+    Each step draws its kind, then its after-depth, from ``moves``, the
+    caller's table from depth to ``_moves_at(depth)``, filled the first
+    time a trace reaches that depth (pass ``{}`` for a fresh one).  Both
     draws are ``_below``'s rejection loop written out on
     ``rng.getrandbits`` (a width of 0 takes no bits), so a trace takes the
     same bits, and is the same trace, as with ``randint`` and ``choice``.
     A step is the table's prebuilt TraceStep, so the steps one table
     gives are built once each, through the constructor."""
-    if moves is None:
-        moves = {}
     bits = rng.getrandbits
     dep = _below(rng, 11)
     steps = []
@@ -656,10 +654,10 @@ def sweep_trace_rules(n_traces: int, seed: int) -> SweepResult:
     carries never decides ``ok``), and ``random_trace`` never yields an
     empty trace.  So each end depth's mutants are checked once, on its
     first trace, and later traces ending there reuse the first accepted
-    mutant (or None) from ``accepted``.  The traces draw their steps from
-    one table of moves per run, bound like ``accepted``, so a run builds
-    each step of a depth it reaches once, and nothing is kept from one
-    run to the next."""
+    mutant (or None) from ``accepted``.  Every trace of a run draws its
+    steps from the one table of moves the run passes to ``random_trace``,
+    bound like ``accepted``, so a run builds each step of a depth it
+    reaches once, and nothing is kept from one run to the next."""
     def cases():
         check = functools.partial(_check_trace, accepted={})
         draw = functools.partial(random_trace, moves={})

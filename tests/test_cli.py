@@ -99,17 +99,14 @@ def test_resolve_limit_key(capsys):
     assert payload["error"]["type"] == "SearchLimitExceeded"
 
 
-def test_resolve_limit_env(capsys, monkeypatch):
+# an answer depends on argv and the request alone: only the request's
+# "limit" key caps the path cost, and the environment is never read
+def test_resolve_reads_no_environment(capsys, monkeypatch):
+    code, want = run(capsys, ["resolve", GERM])
+    assert code == 0
     monkeypatch.setenv("DEPTH_SEARCH_LIMIT", "3")
-    code, payload = run_json(capsys, ["resolve", GERM])
-    assert code == 2
-    assert payload["error"]["type"] == "SearchLimitExceeded"
-    # an explicit limit in the input wins over the environment
-    code, payload = run_json(capsys, ["resolve", GERM[:-1] + ',"limit":9}'])
-    assert code == 0 and payload["dep"] == 9
-    monkeypatch.setenv("DEPTH_SEARCH_LIMIT", "not-a-number")
-    code, payload = run_json(capsys, ["resolve", GERM])
-    assert code == 1
+    assert run(capsys, ["resolve", GERM]) == (0, want)
+    assert json.loads(want)["dep"] == 9
 
 
 def _deep_germ(t, **more):
@@ -369,6 +366,19 @@ def test_o3_stage_ceiling(capsys, shape):
     assert [stage["k"] for stage in payload["stages"]] == [0, 1, 2, 3]
 
 
+# the ceiling counts the stages a request can walk, at most a: a kMax
+# above a gets the walk's own stage-range refusal, not the ceiling's advice
+@pytest.mark.parametrize("shape", [{"case": "A", "alpha": 2, "suppA": [[2, 0]]},
+                                   {"case": "B"}], ids=["A", "B"])
+def test_o3_kmax_above_a_is_out_of_range(capsys, shape):
+    for k_max in [4, cli.O3_MAX_STAGES + 1, 99999]:
+        code, payload = run_json(capsys, ["o3", json.dumps(
+            {**shape, "a": 3, "d": 1, "kMax": k_max})])
+        assert code == 2
+        assert payload["error"] == {"type": "InvalidParameter",
+                                    "message": "stage range is 0..a"}
+
+
 def _o3_rows(shape, rows):
     """An o3 request of the shape, d = 1, a = 9999 and the given number of
     support rows, split between suppA (shape A's pivot (2, 0) first) and
@@ -447,7 +457,7 @@ def trace_wire_cases(n, seed):
     the empty trace."""
     rng = random.Random(seed)
     for i in range(n):
-        steps = list(sweeps.random_trace(rng).steps)
+        steps = list(sweeps.random_trace(rng, {}).steps)
         if i % 3 == 0 and len(steps) > 1:
             m = rng.randrange(1, len(steps))
             st = steps[m]
@@ -922,6 +932,10 @@ REPEATED_KEYS = [
                      "SchemaError", id="int-string-newline"),
         pytest.param(["depth", '{"r":"","beta":2,"support":[[0,1]]}'], 1,
                      "SchemaError", id="int-string-empty"),
+        *(pytest.param(["resolve", GERM[:-1] + ',"limit":' + json.dumps(limit) + "}"], 1,
+                       "SchemaError", id=f"resolve-limit-{tag}")
+          for tag, limit in [("underscore", "1_0"), ("space", " 9"),
+                             ("arabic-indic-digit", "\u0669"), ("plus", "+9")]),
         *(pytest.param(["en", json.dumps({"case": "IC", "r": 5, "kx": value})], 1,
                        "SchemaError", id=f"en-kx-{tag}")
           for tag, value in LAX_RATIONALS.items()),
@@ -1002,21 +1016,6 @@ def test_trace_step_refuses_an_extra_key(capsys):
     assert payload["error"] == {"type": "SchemaError", "message": "unknown key 'zz'"}
 
 
-def test_resolve_negative_env_limit(capsys, monkeypatch):
-    monkeypatch.setenv("DEPTH_SEARCH_LIMIT", "-1")
-    code, payload = run_json(capsys, ["resolve", GERM])
-    assert code == 1
-    assert payload["error"]["type"] == "SchemaError"
-
-
-@pytest.mark.parametrize("limit", ["1_0", " 9", "\u0669", "+9"])
-def test_resolve_env_limit_takes_plain_digits(capsys, monkeypatch, limit):
-    monkeypatch.setenv("DEPTH_SEARCH_LIMIT", limit)
-    code, payload = run_json(capsys, ["resolve", GERM])
-    assert code == 1
-    assert payload["error"]["type"] == "SchemaError"
-
-
 def test_input_file_not_utf8(capsys, tmp_path):
     path = tmp_path / "germ.json"
     path.write_bytes(b"\xff" + GERM.encode())
@@ -1044,6 +1043,20 @@ def test_input_too_deep_for_the_recursion_limit():
     assert json.loads(proc.stdout)["error"] == {
         "type": "InvalidParameter", "message": "input too large (RecursionError)"
     }
+    assert "Traceback" not in proc.stderr
+
+
+# a walk within cli.RESOLVE_MAX_STAGES is not refused up front; past the
+# encoder's depth (about 985 stages in a fresh process) it ends in the
+# RecursionError answer, and either way in one JSON document, soon
+@pytest.mark.parametrize("t", [1000, cli.RESOLVE_MAX_STAGES])
+def test_resolve_walk_within_the_ceiling_answers(t):
+    start = time.perf_counter()
+    proc = spawn(["resolve", _deep_germ(t)], stdout=subprocess.PIPE)
+    assert time.perf_counter() - start < 2
+    assert proc.returncode in (0, 2)
+    assert proc.stdout.count("\n") == 1
+    json.loads(proc.stdout)
     assert "Traceback" not in proc.stderr
 
 

@@ -117,7 +117,7 @@ def test_one_corr_x_per_axial_weight_is_the_cd2_correction():
 def test_random_traces_are_valid():
     rng = random.Random(99)
     for _ in range(300):
-        t = sweeps.random_trace(rng)
+        t = sweeps.random_trace(rng, {})
         assert traces.validate_trace(t).valid
 
 
@@ -130,7 +130,7 @@ def rejected(step, index, dep):
 def test_violating_extensions_all_fail():
     rng = random.Random(7)
     for _ in range(200):
-        t = sweeps.random_trace(rng)
+        t = sweeps.random_trace(rng, {})
         mutants = list(sweeps._violating_steps(t))
         assert len(mutants) >= 4
         for bad in mutants:
@@ -728,7 +728,7 @@ def _randint_case_b(rng, a, d):
 def test_generators_draw_the_randint_streams(seed):
     ours, ref = random.Random(seed), random.Random(seed)
     for _ in range(2000):
-        assert sweeps.random_trace(ours) == _randint_trace(ref)
+        assert sweeps.random_trace(ours, {}) == _randint_trace(ref)
     for a in (3, 5, 7, 9):
         for d in (1, 2, 3):
             for _ in range(20):

@@ -351,9 +351,7 @@ def run_corpus():
 
 @pytest.fixture(scope="module")
 def corpus_run():
-    with pytest.MonkeyPatch.context() as mp:
-        mp.delenv("DEPTH_SEARCH_LIMIT", raising=False)
-        yield run_corpus()
+    return run_corpus()
 
 
 def test_corpus_has_accepted_and_refused_requests(corpus_run):
