@@ -109,6 +109,17 @@ def test_resolve_reads_no_environment(capsys, monkeypatch):
     assert json.loads(want)["dep"] == 9
 
 
+# a negative value the environment once refused is ignored too; the same
+# value on the request's "limit" key is still a SchemaError
+def test_resolve_negative_env_limit(capsys, monkeypatch):
+    monkeypatch.setenv("DEPTH_SEARCH_LIMIT", "-1")
+    code, payload = run_json(capsys, ["resolve", GERM])
+    assert code == 0 and payload["dep"] == 9
+    code, payload = run_json(capsys, ["resolve", GERM[:-1] + ',"limit":-1}'])
+    assert code == 1
+    assert payload["error"]["type"] == "SchemaError"
+
+
 def _deep_germ(t, **more):
     # r = 2 and support {(0, t), (1, 0)}: axial weight t, a walk of t stages
     return json.dumps({"r": 2, "beta": 1, "support": [[0, t], [1, 0]], **more})
