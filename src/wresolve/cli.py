@@ -26,24 +26,27 @@ from .rationals import format_rat, parse_int, parse_rat
 
 MAX_SAFE_INT = 2**53
 
-# the most stages an o3 request may walk (kMax if given, else a; a kMax
-# above a is the walk's own range error, not this ceiling's): the
-# largest accepted requests (a = 9999, six or seven support rows) answered
-# in 0.39-0.53 s in a fresh process on a 2-vCPU host, and 30,001 stages in
-# 1.0-1.6 s
-O3_MAX_STAGES = 10_000
-# the most stages (as above) times support rows (suppA plus suppB) an o3
-# request may walk: on a 2-vCPU shared host, a = 9999 with eight rows
-# (79,992) answered in 0.53-0.93 s in a fresh process, and with 30 rows in
-# 1.2-1.6 s
-O3_MAX_STAGE_ROWS = 80_000
-
-# the most stages a resolve walk may take (t for an index r >= 2), so a t
-# of 300 digits, which ran on without end, is refused before the walk; a
-# walk within it still overflows the encoder's recursion limit from about
-# 985 stages in a fresh process (t = 10^4 walks every stage, then exits 2
-# with RecursionError in 0.1-0.2 s) until ROADMAP item 2's writer lifts it
-RESOLVE_MAX_STAGES = 10_000
+# Every request-size ceiling: its name, the most a request may ask for, and
+# the refusal past it, formatted with the ceiling and the request's size;
+# _within checks one, and nothing sets them.  Fresh-process times on a
+# 2-vCPU shared host:
+# - resolve stages (t of an index r >= 2 germ): a t of 300 digits ran on
+#   without end.  A walk within the ceiling still overflows the encoder's
+#   recursion limit past 982 / 984 / 743 / 988 stages on Python 3.10.13 /
+#   3.11.7 / 3.12.1 / 3.13.0 (t = 10^4 walks every stage, then exits 2 with
+#   RecursionError in 0.1-0.2 s) until an iterative writer lifts it.
+# - o3 stages (kMax if given, else a; a kMax above a is the walk's own range
+#   error): a = 9999 with six or seven support rows answered in 0.39-0.53 s,
+#   and 30,001 stages took 1.0-1.6 s.
+# - o3 stage-rows (those stages times the rows of suppA and suppB): a = 9999
+#   with eight rows (79,992) answered in 0.53-0.93 s, with 30 rows in 1.2-1.6 s.
+CEILINGS = {
+    "resolve stages": (10_000, "resolve walks at most {ceiling} stages, not t = {size}"),
+    "o3 stages": (10_000, "o3 walks at most {ceiling} stages, not {size}: "
+                          "give a kMax up to {ceiling}"),
+    "o3 stage-rows": (80_000, "o3 walks at most {ceiling} stage-rows (stages times support "
+                              "rows), not {size}: give a smaller kMax or fewer support rows"),
+}
 
 # the verify flags: one --flag-name per run_all parameter, in its order (a
 # test checks this against the signature); their defaults are run_all's
@@ -76,6 +79,13 @@ def _encode(value):
     if isinstance(value, (list, tuple)):
         return list(map(_encode, value))
     raise TypeError(f"cannot encode {type(value).__name__}")
+
+
+def _within(name, size):
+    """Refuse a request whose size passes the named ceiling."""
+    ceiling, refusal = CEILINGS[name]
+    if size > ceiling:
+        raise InvalidParameter(refusal.format(ceiling=ceiling, size=size))
 
 
 def _object(pairs):
@@ -257,9 +267,7 @@ def _cmd_resolve(obj):
 
     g, limit = _parse_germ(obj), _field(obj, "limit", default=None, minimum=0)
     # a walk from index r >= 2 takes t stages; index 1 takes none
-    if g.r > 1 and (t := germs.tvalue(g)) > RESOLVE_MAX_STAGES:
-        raise InvalidParameter(
-            f"resolve walks at most {RESOLVE_MAX_STAGES} stages, not t = {t}")
+    _within("resolve stages", germs.tvalue(g) if g.r > 1 else 0)
     tree = germs.resolution_tree(g, limit)
     return {"dep": tree["dep"], "tree": tree}
 
@@ -376,14 +384,8 @@ def _cmd_o3(obj):
     cls = shapes[shape]
     case = cls(a, d, *(_field(obj, name) for name in cls._fields[2:-2]), supp_a, supp_b)
     stages = a if k_max is None else min(k_max, a)
-    if stages > O3_MAX_STAGES:
-        raise InvalidParameter(
-            f"o3 walks at most {O3_MAX_STAGES} stages, not {stages}: "
-            f"give a kMax up to {O3_MAX_STAGES}")
-    if (stage_rows := stages * (len(supp_a) + len(supp_b))) > O3_MAX_STAGE_ROWS:
-        raise InvalidParameter(
-            f"o3 walks at most {O3_MAX_STAGE_ROWS} stage-rows (stages times support "
-            f"rows), not {stage_rows}: give a smaller kMax or fewer support rows")
+    _within("o3 stages", stages)
+    _within("o3 stage-rows", stages * (len(supp_a) + len(supp_b)))
     stage_payload = globals()["_stage_payload_" + shape.lower()]
     return {
         "case": shape,

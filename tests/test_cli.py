@@ -125,11 +125,11 @@ def _deep_germ(t, **more):
     return json.dumps({"r": 2, "beta": 1, "support": [[0, t], [1, 0]], **more})
 
 
-# a resolve walk from index r >= 2 takes t stages; above
-# cli.RESOLVE_MAX_STAGES the request is refused before the walk, limit or
-# not, and a limit below the path cost of a walk within it still stops it
+# a resolve walk from index r >= 2 takes t stages; above the "resolve
+# stages" ceiling the request is refused before the walk, limit or not, and
+# a limit below the path cost of a walk within it still stops it
 def test_resolve_stage_ceiling(capsys):
-    ceiling = cli.RESOLVE_MAX_STAGES
+    ceiling = cli.CEILINGS["resolve stages"][0]
     for t, more in [(ceiling + 1, {}), (10**299, {}), (ceiling + 1, {"limit": 5})]:
         start = time.perf_counter()
         code, payload = run_json(capsys, ["resolve", _deep_germ(t, **more)])
@@ -355,12 +355,12 @@ def test_o3_schema(capsys):
     assert code == 1
 
 
-# an o3 request walks kMax stages, else a; above cli.O3_MAX_STAGES it is
-# refused before the walk, and a kMax within the ceiling answers any a
+# an o3 request walks kMax stages, else a; above the "o3 stages" ceiling it
+# is refused before the walk, and a kMax within the ceiling answers any a
 @pytest.mark.parametrize("shape", [{"case": "A", "alpha": 2, "suppA": [[2, 0]]},
                                    {"case": "B"}], ids=["A", "B"])
 def test_o3_stage_ceiling(capsys, shape):
-    ceiling = cli.O3_MAX_STAGES
+    ceiling = cli.CEILINGS["o3 stages"][0]
     for a, k_max in [(10**19 + 1, None), (ceiling + 1, None), (ceiling + 3, ceiling + 1)]:
         doc = {**shape, "a": a, "d": 1} | ({} if k_max is None else {"kMax": k_max})
         start = time.perf_counter()
@@ -382,7 +382,7 @@ def test_o3_stage_ceiling(capsys, shape):
 @pytest.mark.parametrize("shape", [{"case": "A", "alpha": 2, "suppA": [[2, 0]]},
                                    {"case": "B"}], ids=["A", "B"])
 def test_o3_kmax_above_a_is_out_of_range(capsys, shape):
-    for k_max in [4, cli.O3_MAX_STAGES + 1, 99999]:
+    for k_max in [4, cli.CEILINGS["o3 stages"][0] + 1, 99999]:
         code, payload = run_json(capsys, ["o3", json.dumps(
             {**shape, "a": 3, "d": 1, "kMax": k_max})])
         assert code == 2
@@ -402,11 +402,11 @@ def _o3_rows(shape, rows):
     return doc | ({"alpha": 2} if shape == "A" else {})
 
 
-# an o3 request also walks at most cli.O3_MAX_STAGE_ROWS stages (kMax,
-# else a) times support rows; above it, it is refused before the walk
+# an o3 request also walks at most the "o3 stage-rows" ceiling: stages
+# (kMax, else a) times support rows; above it, it is refused before the walk
 @pytest.mark.parametrize("shape", ["A", "B"])
 def test_o3_stage_row_ceiling(capsys, shape):
-    ceiling = cli.O3_MAX_STAGE_ROWS
+    ceiling = cli.CEILINGS["o3 stage-rows"][0]
     rows = 16
     code, payload = run_json(capsys, ["o3", json.dumps(
         _o3_rows(shape, rows) | {"kMax": ceiling // rows})])
@@ -1057,10 +1057,10 @@ def test_input_too_deep_for_the_recursion_limit():
     assert "Traceback" not in proc.stderr
 
 
-# a walk within cli.RESOLVE_MAX_STAGES is not refused up front; past the
+# a walk within the "resolve stages" ceiling is not refused up front; past the
 # encoder's depth (about 985 stages in a fresh process) it ends in the
 # RecursionError answer, and either way in one JSON document, soon
-@pytest.mark.parametrize("t", [1000, cli.RESOLVE_MAX_STAGES])
+@pytest.mark.parametrize("t", [1000, cli.CEILINGS["resolve stages"][0]])
 def test_resolve_walk_within_the_ceiling_answers(t):
     start = time.perf_counter()
     proc = spawn(["resolve", _deep_germ(t)], stdout=subprocess.PIPE)
