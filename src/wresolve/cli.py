@@ -35,17 +35,30 @@ MAX_SAFE_INT = 2**53
 #   recursion limit past 982 / 984 / 743 / 988 stages on Python 3.10.13 /
 #   3.11.7 / 3.12.1 / 3.13.0 (t = 10^4 walks every stage, then exits 2 with
 #   RecursionError in 0.1-0.2 s) until an iterative writer lifts it.
+# - resolve stage-rows (t times the support rows; the walk rebuilds the
+#   support at each stage): 20,000 rows at t = 50 answered in 0.8-1.2 s;
+#   200,000 rows, which ran 14 s, are refused in 0.7-0.8 s.
 # - o3 stages (kMax if given, else a; a kMax above a is the walk's own range
 #   error): a = 9999 with six or seven support rows answered in 0.39-0.53 s,
 #   and 30,001 stages took 1.0-1.6 s.
 # - o3 stage-rows (those stages times the rows of suppA and suppB): a = 9999
 #   with eight rows (79,992) answered in 0.53-0.93 s, with 30 rows in 1.2-1.6 s.
+# - en points and the rows of each rr basket: the exact sum's denominators
+#   grow with distinct prime indices, so the time is quadratic.  10,000
+#   points answered in 0.5-0.6 s and 16,000 in 1.1-1.3 s; an rr basket of
+#   10,000 rows [1, p] in 0.5-0.6 s, and delta_chi with two such baskets
+#   in 1.3 s.
+# - trace steps: 100,000 steps answered in 0.9-1.3 s, printing 9-14 MB.
 CEILINGS = {
     "resolve stages": (10_000, "resolve walks at most {ceiling} stages, not t = {size}"),
+    "resolve stage-rows": (1_000_000, "resolve walks at most {ceiling} stage-rows, not {size}"),
     "o3 stages": (10_000, "o3 walks at most {ceiling} stages, not {size}: "
                           "give a kMax up to {ceiling}"),
     "o3 stage-rows": (80_000, "o3 walks at most {ceiling} stage-rows (stages times support "
                               "rows), not {size}: give a smaller kMax or fewer support rows"),
+    "en points": (10_000, "en sums at most {ceiling} points, not {size}"),
+    "rr basket rows": (10_000, "rr reads at most {ceiling} rows per basket, not {size}"),
+    "trace steps": (100_000, "trace checks at most {ceiling} steps, not {size}"),
 }
 
 # the verify flags: one --flag-name per run_all parameter, in its order (a
@@ -170,8 +183,9 @@ def _pairs(value, name):
 def _basket(value, name):
     from .baskets import Basket
 
-    message = f"{name} must be a list of [b, r] or [b, r, n]"
-    return Basket(_int_rows(value, (2, 3), message))
+    rows = _int_rows(value, (2, 3), f"{name} must be a list of [b, r] or [b, r, n]")
+    _within("rr basket rows", len(rows))
+    return Basket(rows)
 
 
 def _name(table, unknown, fold=str.lower):
@@ -266,8 +280,10 @@ def _cmd_resolve(obj):
     from . import germs
 
     g, limit = _parse_germ(obj), _field(obj, "limit", default=None, minimum=0)
-    # a walk from index r >= 2 takes t stages; index 1 takes none
-    _within("resolve stages", germs.tvalue(g) if g.r > 1 else 0)
+    # a walk from index r >= 2 takes t stages, each over the support rows;
+    # index 1 takes none
+    _within("resolve stages", t := germs.tvalue(g) if g.r > 1 else 0)
+    _within("resolve stage-rows", t * len(g.support))
     tree = germs.resolution_tree(g, limit)
     return {"dep": tree["dep"], "tree": tree}
 
@@ -290,6 +306,7 @@ def _points(value, name):
     from .neighborhoods import ENPoint
 
     rows = _rows(value, (2,), "'points' must be a list of [r, w0]")
+    _within("en points", len(rows))
     return [ENPoint(_int(r, "point index"), _rat(w0, "w_P(0)")) for r, w0 in rows]
 
 
@@ -402,6 +419,7 @@ def _steps(value, name):
 
     if not isinstance(value, list):
         raise SchemaError("trace needs 'steps': a list of objects")
+    _within("trace steps", len(value))
     kinds = _name(dict(zip(KINDS, KINDS)), "unknown step kind {!r}", str)
 
     def step(item):

@@ -148,6 +148,40 @@ def test_resolve_stage_ceiling(capsys):
     assert (code, payload["dep"]) == (0, 0)
 
 
+def _wide_germ(rows, t=50, r=2):
+    """An index-r germ of axial weight t (a walk of t stages for r >= 2)
+    with the given number of support rows."""
+    support = [[0, t], [1, 0]] + [[2 + x, x] for x in range(rows - 2)]
+    return json.dumps({"r": r, "beta": 1, "support": support})
+
+
+# a resolve walk also rebuilds the support at each of its t stages; above
+# the "resolve stage-rows" ceiling (t times support rows) the request is
+# refused after the stages row and before the walk
+def test_resolve_stage_row_ceiling(capsys, monkeypatch):
+    for rows, stage_rows in [(20_001, 1_000_050), (200_000, 10_000_000)]:
+        text = _wide_germ(rows)
+        start = time.perf_counter()
+        code, payload = run_json(capsys, ["resolve", text])
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert payload["error"] == {
+            "type": "InvalidParameter",
+            "message": f"resolve walks at most 1000000 stage-rows, not {stage_rows}"}
+    # the stages row speaks first
+    code, payload = run_json(capsys, ["resolve", _wide_germ(200, t=10_001)])
+    assert payload["error"]["message"] == "resolve walks at most 10000 stages, not t = 10001"
+    # an index-1 germ walks no stage, however many its rows
+    code, payload = run_json(capsys, ["resolve", _wide_germ(20_001, r=1)])
+    assert (code, payload["dep"]) == (0, 0)
+    # a request at the ceiling walks; one stage-row past it does not
+    monkeypatch.setitem(cli.CEILINGS, "resolve stage-rows",
+                        (150, cli.CEILINGS["resolve stage-rows"][1]))
+    assert run_json(capsys, ["resolve", _wide_germ(3)])[1]["dep"] == 50
+    code, payload = run_json(capsys, ["resolve", _wide_germ(4)])
+    assert payload["error"]["message"] == "resolve walks at most 150 stage-rows, not 200"
+
+
 def test_blowup(capsys):
     code, payload = run_json(
         capsys, ["blowup", GERM[:-1] + ',"r1":2,"r2":8}']
@@ -428,6 +462,57 @@ def test_o3_stage_row_ceiling(capsys, shape):
     code, payload = run_json(capsys, ["o3", json.dumps(_o3_rows(shape, 7))])
     assert code == 0
     assert len(payload["stages"]) == 10000
+
+
+LONG_LISTS = [
+    ("en", "en points", lambda items: {"points": items},
+     [2, "1/2"], [2, "x"], "en sums at most {} points, not {}"),
+    ("rr", "rr basket rows", lambda items: {"basket": items},
+     [1, 2], [2, 2], "rr reads at most {} rows per basket, not {}"),
+    ("rr", "rr basket rows", lambda items: {"a_over_n": 1, "e3": 1, "basket_y": items},
+     [1, 2], [2, 2], "rr reads at most {} rows per basket, not {}"),
+    ("rr", "rr basket rows", lambda items: {"a_over_n": 1, "e3": 1, "basket_x": items},
+     [1, 2], [2, 2], "rr reads at most {} rows per basket, not {}"),
+    ("trace", "trace steps", lambda items: {"steps": items},
+     {"kind": "Flop", "before": 1, "after": 1}, {"kind": "Twist"},
+     "trace checks at most {} steps, not {}"),
+]
+
+
+# a list longer than its row of cli.CEILINGS is refused once it is known
+# to be a list of the right shape, before any item is converted: a last
+# item that would not convert is never reached
+@pytest.mark.parametrize("cmd, name, wrap, item, bad, message", LONG_LISTS,
+                         ids=["en-points", "rr-basket", "rr-basket_y", "rr-basket_x",
+                              "trace-steps"])
+def test_list_length_ceilings(capsys, monkeypatch, cmd, name, wrap, item, bad, message):
+    ceiling = cli.CEILINGS[name][0]
+    for items, size in [([item] * ceiling + [bad], ceiling + 1),
+                        ([item] * 2 * ceiling, 2 * ceiling)]:
+        text = json.dumps(wrap(items))
+        start = time.perf_counter()
+        code, payload = run_json(capsys, [cmd, text])
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert payload["error"] == {"type": "InvalidParameter",
+                                    "message": message.format(ceiling, size)}
+    # at the ceiling the items are read, and a malformed one is found
+    monkeypatch.setitem(cli.CEILINGS, name, (3, cli.CEILINGS[name][1]))
+    assert run(capsys, [cmd, json.dumps(wrap([item] * 3))])[0] == 0
+    code, payload = run_json(capsys, [cmd, json.dumps(wrap([item] * 2 + [bad]))])
+    assert code in (1, 2) and "at most" not in payload["error"]["message"]
+    code, payload = run_json(capsys, [cmd, json.dumps(wrap([item] * 4))])
+    assert payload["error"]["message"] == message.format(3, 4)
+
+
+def test_readme_ceiling_list_is_the_table():
+    """The README's "Request ceilings" list names every row of
+    cli.CEILINGS with its ceiling, in the table's order."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("### Request ceilings", 1)[1].split("\n### ", 1)[0]
+    rows = [line.split("|")[1:3] for line in section.splitlines() if line.startswith("| `")]
+    listed = [(name.strip().strip("`"), int(ceiling.replace(",", ""))) for name, ceiling in rows]
+    assert listed == [(name, ceiling) for name, (ceiling, _) in cli.CEILINGS.items()]
 
 
 def test_trace_valid(capsys):
@@ -1057,8 +1142,9 @@ def test_input_too_deep_for_the_recursion_limit():
     assert "Traceback" not in proc.stderr
 
 
-# a walk within the "resolve stages" ceiling is not refused up front; past the
-# encoder's depth (about 985 stages in a fresh process) it ends in the
+# a walk within the "resolve stages" ceiling is not refused up front; past
+# the encoder's depth (982 / 984 / 743 / 988 stages on Python 3.10.13 /
+# 3.11.7 / 3.12.1 / 3.13.0, in a fresh process) it ends in the
 # RecursionError answer, and either way in one JSON document, soon
 @pytest.mark.parametrize("t", [1000, cli.CEILINGS["resolve stages"][0]])
 def test_resolve_walk_within_the_ceiling_answers(t):
