@@ -48,7 +48,7 @@ MAX_SAFE_INT = 2**53
 #   points answered in 0.5-0.6 s and 16,000 in 1.1-1.3 s; an rr basket of
 #   10,000 rows [1, p] in 0.5-0.6 s, and delta_chi with two such baskets
 #   in 1.3 s.
-# - trace steps: 100,000 steps answered in 0.9-1.3 s, printing 9-14 MB.
+# - trace steps: 100,000 steps answered in 0.9-1.8 s, printing 9-14 MB.
 CEILINGS = {
     "resolve stages": (10_000, "resolve walks at most {ceiling} stages, not t = {size}"),
     "resolve stage-rows": (1_000_000, "resolve walks at most {ceiling} stage-rows, not {size}"),
